@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .modelled import ModelledDistribution
-from .pyramid import RSBF_MAGIC, RSBF_VERSION, save_rsbf
+from .pyramid import RSBF_VERSION, expect_end, read_f8, read_struct, save_rsbf
 from .scaling import Scaling
 from .structures import Model, RegularityStructure, Symbol
 
@@ -37,23 +37,20 @@ def load_md(path, structure: RegularityStructure) -> ModelledDistribution:
     with open(path, "rb") as fh:
         if fh.read(4) != MD_MAGIC:
             raise ValueError("not a modelled-distribution file")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = read_struct(fh, "<I", "RSMD")
         if version != RSBF_VERSION:
-            raise ValueError(f"unsupported version {version}")
-        (d,) = struct.unpack("<I", fh.read(4))
-        s = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(d))
-        (N,) = struct.unpack("<I", fh.read(4))
-        (nsym,) = struct.unpack("<I", fh.read(4))
-        (gamma,) = struct.unpack("<d", fh.read(8))
+            raise ValueError(f"unsupported RSMD version {version}")
+        (d,) = read_struct(fh, "<I", "RSMD")
+        s = read_struct(fh, f"<{d}I", "RSMD")
+        N, nsym = read_struct(fh, "<II", "RSMD")
+        (gamma,) = read_struct(fh, "<d", "RSMD")
         sc = Scaling(s)
         if nsym != structure.dim or sc != structure.scaling:
             raise ValueError("file does not match the given structure")
         vals = np.zeros((*sc.grid_shape(N), nsym))
-        cnt = sc.grid_size(N)
         for i in range(nsym):
-            vals[..., i] = np.frombuffer(fh.read(8 * cnt), dtype="<f8").reshape(
-                sc.grid_shape(N)
-            )
+            vals[..., i] = read_f8(fh, sc.grid_size(N), "RSMD").reshape(sc.grid_shape(N))
+        expect_end(fh, "RSMD")
         return ModelledDistribution(structure, gamma, N, vals)
 
 
@@ -143,12 +140,14 @@ def load_kernel_profile(path):
     with open(path, "rb") as fh:
         if fh.read(4) != KERNEL_MAGIC:
             raise ValueError("not a kernel profile file")
-        (version,) = struct.unpack("<I", fh.read(4))
-        (d,) = struct.unpack("<I", fh.read(4))
-        s = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(d))
-        (beta,) = struct.unpack("<d", fh.read(8))
-        (r,) = struct.unpack("<I", fh.read(4))
-        (bits,) = struct.unpack("<I", fh.read(4))
+        (version,) = read_struct(fh, "<I", "RSKP")
+        if version != RSBF_VERSION:
+            raise ValueError(f"unsupported RSKP version {version}")
+        (d,) = read_struct(fh, "<I", "RSKP")
+        s = read_struct(fh, f"<{d}I", "RSKP")
+        (beta,) = read_struct(fh, "<d", "RSKP")
+        r, bits = read_struct(fh, "<II", "RSKP")
         n = 2**bits
-        vals = np.frombuffer(fh.read(8 * n**d), dtype="<f8").reshape((n,) * d)
+        vals = read_f8(fh, n**d, "RSKP").reshape((n,) * d)
+        expect_end(fh, "RSKP")
         return {"s": s, "beta": beta, "r": r, "resolution_bits": bits}, vals

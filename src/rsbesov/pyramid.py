@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -105,24 +106,43 @@ def save_rsbf(path, pyr: CoeffPyramid) -> None:
             fh.write(np.ascontiguousarray(d, dtype="<f8").tobytes())
 
 
+def read_exact(fh, nbytes: int, fmt_name: str) -> bytes:
+    """The next nbytes of fh; checked against the file size first, so a
+    corrupt length neither allocates nor reads past the end."""
+    if nbytes > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ValueError(f"truncated {fmt_name} file")
+    return fh.read(nbytes)
+
+
+def read_struct(fh, layout: str, fmt_name: str) -> tuple:
+    return struct.unpack(layout, read_exact(fh, struct.calcsize(layout), fmt_name))
+
+
+def read_f8(fh, count: int, fmt_name: str) -> np.ndarray:
+    return np.frombuffer(read_exact(fh, 8 * count, fmt_name), dtype="<f8")
+
+
+def expect_end(fh, fmt_name: str) -> None:
+    if fh.read(1):
+        raise ValueError(f"trailing bytes after the {fmt_name} payload")
+
+
 def load_rsbf(path) -> CoeffPyramid:
     with open(path, "rb") as fh:
         if fh.read(4) != RSBF_MAGIC:
             raise ValueError("not an RSBF file")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = read_struct(fh, "<I", "RSBF")
         if version != RSBF_VERSION:
             raise ValueError(f"unsupported RSBF version {version}")
-        (d,) = struct.unpack("<I", fh.read(4))
-        s = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(d))
-        (N,) = struct.unpack("<I", fh.read(4))
+        (d,) = read_struct(fh, "<I", "RSBF")
+        s = read_struct(fh, f"<{d}I", "RSBF")
+        (N,) = read_struct(fh, "<I", "RSBF")
         scaling = Scaling(s)
         npsi = 2**scaling.total - 1
-        base = np.frombuffer(
-            fh.read(8 * scaling.grid_size(0)), dtype="<f8"
-        ).reshape(scaling.grid_shape(0))
+        base = read_f8(fh, scaling.grid_size(0), "RSBF").reshape(scaling.grid_shape(0))
         details = []
         for n in range(N):
-            cnt = npsi * scaling.grid_size(n)
-            arr = np.frombuffer(fh.read(8 * cnt), dtype="<f8")
+            arr = read_f8(fh, npsi * scaling.grid_size(n), "RSBF")
             details.append(arr.reshape((npsi, *scaling.grid_shape(n))).copy())
+        expect_end(fh, "RSBF")
         return CoeffPyramid(scaling, N, base.copy(), details)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 
@@ -25,14 +26,27 @@ def write_table(path, header: list[str], rows, meta: dict | None = None) -> None
             fh.write(",".join(fmt(v) for v in row) + "\n")
 
 
+def _json_safe(record: dict) -> dict:
+    """Non-finite floats spelled as the CSV writer does ("inf", "-inf", "nan")."""
+    return {
+        k: fmt(v) if isinstance(v, float) and not math.isfinite(v) else v
+        for k, v in record.items()
+    }
+
+
+def _json_line(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, allow_nan=False) + "\n"
+
+
 def write_jsonl(path, header: list[str], rows, meta: dict | None = None) -> None:
+    """One strict-JSON object per line, the meta record first."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         if meta:
-            fh.write(json.dumps({"meta": {k: meta[k] for k in sorted(meta)}}, sort_keys=True) + "\n")
+            fh.write(_json_line({"meta": _json_safe(meta)}))
         for row in rows:
-            fh.write(json.dumps(dict(zip(header, row)), sort_keys=True) + "\n")
+            fh.write(_json_line(_json_safe(dict(zip(header, row)))))
 
 
 def write_rows(path, header, rows, fmt_kind: str, meta=None) -> None:

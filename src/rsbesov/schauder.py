@@ -48,6 +48,8 @@ def _smooth_step():
 
 
 _STEP = _smooth_step()
+_BUMP = bs.bspline_bump(10)  # corrector bump B on [-1, 1]
+_MESH_BITS = 11  # box-mesh points per axis (log2) for the P0 moments
 
 
 def s_gauge(scaling: Scaling, pts: np.ndarray) -> np.ndarray:
@@ -115,15 +117,17 @@ class KernelDecomposition:
     def p0_raw(self, pts: np.ndarray) -> np.ndarray:
         return self.P(pts) * annular_cutoff(self.scaling, pts)
 
+    def _corrector_1d(self, k: int, x: np.ndarray) -> np.ndarray:
+        """D^k of the 1-d corrector factor B(x/s)/s (exact spline derivative)."""
+        der = _BUMP.derivative(k) if k else _BUMP
+        u = x / self.corrector_scale
+        return np.nan_to_num(der(u), nan=0.0) / self.corrector_scale ** (1 + k)
+
     def _corrector(self, k: tuple[int, ...], pts: np.ndarray) -> np.ndarray:
-        """D^k of the tensor corrector bump (exact spline derivatives)."""
+        """D^k of the tensor corrector bump: a product of 1-d factors."""
         out = np.ones(pts.shape[:-1])
         for i, ki in enumerate(k):
-            b = bs.bspline_bump(10)
-            der = b.derivative(ki) if ki else b
-            u = pts[..., i] / self.corrector_scale
-            vals = np.nan_to_num(der(u), nan=0.0) / self.corrector_scale ** (1 + ki)
-            out = out * vals
+            out = out * self._corrector_1d(ki, pts[..., i])
         return out
 
     def p0(self, pts: np.ndarray) -> np.ndarray:
@@ -164,10 +168,30 @@ class KernelDecomposition:
         return self.P(pts) * (1.0 - _STEP(s_gauge(self.scaling, pts)))
 
     # -- moments -----------------------------------------------------------
-    def p0_moment(self, m: tuple[int, ...], mesh_bits: int = 11) -> float:
+    def p0_moment(self, m: tuple[int, ...], mesh_bits: int = _MESH_BITS) -> float:
+        """Midpoint-rule moment of P0 on the 2^mesh_bits-per-axis box mesh.
+
+        The raw mesh moment of p0_raw (shared with `decompose_kernel`) minus,
+        per tensor corrector, c_k times the product of its 1-d midpoint sums
+        on the same mesh axis: the full-mesh sum of p0, summed in another
+        order.  It is deliberately independent of the 1-d moment system that
+        produced c_k, so a vanishing result checks that solve.
+        """
         key = ("m", m, mesh_bits)
         if key not in self._mom_cache:
-            self._mom_cache[key] = _box_moment(self.p0, self.scaling, m, mesh_bits)
+            raw_key = ("raw", m, mesh_bits)
+            if raw_key not in self._mom_cache:
+                self._mom_cache[raw_key] = _box_moments(
+                    self.p0_raw, self.scaling, [m], mesh_bits
+                )[m]
+            x, w = _box_axis(mesh_bits)
+            corr = 0.0
+            for k, c in self.correction_coeffs.items():
+                term = c
+                for ki, mi in zip(k, m):
+                    term *= float(np.sum(x**mi * self._corrector_1d(ki, x)) * w)
+                corr += term
+            self._mom_cache[key] = self._mom_cache[raw_key] - corr
         return self._mom_cache[key]
 
     def pplus_moment(self, m: tuple[int, ...], levels: int | None = None) -> float:
@@ -192,22 +216,26 @@ def _fd_partial(f, k: tuple[int, ...], pts: np.ndarray, h: float) -> np.ndarray:
     return (_fd_partial(f, km, up, h) - _fd_partial(f, km, dn, h)) / (2.0 * h)
 
 
-def _box_moment(f, scaling: Scaling, m: tuple[int, ...], mesh_bits: int) -> float:
-    axes = []
-    weights = 1.0
-    for si in scaling.s:
-        n = 2**mesh_bits
-        x = np.linspace(-1.0, 1.0, n, endpoint=False) + 1.0 / n
-        axes.append(x)
-        weights *= 2.0 / n
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack(mesh, axis=-1)
-    vals = f(pts)
-    mono = np.ones(vals.shape)
-    for i, mi in enumerate(m):
-        if mi:
-            mono = mono * mesh[i] ** mi
-    return float(np.sum(vals * mono) * weights)
+def _box_axis(mesh_bits: int) -> tuple[np.ndarray, float]:
+    """Midpoints of 2^mesh_bits equal cells on [-1, 1] and the cell width."""
+    n = 2**mesh_bits
+    return np.linspace(-1.0, 1.0, n, endpoint=False) + 1.0 / n, 2.0 / n
+
+
+def _box_moments(f, scaling: Scaling, ms, mesh_bits: int) -> dict:
+    """Midpoint-rule moments x^m of f on the box [-1, 1]^d for every m in ms,
+    from a single evaluation of f on the mesh."""
+    x, w = _box_axis(mesh_bits)
+    axes = np.meshgrid(*[x] * scaling.d, indexing="ij", sparse=True)
+    vals = f(np.stack(np.broadcast_arrays(*axes), axis=-1))
+    out = {}
+    for m in ms:
+        mono = np.ones(vals.shape)
+        for i, mi in enumerate(m):
+            if mi:
+                mono = mono * axes[i] ** mi
+        out[m] = float(np.sum(vals * mono) * w**scaling.d)
+    return out
 
 
 def self_similarity_defect(P, scaling: Scaling, beta: float, n_pts: int = 512, seed: int = 1) -> float:
@@ -258,10 +286,9 @@ def decompose_kernel(
         for k in iproduct(*[range(r + 1) for _ in range(scaling.d)])
         if scaling.scaled_degree(k) <= r
     ]
-    raw = {m: _box_moment(K.p0_raw, scaling, m, 11) for m in ks}
-    bmom = {}
-    b = bs.bspline_bump(10)
-    bfn = an.Fn1D(lambda u: np.nan_to_num(b(u), nan=0.0), (-1, 1))
+    raw = _box_moments(K.p0_raw, scaling, ks, _MESH_BITS)
+    K._mom_cache.update({("raw", m, _MESH_BITS): v for m, v in raw.items()})
+    bfn = an.Fn1D(lambda u: np.nan_to_num(_BUMP(u), nan=0.0), (-1, 1))
     mx = max(max(k) for k in ks) if ks else 0
     mom1d = [an.kernel_moment_1d(bfn, j) for j in range(mx + 1)]
     sc_ = K.corrector_scale
@@ -496,9 +523,7 @@ def _analyze_kernel_nd(fn, n, fam, scaling: Scaling, N: int, taylor: int = 2) ->
     sampling on a moderately refined grid, then exact cascades per axis."""
     margin = max(2, 6 - max(0, n))  # coarser margin for the coarse levels
     shapes = [2 ** ((N + margin) * si) for si in scaling.s]
-    axes = [
-        (np.arange(m) + fam.center) / m - (1.0 if False else 0.0) for m in shapes
-    ]
+    axes = [(np.arange(m) + fam.center) / m for m in shapes]
     # wrap sample points into [-1/2, 1/2) so compact kernels see their support
     mesh = np.meshgrid(*[((a + 0.5) % 1.0) - 0.5 for a in axes], indexing="ij")
     pts = np.stack(mesh, axis=-1)
@@ -537,9 +562,7 @@ def extend_structure(
     syms = polynomial_symbols(sc, gamma + kernel.beta)
     syms.append(Symbol("Xi", alpha, "abstract"))
     syms.append(Symbol("IXi", zeta_i, "abstract"))
-    import numpy as _np
-
-    ambient = tuple(float(k) for k in range(int(_np.ceil(gamma + kernel.beta)) + 2))
+    ambient = tuple(float(k) for k in range(int(np.ceil(gamma + kernel.beta)) + 2))
     st = RegularityStructure(syms, sc, ambient)
     N = base_model.N
     model = ExtendedModel(

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -5,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rsbesov import reports
 from rsbesov.cli import main
 from rsbesov.pyramid import load_rsbf
 
@@ -79,6 +81,32 @@ def test_jsonl_format(tmp_path):
     assert "meta" in meta and meta["meta"]["levels"] == 8
     row = json.loads(lines[1])
     assert "measured_alpha" in row
+
+
+def _strict_json(line):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(line, parse_constant=reject)
+
+
+def test_jsonl_lines_are_strict_json(tmp_path):
+    assert main(["embed", "--levels", "5", "--out", str(tmp_path), "--format", "jsonl"]) == 0
+    records = [_strict_json(line) for line in (tmp_path / "embed.jsonl").read_text().splitlines()]
+    assert records[0]["meta"]["q"] == "inf"
+    assert len(records) > 1
+
+
+def test_jsonl_non_finite_spelled_like_csv(tmp_path):
+    inf, nan = float("inf"), float("nan")
+    reports.write_rows(
+        tmp_path / "t.jsonl", ["a", "b", "c", "d"], [(inf, -inf, nan, 1.5)], "jsonl", {"q": inf}
+    )
+    meta, row = map(_strict_json, (tmp_path / "t.jsonl").read_text().splitlines())
+    assert meta == {"meta": {"q": "inf"}}
+    assert row == {"a": "inf", "b": "-inf", "c": "nan", "d": 1.5}
+    with pytest.raises(ValueError):  # non-finite values the writer does not spell out
+        reports.write_rows(tmp_path / "u.jsonl", ["a"], [([nan],)], "jsonl")
 
 
 def test_schauder_subcommand(tmp_path):

@@ -1,6 +1,10 @@
+import struct
+
 import numpy as np
+import pytest
 
 from rsbesov import besov, io, modelled as md, schauder as sch, structures as rs
+from rsbesov.pyramid import CoeffPyramid, load_rsbf, save_rsbf
 from conftest import make_sin_lift
 
 
@@ -22,8 +26,6 @@ def test_model_manifest_roundtrip(tmp_path, sc1, fam6):
     assert [s.name for s in symbols] == [s.name for s in st.symbols]
     assert [s.zeta for s in symbols] == [s.zeta for s in st.symbols]
     assert "Xi" in tables
-    from rsbesov.pyramid import load_rsbf
-
     back = load_rsbf(tmp_path / tables["Xi"])
     assert back.max_abs_diff(xi) == 0.0
 
@@ -37,3 +39,39 @@ def test_kernel_profile_roundtrip(tmp_path, sc1):
     n = 2 ** header["resolution_bits"]
     pts = (np.linspace(-1, 1, n, endpoint=False) + 1.0 / n)[:, None]
     np.testing.assert_allclose(vals, K.p0(pts), atol=0)
+
+
+@pytest.fixture(scope="module")
+def binary_files(tmp_path_factory, sc1, fam6):
+    """One valid file per binary format, with the loader that reads it."""
+    root = tmp_path_factory.mktemp("binary")
+    st, _, f = make_sin_lift(sc1, fam6, 4)
+    io.save_md(root / "f.rsmd", f)
+    save_rsbf(root / "p.rsbf", CoeffPyramid.zeros(sc1, 3))
+    K = sch.decompose_kernel("riesz", sc1, r=2, beta=0.6)
+    io.save_kernel_profile(root / "k.rskp", K, resolution_bits=5)
+    return {
+        "RSBF": (root / "p.rsbf", load_rsbf),
+        "RSMD": (root / "f.rsmd", lambda p: io.load_md(p, st)),
+        "RSKP": (root / "k.rskp", io.load_kernel_profile),
+    }
+
+
+@pytest.mark.parametrize("fmt", ["RSBF", "RSMD", "RSKP"])
+@pytest.mark.parametrize(
+    "damage, match",
+    [
+        (lambda raw: raw[:-3], "truncated {fmt} file"),
+        (lambda raw: raw[:10], "truncated {fmt} file"),
+        (lambda raw: raw + b"\0", "trailing bytes after the {fmt} payload"),
+        (lambda raw: raw[:4] + struct.pack("<I", 7) + raw[8:], "unsupported {fmt} version 7"),
+    ],
+    ids=["truncated-payload", "truncated-header", "trailing-bytes", "bad-version"],
+)
+def test_binary_loader_rejects_damaged_file(binary_files, tmp_path, fmt, damage, match):
+    path, load = binary_files[fmt]
+    load(path)  # the undamaged file reads back
+    bad = tmp_path / path.name
+    bad.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(ValueError, match=match.format(fmt=fmt)):
+        load(bad)

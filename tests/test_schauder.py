@@ -60,6 +60,43 @@ def test_heat_moments_cancelled(heat_setup, sc21):
         assert abs(K.p0_moment(tuple(m))) <= 1e-8
 
 
+def _full_mesh_moment(K, m, mesh_bits):
+    """Oracle: the corrected p0 evaluated on the whole box mesh, times x^m."""
+    n = 2**mesh_bits
+    x = np.linspace(-1.0, 1.0, n, endpoint=False) + 1.0 / n
+    mesh = np.meshgrid(*[x] * K.scaling.d, indexing="ij")
+    vals = K.p0(np.stack(mesh, axis=-1))
+    for g, mi in zip(mesh, m):
+        vals = vals * g**mi
+    return float(np.sum(vals) * (2.0 / n) ** K.scaling.d)
+
+
+@pytest.mark.parametrize("which", ["heat", "riesz"])
+def test_p0_moment_matches_full_mesh_sum(which, heat_setup, riesz_kernel):
+    K = heat_setup if which == "heat" else riesz_kernel
+    ms = K.scaling.multi_indices_below(K.r + 0.5)
+    assert len(ms) == 4
+    for m in ms:
+        assert abs(K.p0_moment(m, mesh_bits=7) - _full_mesh_moment(K, m, 7)) <= 1e-15
+
+
+def test_decompose_evaluates_kernel_once_on_mesh(sc1):
+    P, beta = sch.riesz_kernel(sc1, 0.4)
+    mesh_calls = []
+
+    def counted(pts):
+        if pts.shape[:-1] == (2**sch._MESH_BITS,) * sc1.d:
+            mesh_calls.append(1)
+        return P(pts)
+
+    K = sch.decompose_kernel("custom", sc1, r=2, beta=beta, custom=counted)
+    assert len(K.correction_coeffs) == 3
+    assert len(mesh_calls) == 1
+    for m in range(3):  # raw moments come from that one pass
+        assert abs(K.p0_moment((m,))) <= 1e-8
+    assert len(mesh_calls) == 1
+
+
 def test_scaling_identity_exact(riesz_kernel):
     # levels are generated, not measured: check the identity numerically anyway
     K = riesz_kernel
