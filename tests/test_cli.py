@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -121,8 +123,46 @@ def test_schauder_subcommand(tmp_path):
     assert abs(float(vals["besov_gain"]) - float(vals["beta"])) < 0.25
 
 
+GOLDEN = Path(__file__).parent / "golden" / "report_l6_s7"
+
+
+def _same_token(got: str, want: str) -> bool:
+    """Text and integers exactly, floats within rtol 1e-10 / atol 1e-14."""
+    if got == want:
+        return True
+    if re.fullmatch(r"-?\d+", want):
+        return False
+    try:
+        a, b = float(got), float(want)
+    except ValueError:
+        return False
+    return math.isfinite(a) and math.isfinite(b) and abs(a - b) <= 1e-14 + 1e-10 * abs(b)
+
+
+def _assert_matches_golden(out: Path) -> None:
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in GOLDEN.iterdir())
+    for ref in sorted(GOLDEN.iterdir()):
+        got = out / ref.name
+        if ref.suffix == ".rsbf":
+            a, b = load_rsbf(got), load_rsbf(ref)
+            assert (a.N, a.scaling.s) == (b.N, b.scaling.s)
+            for x, y in zip([a.base, *a.details], [b.base, *b.details], strict=True):
+                assert x.shape == y.shape
+                np.testing.assert_allclose(x, y, rtol=1e-10, atol=1e-14)
+            continue
+        got_lines = got.read_text().splitlines()
+        ref_lines = ref.read_text().splitlines()
+        assert len(got_lines) == len(ref_lines), ref.name
+        for g, w in zip(got_lines, ref_lines):
+            gt, wt = re.split(r"(,| = )", g), re.split(r"(,| = )", w)
+            assert len(gt) == len(wt) and all(map(_same_token, gt, wt)), (ref.name, g, w)
+
+
 def test_determinism_byte_identity(tmp_path):
-    # identical (config, seed) twice: byte-identical report payloads
+    # identical (config, seed) twice: byte-identical report payloads that
+    # also match the committed golden report (regenerate it with
+    # `rsbesov report --levels 6 --seed 7 --out tests/golden/report_l6_s7`
+    # only when a change of the numbers is intended)
     outs = []
     for sub in ("a", "b"):
         out = tmp_path / sub
@@ -148,3 +188,4 @@ def test_determinism_byte_identity(tmp_path):
     assert files_a == files_b and files_a
     for name in files_a:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    _assert_matches_golden(outs[0])
