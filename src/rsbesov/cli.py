@@ -11,7 +11,7 @@ import argparse
 import configparser
 import math
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -53,7 +53,7 @@ class ExperimentConfig:
     beta: float = 0.7
     seed: int = 0
     out: str = "out"
-    format: str = "csv"
+    format: str = field(default="csv", metadata={"choices": ("csv", "jsonl")})
     rng_algorithm: str = field(default="numpy-PCG64", init=False)
 
     def validate(self) -> None:
@@ -89,10 +89,10 @@ class ExperimentConfig:
         return m
 
 
-def _parse_pq(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
+def _option_fields():
+    """Init fields set by a flag or a config key of the same name; d and s
+    come from the config file only."""
+    return [f for f in fields(ExperimentConfig) if f.init and f.name not in ("d", "s")]
 
 
 def load_config(path: str | None) -> ExperimentConfig:
@@ -109,24 +109,9 @@ def load_config(path: str | None) -> ExperimentConfig:
     if "s" in sec:
         cfg.s = tuple(int(v) for v in sec.get("s").split(","))
         cfg.d = len(cfg.s)
-    if "levels" in sec:
-        cfg.levels = sec.getint("levels")
-    if "wavelet_order" in sec:
-        cfg.wavelet_order = sec.getint("wavelet_order")
-    if "structure" in sec:
-        cfg.structure = sec.get("structure")
-    for key in ("gamma", "alpha", "beta"):
-        if key in sec:
-            setattr(cfg, key, sec.getfloat(key))
-    for key in ("p", "q"):
-        if key in sec:
-            setattr(cfg, key, _parse_pq(sec.get(key)))
-    if "seed" in sec:
-        cfg.seed = sec.getint("seed")
-    if "out" in sec:
-        cfg.out = sec.get("out")
-    if "format" in sec:
-        cfg.format = sec.get("format")
+    for f in _option_fields():
+        if f.name in sec:
+            setattr(cfg, f.name, type(f.default)(sec.get(f.name)))
     return cfg
 
 
@@ -138,44 +123,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("subcommand", choices=SUBCOMMANDS)
     ap.add_argument("--config", type=str, default=None)
-    ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--levels", type=int, default=None)
-    ap.add_argument("--gamma", type=float, default=None)
-    ap.add_argument("--p", type=str, default=None)
-    ap.add_argument("--q", type=str, default=None)
-    ap.add_argument("--alpha", type=float, default=None)
-    ap.add_argument("--beta", type=float, default=None)
-    ap.add_argument("--wavelet-order", type=int, default=None)
-    ap.add_argument("--structure", type=str, default=None)
-    ap.add_argument("--out", type=str, default=None)
-    ap.add_argument("--format", type=str, default=None, choices=("csv", "jsonl"))
+    for f in _option_fields():
+        ap.add_argument(
+            "--" + f.name.replace("_", "-"),
+            type=type(f.default),
+            default=None,
+            choices=f.metadata.get("choices"),
+        )
     return ap
 
 
 def resolve_config(args) -> ExperimentConfig:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.levels is not None:
-        cfg.levels = args.levels
-    if args.gamma is not None:
-        cfg.gamma = args.gamma
-    if args.p is not None:
-        cfg.p = _parse_pq(args.p)
-    if args.q is not None:
-        cfg.q = _parse_pq(args.q)
-    if args.alpha is not None:
-        cfg.alpha = args.alpha
-    if args.beta is not None:
-        cfg.beta = args.beta
-    if args.wavelet_order is not None:
-        cfg.wavelet_order = args.wavelet_order
-    if args.structure is not None:
-        cfg.structure = args.structure
-    if args.out is not None:
-        cfg.out = args.out
-    if args.format is not None:
-        cfg.format = args.format
+    for f in _option_fields():
+        value = getattr(args, f.name)
+        if value is not None:
+            setattr(cfg, f.name, value)
     cfg.validate()
     return cfg
 
@@ -552,17 +515,8 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    runner = {
-        "synthesize": cmd_synthesize,
-        "besov": cmd_besov,
-        "dnorm": cmd_dnorm,
-        "reconstruct": cmd_reconstruct,
-        "roundtrip": cmd_roundtrip,
-        "lift": cmd_lift,
-        "embed": cmd_embed,
-        "schauder": cmd_schauder,
-        "report": cmd_report,
-    }[args.subcommand]
+    # looked up at call time, so that a rebound cmd_* is the one that runs
+    runner = globals()[f"cmd_{args.subcommand}"]
     try:
         return runner(cfg)
     except rc.CertificateError as exc:

@@ -32,6 +32,8 @@ class ModelledDistribution:
         sc = self.structure.scaling
         if self.values.shape != (*sc.grid_shape(self.N), self.structure.dim):
             raise ValueError("value array shape mismatch")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("values must be finite")
         self.structure.check_gamma(self.gamma)
         for i, s in enumerate(self.structure.symbols):
             if s.zeta >= self.gamma and np.any(self.values[..., i]):
@@ -96,7 +98,6 @@ class DNormReport:
     trans_levels: np.ndarray
     consistency: dict[float, np.ndarray] = field(default_factory=dict)
     combined: dict[float, np.ndarray] = field(default_factory=dict)
-    truncated_above: int | None = None
 
     @property
     def total(self) -> float:
@@ -161,83 +162,103 @@ def _level_index(sc: Scaling, n: int, N: int):
     )
 
 
-def d_norm(f: ModelledDistribution, model: Model, p, q) -> DNormReport:
-    """The modelled-distribution norm: local L^p bounds plus the dyadic-shell
-    discretization of the translation bound."""
+def _shell_lq(st: RegularityStructure, zetas, diffs, n: int, weight, p, q) -> dict[float, float]:
+    """Per sector zeta: the l^q over a shell's offsets of the L^p_n norms of
+    its difference arrays, each divided by weight(zeta)."""
+    acc = {z: [] for z in zetas}
+    for diff in diffs:
+        for z in zetas:
+            acc[z].append(_lp_grid(sector_abs(st, diff, z), n, p, st.scaling) / weight(z))
+    return {z: lq_aggregate(acc[z], q) for z in zetas}
+
+
+def _level_table(zetas, levels, per_level) -> dict[float, np.ndarray]:
+    """Per sector: the values of per_level(n) stacked over the levels."""
+    rows = [per_level(n) for n in levels]
+    return {z: np.array([r[z] for r in rows], dtype=float) for z in zetas}
+
+
+def _fine_norm(f: ModelledDistribution, local_values: np.ndarray, difference, p, q) -> DNormReport:
+    """Local L^p bounds of local_values plus the translation bound on Lambda_N,
+    where difference(steps, delta) is the difference translated by -h for an
+    h in E_n, given as fine-grid shifts and as a real displacement."""
     st, sc = f.structure, f.structure.scaling
     N = f.N
     zetas = st.sectors_below(f.gamma)
-    local = {z: _lp_grid(sector_abs(st, f.values, z), N, p, sc) for z in zetas}
+    local = {z: _lp_grid(sector_abs(st, local_values, z), N, p, sc) for z in zetas}
     levels = np.arange(TRANSLATION_MIN_LEVEL, N + 1)
-    trans = {z: np.zeros(len(levels)) for z in zetas}
-    for li, n in enumerate(levels):
+
+    def shell(n):
         hnorm = 2.0 ** (-n)
-        acc = {z: [] for z in zetas}
-        for h in translation_offsets(sc, n):
-            # D[y] = f(y) - Gamma_{y, y-h} f(y-h), same l^p as the x+h form
-            steps = tuple(-hi * 2 ** ((N - n) * si) for hi, si in zip(h, sc.s))
-            src = shift_plus(f.values, steps)
-            delta = np.array([-hi * 2.0 ** (-n * si) for hi, si in zip(h, sc.s)])
-            diff = f.values - model.gamma_apply_field(src, delta)
-            for z in zetas:
-                acc[z].append(
-                    _lp_grid(sector_abs(st, diff, z), N, p, sc)
-                    / hnorm ** (f.gamma - z)
-                )
-        for z in zetas:
-            trans[z][li] = lq_aggregate(acc[z], q)
-    return DNormReport(f.gamma, p, q, local, trans, levels, truncated_above=N)
+        # D[y] = f(y) - Gamma_{y, y-h} f(y-h), same l^p as the x+h form
+        diffs = (
+            difference(
+                tuple(-hi * 2 ** ((N - n) * si) for hi, si in zip(h, sc.s)),
+                np.array([-hi * 2.0 ** (-n * si) for hi, si in zip(h, sc.s)]),
+            )
+            for h in translation_offsets(sc, n)
+        )
+        return _shell_lq(st, zetas, diffs, N, lambda z: hnorm ** (f.gamma - z), p, q)
+
+    return DNormReport(f.gamma, p, q, local, _level_table(zetas, levels, shell), levels)
+
+
+def d_norm(f: ModelledDistribution, model: Model, p, q) -> DNormReport:
+    """The modelled-distribution norm: local L^p bounds plus the dyadic-shell
+    discretization of the translation bound."""
+
+    def difference(steps, delta):
+        return f.values - model.gamma_apply_field(shift_plus(f.values, steps), delta)
+
+    return _fine_norm(f, f.values, difference, p, q)
 
 
 def dbar_norm(fbar: AveragedMD, model: Model, p, q) -> DNormReport:
     """The three bounds of the averaged space plus the combined-shell term."""
     st, sc = fbar.structure, fbar.structure.scaling
-    N = fbar.N
-    gamma = fbar.gamma
+    N, gamma, lv = fbar.N, fbar.gamma, fbar.levels
     zetas = st.sectors_below(gamma)
-    local = {z: _lp_grid(sector_abs(st, fbar.levels[0], z), 0, p, sc) for z in zetas}
-    levels = np.arange(TRANSLATION_MIN_LEVEL, N + 1)
-    trans = {z: np.zeros(len(levels)) for z in zetas}
-    for li, n in enumerate(levels):
-        acc = {z: [] for z in zetas}
+    local = {z: _lp_grid(sector_abs(st, lv[0], z), 0, p, sc) for z in zetas}
+
+    def translation(n):
         x_index = _level_index(sc, n, N)
-        for h in translation_offsets(sc, n):
-            src = shift_plus(fbar.levels[n], tuple(-hi for hi in h))
-            delta = np.array([-hi * 2.0 ** (-n * si) for hi, si in zip(h, sc.s)])
-            diff = fbar.levels[n] - model.gamma_apply_field(src, delta, x_index)
-            for z in zetas:
-                acc[z].append(
-                    _lp_grid(sector_abs(st, diff, z), n, p, sc)
-                    / 2.0 ** (-n * (gamma - z))
-                )
-        for z in zetas:
-            trans[z][li] = lq_aggregate(acc[z], q)
-    cons_levels = np.arange(0, N)
-    cons = {z: np.zeros(len(cons_levels)) for z in zetas}
-    comb = {z: np.zeros(len(cons_levels)) for z in zetas}
-    for n in cons_levels:
-        finer = _level_subsample(sc, fbar.levels[n + 1], 1)
-        diff = fbar.levels[n] - finer
-        for z in zetas:
-            cons[z][n] = _lp_grid(sector_abs(st, diff, z), n, p, sc) / 2.0 ** (
-                -n * (gamma - z)
+        diffs = (
+            lv[n]
+            - model.gamma_apply_field(
+                shift_plus(lv[n], tuple(-hi for hi in h)),
+                np.array([-hi * 2.0 ** (-n * si) for hi, si in zip(h, sc.s)]),
+                x_index,
             )
-        # combined shell: fbar^(n)(x) - Gamma_{x,x+h} fbar^(n+1)(x+h) with
-        # h over E_{n+1} plus h = 0 (the consistency term itself)
-        accs = {z: [] for z in zetas}
+            for h in translation_offsets(sc, n)
+        )
+        return _shell_lq(st, zetas, diffs, n, lambda z: 2.0 ** (-n * (gamma - z)), p, q)
+
+    def consistency(n):
+        diff = lv[n] - _level_subsample(sc, lv[n + 1], 1)
+        return {
+            z: _lp_grid(sector_abs(st, diff, z), n, p, sc) / 2.0 ** (-n * (gamma - z))
+            for z in zetas
+        }
+
+    def combined(n):
+        # fbar^(n)(x) - Gamma_{x,x+h} fbar^(n+1)(x+h) with h over E_{n+1}
+        # plus h = 0 (the consistency term itself)
         x_index = _level_index(sc, n, N)
-        offs = [(0,) * sc.d] + translation_offsets(sc, n + 1)
-        for h in offs:
-            src = _level_subsample(sc, shift_plus(fbar.levels[n + 1], h), 1)
-            delta = np.array([hi * 2.0 ** (-(n + 1) * si) for hi, si in zip(h, sc.s)])
-            diff = fbar.levels[n] - model.gamma_apply_field(src, delta, x_index)
-            for z in zetas:
-                accs[z].append(
-                    _lp_grid(sector_abs(st, diff, z), n, p, sc)
-                    / 2.0 ** (-n * (gamma - z))
-                )
-        for z in zetas:
-            comb[z][n] = lq_aggregate(accs[z], q)
+        diffs = (
+            lv[n]
+            - model.gamma_apply_field(
+                _level_subsample(sc, shift_plus(lv[n + 1], h), 1),
+                np.array([hi * 2.0 ** (-(n + 1) * si) for hi, si in zip(h, sc.s)]),
+                x_index,
+            )
+            for h in [(0,) * sc.d] + translation_offsets(sc, n + 1)
+        )
+        return _shell_lq(st, zetas, diffs, n, lambda z: 2.0 ** (-n * (gamma - z)), p, q)
+
+    levels, cons_levels = np.arange(TRANSLATION_MIN_LEVEL, N + 1), np.arange(0, N)
+    trans = _level_table(zetas, levels, translation)
+    cons = _level_table(zetas, cons_levels, consistency)
+    comb = _level_table(zetas, cons_levels, combined)
     return DNormReport(gamma, p, q, local, trans, levels, cons, comb)
 
 
@@ -342,37 +363,20 @@ def md_distance(
 ) -> DNormReport:
     """Two-model distance: local difference plus the mixed translation bound
     with each distribution transported by its own model."""
-    st, sc = f.structure, f.structure.scaling
-    if f2.structure.dim != st.dim:
+    if f2.structure.dim != f.structure.dim:
         raise ValueError("structure mismatch")
     if f2.gamma != f.gamma or f2.N != f.N:
         raise ValueError("order or resolution mismatch")
-    N = f.N
-    zetas = st.sectors_below(f.gamma)
-    dvals = f.values - f2.values
-    local = {z: _lp_grid(sector_abs(st, dvals, z), N, p, sc) for z in zetas}
-    levels = np.arange(TRANSLATION_MIN_LEVEL, N + 1)
-    trans = {z: np.zeros(len(levels)) for z in zetas}
-    for li, n in enumerate(levels):
-        hnorm = 2.0 ** (-n)
-        acc = {z: [] for z in zetas}
-        for h in translation_offsets(sc, n):
-            steps = tuple(-hi * 2 ** ((N - n) * si) for hi, si in zip(h, sc.s))
-            delta = np.array([-hi * 2.0 ** (-n * si) for hi, si in zip(h, sc.s)])
-            diff = (
-                f.values
-                - f2.values
-                - model.gamma_apply_field(shift_plus(f.values, steps), delta)
-                + model2.gamma_apply_field(shift_plus(f2.values, steps), delta)
-            )
-            for z in zetas:
-                acc[z].append(
-                    _lp_grid(sector_abs(st, diff, z), N, p, sc)
-                    / hnorm ** (f.gamma - z)
-                )
-        for z in zetas:
-            trans[z][li] = lq_aggregate(acc[z], q)
-    return DNormReport(f.gamma, p, q, local, trans, levels)
+
+    def difference(steps, delta):
+        return (
+            f.values
+            - f2.values
+            - model.gamma_apply_field(shift_plus(f.values, steps), delta)
+            + model2.gamma_apply_field(shift_plus(f2.values, steps), delta)
+        )
+
+    return _fine_norm(f, f.values - f2.values, difference, p, q)
 
 
 @dataclass

@@ -77,7 +77,6 @@ class WaveletFamily:
                     * t ** (a - b)
                     * float(self.mother_moments[b])
                 )
-            val = 2.0 ** (-j * (a + 0.5)) * acc * 2.0 ** (j * 0.0)
             # int v^a 2^{j/2} psi(2^j v - t) dv = 2^{-j(a+1)+j/2} sum binom t^{a-b} N_b
             val = 2.0 ** (-j * (a + 1) + j * 0.5) * acc
         self._component_moments[key] = val
@@ -250,6 +249,8 @@ def forward_transform(
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != scaling.d:
         raise ValueError("sample array dimension does not match the scaling")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("samples must be finite")
     N = _infer_level(samples.shape, scaling)
     c = samples * 2.0 ** (-N * scaling.total / 2.0)
     details: list[np.ndarray] = [None] * N

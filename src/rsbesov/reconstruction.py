@@ -21,7 +21,7 @@ from .besov import BesovParams, TestDictionary, bspline_bump, mollify
 from .modelled import AveragedMD, ModelledDistribution, average, unaverage
 from .pyramid import CoeffPyramid
 from .scaling import Scaling
-from .structures import Model, model_norms
+from .structures import Model, model_distance, model_norms
 from .util import fit_log2_slope, lq_aggregate, multi_factorial, weighted_lp
 
 
@@ -181,14 +181,13 @@ def reconstruct(
         f_bar = average(f, model)
     germ = germ_of(f_bar, model)
     alpha = min(structure_alpha(model, gamma), gamma)
-    alpha_bar = alpha if math.isinf(q) else alpha  # exact at q = inf, else any value below
     eps = 0.01
     xi, sew = sewing_limit(
         germ, min(alpha, -eps), gamma, p, q, model.fam, reject=False
     )
     measured = besov.critical_exponent(xi, p)
     cert = ReconstructionCertificate(
-        alpha, alpha_bar, gamma, float(p), float(q), sew, measured
+        alpha, alpha, gamma, float(p), float(q), sew, measured
     )
     if dictionary is not None:
         scales, raw, normed = reconstruction_bound(f, model, xi, p, q, dictionary)
@@ -214,9 +213,27 @@ def reconstruction_bound(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-scale table of || sup_eta |<xi - Pi_x f(x), eta^lambda_x>| ||_{L^p},
     raw and normalized by lambda^gamma."""
+    cN = mra.level_coefficients(xi, model.fam, f.N)
+
+    def residual(m, prof, kern):
+        xi_part = an.correlate(cN, kern)
+        germ_part = np.zeros_like(xi_part)
+        for i in range(f.structure.dim):
+            w = model.pi_profile_table(i, m, prof)
+            germ_part = germ_part + w * f.values[..., i]
+        return xi_part - germ_part
+
+    return _scale_table(f, model, p, dictionary, residual)
+
+
+def _scale_table(
+    f: ModelledDistribution, model: Model, p, dictionary: TestDictionary, residual
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per dictionary scale m <= N - 2: the L^p norm of the sup over profiles
+    of |residual(m, profile, analyzed profile kernel)|, raw and normalized by
+    lambda^gamma."""
     sc = f.structure.scaling
     N = f.N
-    cN = mra.level_coefficients(xi, model.fam, N)
     scales = np.array([m for m in dictionary.scales if m <= N - 2])
     raw = np.zeros(len(scales))
     for si_, m in enumerate(scales):
@@ -225,12 +242,7 @@ def reconstruction_bound(
             kern = an.analyze_kernel(
                 besov.profile_kernel(prof, sc, m), model.fam, sc, N
             )
-            xi_part = an.correlate(cN, kern)
-            germ_part = np.zeros_like(xi_part)
-            for i in range(f.structure.dim):
-                w = model.pi_profile_table(i, m, prof)
-                germ_part = germ_part + w * f.values[..., i]
-            best = np.maximum(best, np.abs(xi_part - germ_part))
+            best = np.maximum(best, np.abs(residual(m, prof, kern)))
         raw[si_] = weighted_lp(best, 2.0 ** (-N * sc.total), p)
     lam = 2.0 ** (-scales.astype(float))
     return scales, raw, raw / lam**f.gamma
@@ -382,7 +394,6 @@ def lift(
         st, model = polynomial_structure(gamma, sc, fam, N)
     else:
         st, model = structure_model
-    r = fam.r if fam.r > abs(gamma) else int(np.ceil(abs(gamma)))
     params = BesovParams(gamma, p, q, max(fam.r, int(abs(gamma)) + 1))
     besov_rep = besov.besov_norm_wavelet(xi, params)
     q_floor = int(np.floor(gamma))
@@ -422,81 +433,31 @@ def two_model_compare(
     from .modelled import md_distance, d_norm
 
     gamma = f.gamma
-    sc = f.structure.scaling
     N = f.N
     xi1, _ = reconstruct(f, model, p, q)
     xi2, _ = reconstruct(f2, model2, p, q)
     c1 = mra.level_coefficients(xi1, model.fam, N)
     c2 = mra.level_coefficients(xi2, model2.fam, N)
-    scales = np.array([m for m in dictionary.scales if m <= N - 2])
-    raw = np.zeros(len(scales))
-    for si_, m in enumerate(scales):
-        best = np.zeros(sc.grid_shape(N))
-        for prof in dictionary.profiles:
-            kern = an.analyze_kernel(
-                besov.profile_kernel(prof, sc, m), model.fam, sc, N
-            )
-            part = an.correlate(c1 - c2, kern)
-            for i in range(f.structure.dim):
-                part = part - model.pi_profile_table(i, m, prof) * f.values[..., i]
-                part = part + model2.pi_profile_table(i, m, prof) * f2.values[..., i]
-            best = np.maximum(best, np.abs(part))
-        raw[si_] = weighted_lp(best, 2.0 ** (-N * sc.total), p)
-    lam = 2.0 ** (-scales.astype(float))
-    normalized = raw / lam**gamma
+
+    def residual(m, prof, kern):
+        part = an.correlate(c1 - c2, kern)
+        for i in range(f.structure.dim):
+            part = part - model.pi_profile_table(i, m, prof) * f.values[..., i]
+            part = part + model2.pi_profile_table(i, m, prof) * f2.values[..., i]
+        return part
+
+    scales, raw, normalized = _scale_table(f, model, p, dictionary, residual)
     budget = None
     if with_budget:
         dist = md_distance(f, model, f2, model2, p, q).total
         n1 = model_norms(model, gamma, dictionary)
         n2 = model_norms(model2, gamma, dictionary)
-        dpi = _model_pi_difference(model, model2, gamma, dictionary)
-        dgam = _model_gamma_difference(model, model2, gamma)
+        diff = model_distance(model, model2, gamma, dictionary)
         fb2 = d_norm(f2, model2, p, q).total
         budget = dist * n1.pi * (1.0 + n1.gamma) + fb2 * (
-            dpi * (1.0 + n1.gamma) + n2.pi * dgam
+            diff.pi * (1.0 + n1.gamma) + n2.pi * diff.gamma
         )
     return scales, raw, normalized, budget
-
-
-def _model_pi_difference(model, model2, gamma, dictionary) -> float:
-    worst = 0.0
-    for m in dictionary.scales:
-        if m > model.N - 2:
-            continue
-        lam = 2.0 ** (-m)
-        for prof in dictionary.profiles:
-            for i, s in enumerate(model.structure.symbols):
-                if s.zeta >= gamma:
-                    continue
-                t1 = model.pi_profile_table(i, m, prof)
-                t2 = model2.pi_profile_table(i, m, prof)
-                worst = max(worst, float(np.max(np.abs(t1 - t2))) / lam**s.zeta)
-    return worst
-
-
-def _model_gamma_difference(model, model2, gamma, levels=(1, 2, 3)) -> float:
-    st = model.structure
-    sc = model.scaling
-    zs = st.sectors_below(gamma)
-    worst = 0.0
-    for m in levels:
-        if m > model.N:
-            continue
-        pts = sc.grid_points(m).reshape(-1, sc.d)
-        for delta in pts:
-            dn = sc.snorm(delta)
-            if dn == 0.0 or dn > 0.5:
-                continue
-            x = np.zeros(sc.d)
-            y = (x - delta) % 1.0
-            D = model.gamma(x, y) - model2.gamma(x, y)
-            for zi, z in enumerate(zs):
-                for tau in st.sector(z):
-                    col = D[:, tau]
-                    for b in zs[: zi + 1]:
-                        v = float(np.max(np.abs(col[st.sector(b)])))
-                        worst = max(worst, v / dn ** (z - b))
-    return worst
 
 
 @dataclass

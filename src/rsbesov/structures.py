@@ -19,7 +19,7 @@ from . import mra
 from .besov import Profile, TestDictionary, profile_kernel
 from .pyramid import CoeffPyramid
 from .scaling import Scaling, wrap_displacement
-from .util import multi_binom, multi_factorial
+from .util import multi_binom
 
 
 @dataclass(frozen=True)
@@ -122,11 +122,9 @@ class Model:
         return vals @ M.T
 
     def _gamma_matrix(self, delta: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _poly_gamma_block(self, M: np.ndarray, delta: np.ndarray) -> None:
-        """Fill Gamma X^k = sum_{l<=k} binom(k,l) delta^{k-l} X^l."""
+        """Identity plus Gamma X^k = sum_{l<=k} binom(k,l) delta^{k-l} X^l."""
         st = self.structure
+        M = np.eye(st.dim)
         for kidx in st.poly_indices():
             k = st.symbols[kidx].k
             for lidx in st.poly_indices():
@@ -136,6 +134,7 @@ class Model:
                     M[lidx, kidx] = multi_binom(k, l) * float(
                         np.prod(np.asarray(delta) ** np.asarray(diff))
                     )
+        return M
 
     # -- Pi ---------------------------------------------------------------
     def poly_father_pairing(self, k: tuple[int, ...], n: int, delta=None):
@@ -199,14 +198,6 @@ class Model:
 class PolynomialModel(Model):
     """Pi_x X^k = (. - x)^k, Gamma the translation action."""
 
-    def __init__(self, structure, fam, N):
-        super().__init__(structure, fam, N)
-
-    def _gamma_matrix(self, delta):
-        M = np.eye(self.structure.dim)
-        self._poly_gamma_block(M, delta)
-        return M
-
     def pi_center_weights(self, n):
         return [
             self.poly_father_pairing(s.k, n) for s in self.structure.symbols
@@ -225,11 +216,6 @@ class NoiseModel(Model):
         self.xi = xi
         self.xi_levels = mra.all_level_coefficients(xi, fam)
         self.xi_index = structure.index("Xi")
-
-    def _gamma_matrix(self, delta):
-        M = np.eye(self.structure.dim)
-        self._poly_gamma_block(M, delta)
-        return M
 
     def pi_center_weights(self, n):
         out = []
@@ -294,27 +280,13 @@ def sector_abs(structure: RegularityStructure, vec: np.ndarray, zeta: float) -> 
     return np.max(np.abs(vec[..., idx]), axis=-1)
 
 
-def gamma_norm(
-    model: Model,
-    gamma: float,
-    levels: tuple[int, ...] = (1, 2, 3),
-    n_base: int = 3,
-) -> float:
-    """||Gamma|| over grid pairs: sup |Gamma_{x,y} tau|_beta / ||x-y||^{zeta-beta}.
-
-    Shipped models are translation-invariant up to the extension corrections,
-    so a few base points suffice alongside the displacement sweep.
-    """
+def _gamma_sweep(model: Model, gamma: float, bases, matrix, levels=(1, 2, 3)) -> float:
+    """sup |matrix(x, y) tau|_beta / ||x-y||^{zeta-beta} over beta < zeta,
+    the base points x and the grid displacements x - y of the given levels."""
     st = model.structure
     sc = model.scaling
     worst = 0.0
     zs = st.sectors_below(gamma)
-    rng = np.random.default_rng(0)
-    shape = sc.grid_shape(model.N)
-    bases = [np.zeros(sc.d)] + [
-        np.array([rng.integers(0, shape[i]) / shape[i] for i in range(sc.d)])
-        for _ in range(n_base - 1)
-    ]
     for m in levels:
         if m > model.N:
             continue
@@ -325,44 +297,76 @@ def gamma_norm(
                 continue
             for x in bases:
                 y = (x - wrap_displacement(delta)) % 1.0
-                M = model.gamma(x, y)
+                M = matrix(x, y)
                 for zi, z in enumerate(zs):
                     for tau in st.sector(z):
                         col = M[:, tau]
-                        for b in zs[: zi + 1]:
-                            if b == z:
-                                continue
+                        for b in zs[:zi]:
                             v = float(np.max(np.abs(col[st.sector(b)])))
                             worst = max(worst, v / dn ** (z - b))
     return worst
 
 
-def pi_norm(
-    model: Model, gamma: float, dictionary: TestDictionary, sub_level: int = 3
-) -> ModelNorms:
-    """Finite-dictionary, dyadic-scale evaluation of ||Pi|| (and ||Gamma||)."""
-    st = model.structure
+def gamma_norm(
+    model: Model,
+    gamma: float,
+    levels: tuple[int, ...] = (1, 2, 3),
+    n_base: int = 3,
+) -> float:
+    """||Gamma|| over grid pairs.
+
+    Shipped models are translation-invariant up to the extension corrections,
+    so a few base points suffice alongside the displacement sweep.
+    """
     sc = model.scaling
+    rng = np.random.default_rng(0)
+    shape = sc.grid_shape(model.N)
+    bases = [np.zeros(sc.d)] + [
+        np.array([rng.integers(0, shape[i]) / shape[i] for i in range(sc.d)])
+        for _ in range(n_base - 1)
+    ]
+    return _gamma_sweep(model, gamma, bases, model.gamma, levels)
+
+
+def _pi_sweep(model: Model, gamma: float, dictionary: TestDictionary, table) -> tuple[float, list]:
+    """sup |table(sym, n, profile)| / lambda^zeta over the dictionary scales
+    n <= N - 2, its profiles and the symbols below gamma, with the table."""
     worst = 0.0
-    table = []
+    rows = []
     for n in dictionary.scales:
         if n > model.N - 2:
             continue
         lam = 2.0 ** (-n)
         for prof in dictionary.profiles:
-            for i, s in enumerate(st.symbols):
+            for i, s in enumerate(model.structure.symbols):
                 if s.zeta >= gamma:
                     continue
-                tab = model.pi_profile_table(i, n, prof)
-                val = float(np.max(np.abs(tab)))
-                ratio = val / lam**s.zeta
-                table.append((n, prof.name, s.name, ratio))
+                ratio = float(np.max(np.abs(table(i, n, prof)))) / lam**s.zeta
+                rows.append((n, prof.name, s.name, ratio))
                 worst = max(worst, ratio)
-    return ModelNorms(worst, gamma_norm(model, gamma), table)
+    return worst, rows
 
 
 def model_norms(model: Model, gamma: float, dictionary: TestDictionary) -> ModelNorms:
-    return pi_norm(model, gamma, dictionary)
+    """Finite-dictionary, dyadic-scale evaluation of ||Pi|| and ||Gamma||."""
+    pi, rows = _pi_sweep(model, gamma, dictionary, model.pi_profile_table)
+    return ModelNorms(pi, gamma_norm(model, gamma), rows)
+
+
+def model_distance(
+    model: Model, model2: Model, gamma: float, dictionary: TestDictionary
+) -> ModelNorms:
+    """||Pi - Pi'|| and ||Gamma - Gamma'||, swept like `model_norms` (Gamma
+    from the base point 0 only)."""
+
+    def pi_diff(i, n, prof):
+        return model.pi_profile_table(i, n, prof) - model2.pi_profile_table(i, n, prof)
+
+    def gamma_diff(x, y):
+        return model.gamma(x, y) - model2.gamma(x, y)
+
+    pi, rows = _pi_sweep(model, gamma, dictionary, pi_diff)
+    return ModelNorms(pi, _gamma_sweep(model, gamma, [np.zeros(model.scaling.d)], gamma_diff), rows)
 
 
 @dataclass

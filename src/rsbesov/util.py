@@ -50,8 +50,7 @@ def fit_log2_slope(levels, values, tiny: float = 1e-300) -> float:
         return 0.0
     y = np.log2(v)
     A = np.vstack([n, np.ones_like(n)]).T
-    slope, _ = np.linalg.lstsq(A, y, rcond=None)[0:1][0][0], None
-    return float(slope)
+    return float(np.linalg.lstsq(A, y, rcond=None)[0][0])
 
 
 def binom(k: int, j: int) -> int:

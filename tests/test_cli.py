@@ -48,6 +48,33 @@ def test_config_file_with_flag_override(tmp_path):
     assert "# version =" in text
 
 
+def test_config_sets_every_key_and_flags_override(tmp_path):
+    from rsbesov.cli import ExperimentConfig, build_parser, resolve_config
+
+    cfg = tmp_path / "all.ini"
+    cfg.write_text(
+        "[experiment]\nd = 1\ns = 2,1\nlevels = 5\nwavelet_order = 8\n"
+        "structure = noise\ngamma = 1.25\np = 1.5\nq = 3\nalpha = -0.4\n"
+        "beta = 0.6\nseed = 9\nout = somewhere\nformat = jsonl\n"
+    )
+    args = build_parser().parse_args(
+        ["dnorm", "--config", str(cfg), "--levels", "6", "--q", "Infinity",
+         "--wavelet-order", "4", "--format", "csv", "--seed", "3"]
+    )
+    want = ExperimentConfig(
+        d=2, s=(2, 1), levels=6, wavelet_order=4, structure="noise", gamma=1.25,
+        p=1.5, q=math.inf, alpha=-0.4, beta=0.6, seed=3, out="somewhere", format="csv",
+    )
+    assert resolve_config(args) == want
+
+
+def test_bad_exponent_exits_2(tmp_path):
+    assert main(["besov", "--q", "often", "--out", str(tmp_path)]) == 2
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[experiment]\np = often\n")
+    assert main(["besov", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
 def test_besov_subcommand_critical_table(tmp_path):
     assert main(["besov", "--levels", "10", "--out", str(tmp_path)]) == 0
     rows = [

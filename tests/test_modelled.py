@@ -42,6 +42,15 @@ def test_md_rejects_coefficients_above_gamma(sin_setup_n8):
         md.ModelledDistribution(st, 1.5, f.N, vals)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_md_rejects_non_finite_values(sin_setup_n8, bad):
+    st, model, f = sin_setup_n8
+    vals = f.values.copy()
+    vals[5, st.index("1")] = bad
+    with pytest.raises(ValueError, match="finite"):
+        md.ModelledDistribution(st, f.gamma, f.N, vals)
+
+
 def test_sin_lift_translation_bounded_with_slope(sin_setup_n8):
     st, model, f = sin_setup_n8
     rep = md.d_norm(f, model, INF, INF)

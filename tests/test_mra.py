@@ -179,6 +179,15 @@ def test_forward_rejects_bad_shapes(sc1, sc21, fam4):
         mra.forward_transform(np.zeros((16, 16)), fam4, sc21)  # levels disagree
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_forward_rejects_non_finite_samples(sc1, fam6, bad):
+    # one bad sample in 256 used to flow through to a confident exponent
+    samples = np.sin(2 * np.pi * np.arange(256) / 256)
+    samples[17] = bad
+    with pytest.raises(ValueError, match="finite"):
+        mra.forward_transform(samples, fam6, sc1)
+
+
 def test_project_range_errors(sc1, fam4):
     pyr = CoeffPyramid.zeros(sc1, 3)
     with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 
 from rsbesov import analysis as an
 from rsbesov import besov, mra, modelled as md, reconstruction as rc, structures as rs
-from rsbesov.util import lq_aggregate
+from rsbesov.util import fit_log2_slope, lq_aggregate
 from conftest import make_sin_lift
 
 INF = math.inf
@@ -344,6 +344,54 @@ def test_gamma_perturbation_distance_linear(sc1, fam6):
             math.log(eps_list[i]) - math.log(eps_list[i + 1])
         )
         assert abs(expo - 1.0) <= 0.1
+
+
+class GammaLowered(rs.NoiseModel):
+    """Cocycle perturbation below the diagonal: Gamma' 1 = 1 + eps (c(x) - c(y)) Xi.
+
+    GammaPerturbed perturbs above the diagonal, which the Gamma-difference
+    sweep (beta < zeta) does not read.  Only gamma(x, y) is perturbed here.
+    """
+
+    def __init__(self, st, fam, xi, alpha, eps):
+        super().__init__(st, fam, xi, alpha)
+        self.eps = eps
+
+    def gamma(self, x, y):
+        M = super().gamma(x, y)
+        cx = np.sin(2 * np.pi * np.asarray(x)[0])
+        cy = np.sin(2 * np.pi * np.asarray(y)[0])
+        M[self.structure.index("Xi"), self.structure.index("1")] += self.eps * (cx - cy)
+        return M
+
+
+def test_model_distance_of_model_to_itself_is_zero(sc1, sc21, fam6):
+    xi, st, model, f = _rough_md(sc1, fam6, 7)
+    d = besov.make_dictionary(2, scales=range(2, 5))
+    for m, gamma in ((model, f.gamma), (rs.polynomial_structure(2.5, sc21, fam6, 4)[1], 2.5)):
+        diff = rs.model_distance(m, m, gamma, d)
+        assert diff.pi == 0.0 and diff.gamma == 0.0
+        assert diff.pi_table and all(row[3] == 0.0 for row in diff.pi_table)
+
+
+def test_model_distance_linear_in_perturbation(sc1, fam6):
+    N = 7
+    xi, st, model, f = _rough_md(sc1, fam6, N, gamma=1.25)
+    d = besov.make_dictionary(2, scales=range(2, 5))
+    bump = besov.synthesize(
+        "smooth", sc1, N, fam6, func=lambda p: np.sin(2 * np.pi * p[..., 0]) ** 2
+    )
+    eps_list = [1e-1, 1e-2, 1e-3]
+    dgam, dpi = [], []
+    for eps in eps_list:
+        lowered = GammaLowered(st, fam6, xi, -0.5, eps)
+        dgam.append(rs.model_distance(model, lowered, f.gamma, d).gamma)
+        _, m2 = rs.noise_structure(-0.5, xi.plus(bump.scaled(eps)), f.gamma, fam6)
+        dpi.append(rs.model_distance(model, m2, f.gamma, d).pi)
+    for ms in (dgam, dpi):
+        assert min(ms) > 0.0
+        slope = fit_log2_slope(np.log2(eps_list), ms)
+        assert abs(slope - 1.0) <= 0.1
 
 
 def test_shifted_f_bounded_by_budget(sc1, fam6):
