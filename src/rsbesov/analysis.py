@@ -43,6 +43,37 @@ def periodic_samples(fn: Fn1D, y: np.ndarray) -> np.ndarray:
     return acc
 
 
+def corrected_coeffs(
+    S: np.ndarray, fam: WaveletFamily, steps: tuple[int, ...], taylor: int
+) -> np.ndarray:
+    """Father coefficients from fine samples S of a smooth periodic function.
+
+    One-point quadrature with centered-moment Taylor corrections on each
+    axis, realised as periodic central differences (mu_2 for taylor >= 2,
+    mu_3 for taylor >= 3), scaled to the L^2 normalisation of the sample
+    grid, then steps[ax] exact low-pass cascade steps along each axis.
+    """
+    c = S
+    mu = fam.centered_father_moments
+    for ax in range(S.ndim):
+        if taylor >= 2:
+            c = c + (mu[2] / 2.0) * (
+                np.roll(S, -1, axis=ax) - 2.0 * S + np.roll(S, 1, axis=ax)
+            )
+        if taylor >= 3:
+            c = c + (mu[3] / 6.0) * 0.5 * (
+                np.roll(S, -2, axis=ax)
+                - 2.0 * np.roll(S, -1, axis=ax)
+                + 2.0 * np.roll(S, 1, axis=ax)
+                - np.roll(S, 2, axis=ax)
+            )
+    c = c * 2.0 ** (-sum(m.bit_length() - 1 for m in S.shape) / 2.0)
+    for ax, k in enumerate(steps):
+        for _ in range(k):
+            c = _analysis_axis(c, fam.h, ax)
+    return c
+
+
 def smooth_coeffs_1d(
     fn: Fn1D,
     fam: WaveletFamily,
@@ -50,28 +81,11 @@ def smooth_coeffs_1d(
     margin: int = 8,
     taylor: int = 3,
 ) -> np.ndarray:
-    """<G_per, phi^J_t> for all t at the 1-d level, G smooth at coarser scales.
-
-    One-point quadrature at level_1d + margin with centered-moment Taylor
-    corrections realised as periodic central differences, then exact
-    low-pass cascades down to the requested level.
-    """
-    J = level_1d + margin
-    M = 2**J
+    """<G_per, phi^J_t> for all t at the 1-d level, G smooth at coarser scales:
+    corrected quadrature of the periodic samples at level_1d + margin."""
+    M = 2 ** (level_1d + margin)
     y = (np.arange(M) + fam.center) / M % 1.0
-    S = periodic_samples(fn, y)
-    c = S.copy()
-    mu = fam.centered_father_moments
-    if taylor >= 2:
-        c += (mu[2] / 2.0) * (np.roll(S, -1) - 2.0 * S + np.roll(S, 1))
-    if taylor >= 3:
-        c += (mu[3] / 6.0) * 0.5 * (
-            np.roll(S, -2) - 2.0 * np.roll(S, -1) + 2.0 * np.roll(S, 1) - np.roll(S, 2)
-        )
-    c *= 2.0 ** (-J / 2.0)
-    for _ in range(margin):
-        c = _analysis_axis(c, fam.h, 0)
-    return c
+    return corrected_coeffs(periodic_samples(fn, y), fam, (margin,), taylor)
 
 
 @dataclass

@@ -294,28 +294,14 @@ def synthesize_dirac(
     x0 = np.asarray(x0, dtype=float)
     pyr = CoeffPyramid.zeros(scaling, N)
 
-    def axis_values(code: int, n: int, si: int, xi: float) -> np.ndarray:
-        xg = np.arange(2 ** (n * si)) / 2.0 ** (n * si)
-        u = xi - xg
-        scale = 2 ** (n * si)
-        lo, hi = mra._component_support(fam, code)
-        acc = np.zeros_like(u)
-        for m in range(int(np.floor(lo / scale - u.max())) - 1, int(np.ceil(hi / scale - u.min())) + 2):
-            acc += fam.component_values(code, scale * (u + m))
-        return 2.0 ** (n * si / 2.0) * acc
+    def basis(kind, n, code=None):
+        # phi^n_x(x0) over the grid points x: the basis at 0 queried at x0 - x
+        query = [xi - np.arange(2 ** (n * si)) / 2.0 ** (n * si) for xi, si in zip(x0, scaling.s)]
+        return mra.eval_basis(fam, scaling, kind, n, np.zeros(scaling.d), query, psi_code=code)
 
-    base = axis_values(0, 0, scaling.s[0], x0[0])
-    for i in range(1, scaling.d):
-        base = np.multiply.outer(base, axis_values(0, 0, scaling.s[i], x0[i]))
-    pyr.base = base.reshape(scaling.grid_shape(0))
+    pyr.base = basis("father", 0)
     for n in range(N):
-        blocks = []
-        for code in mra.psi_codes(scaling):
-            v = axis_values(code[0], n, scaling.s[0], x0[0])
-            for i in range(1, scaling.d):
-                v = np.multiply.outer(v, axis_values(code[i], n, scaling.s[i], x0[i]))
-            blocks.append(v)
-        pyr.details[n] = np.stack(blocks)
+        pyr.details[n] = np.stack([basis("mother", n, code) for code in mra.psi_codes(scaling)])
     return pyr
 
 

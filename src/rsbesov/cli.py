@@ -319,9 +319,7 @@ def _exact_sin_coeffs(fam, sc, N):
     from . import analysis as an
 
     kern = an.SeparableKernel(
-        [(1.0, [an.Fn1D(lambda x: np.sin(2 * np.pi * x), None)])]
-        if sc.d == 1
-        else [
+        [
             (
                 1.0,
                 [an.Fn1D(lambda x: np.sin(2 * np.pi * x), None)]

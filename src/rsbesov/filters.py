@@ -191,13 +191,13 @@ def cascade_father(h: np.ndarray, depth: int) -> np.ndarray:
     return vals
 
 
-def cascade_mother(h: np.ndarray, depth: int) -> np.ndarray:
-    """Point values of psi on [0, L-1] at mesh 2^-depth, from father values."""
+def cascade_mother(h: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Point values of psi on [0, L-1] from the father values phi of
+    `cascade_father` at the same dyadic mesh."""
     L = len(h)
     g = mother_filter(h)
-    phi = cascade_father(h, depth)
-    m = (L - 1) * 2**depth
-    step = 2**depth
+    m = len(phi) - 1
+    step = m // (L - 1)  # mesh points per unit
     vals = np.zeros(m + 1)
     for t in range(m + 1):
         acc = 0.0

@@ -3,13 +3,12 @@ model manifests, and sampled kernel profiles."""
 
 from __future__ import annotations
 
-import struct
 from pathlib import Path
 
 import numpy as np
 
 from .modelled import ModelledDistribution
-from .pyramid import RSBF_VERSION, expect_end, read_f8, read_struct, save_rsbf
+from .pyramid import expect_end, read_f8, read_header, save_rsbf, write_header
 from .scaling import Scaling
 from .structures import Model, RegularityStructure, Symbol
 
@@ -17,34 +16,17 @@ MD_MAGIC = b"RSMD"
 
 
 def save_md(path, f: ModelledDistribution) -> None:
-    """RSBF-style header (magic, version, d, s, N, nsym) followed by one
-    lexicographic sample block per symbol."""
-    sc = f.structure.scaling
+    """The shared header with tail (N, nsym, gamma), then one lexicographic
+    sample block per symbol."""
     with open(path, "wb") as fh:
-        fh.write(MD_MAGIC)
-        fh.write(struct.pack("<I", RSBF_VERSION))
-        fh.write(struct.pack("<I", sc.d))
-        for si in sc.s:
-            fh.write(struct.pack("<I", si))
-        fh.write(struct.pack("<I", f.N))
-        fh.write(struct.pack("<I", f.structure.dim))
-        fh.write(struct.pack("<d", f.gamma))
+        write_header(fh, MD_MAGIC, f.structure.scaling, "<IId", f.N, f.structure.dim, f.gamma)
         for i in range(f.structure.dim):
             fh.write(np.ascontiguousarray(f.values[..., i], dtype="<f8").tobytes())
 
 
 def load_md(path, structure: RegularityStructure) -> ModelledDistribution:
     with open(path, "rb") as fh:
-        if fh.read(4) != MD_MAGIC:
-            raise ValueError("not a modelled-distribution file")
-        (version,) = read_struct(fh, "<I", "RSMD")
-        if version != RSBF_VERSION:
-            raise ValueError(f"unsupported RSMD version {version}")
-        (d,) = read_struct(fh, "<I", "RSMD")
-        s = read_struct(fh, f"<{d}I", "RSMD")
-        N, nsym = read_struct(fh, "<II", "RSMD")
-        (gamma,) = read_struct(fh, "<d", "RSMD")
-        sc = Scaling(s)
+        sc, (N, nsym, gamma) = read_header(fh, MD_MAGIC, "<IId")
         if nsym != structure.dim or sc != structure.scaling:
             raise ValueError("file does not match the given structure")
         vals = np.zeros((*sc.grid_shape(N), nsym))
@@ -117,17 +99,11 @@ KERNEL_MAGIC = b"RSKP"
 
 
 def save_kernel_profile(path, kernel, resolution_bits: int = 9) -> None:
-    """Sampled base piece with header (d, s, beta, r, resolution)."""
+    """The shared header with tail (beta, r, resolution), then the sampled
+    base piece."""
     sc = kernel.scaling
     with open(path, "wb") as fh:
-        fh.write(KERNEL_MAGIC)
-        fh.write(struct.pack("<I", RSBF_VERSION))
-        fh.write(struct.pack("<I", sc.d))
-        for si in sc.s:
-            fh.write(struct.pack("<I", si))
-        fh.write(struct.pack("<d", kernel.beta))
-        fh.write(struct.pack("<I", kernel.r))
-        fh.write(struct.pack("<I", resolution_bits))
+        write_header(fh, KERNEL_MAGIC, sc, "<dII", kernel.beta, kernel.r, resolution_bits)
         n = 2**resolution_bits
         axes = [np.linspace(-1.0, 1.0, n, endpoint=False) + 1.0 / n for _ in sc.s]
         mesh = np.meshgrid(*axes, indexing="ij")
@@ -138,16 +114,8 @@ def save_kernel_profile(path, kernel, resolution_bits: int = 9) -> None:
 def load_kernel_profile(path):
     """Header fields and the raw sample block of a stored base piece."""
     with open(path, "rb") as fh:
-        if fh.read(4) != KERNEL_MAGIC:
-            raise ValueError("not a kernel profile file")
-        (version,) = read_struct(fh, "<I", "RSKP")
-        if version != RSBF_VERSION:
-            raise ValueError(f"unsupported RSKP version {version}")
-        (d,) = read_struct(fh, "<I", "RSKP")
-        s = read_struct(fh, f"<{d}I", "RSKP")
-        (beta,) = read_struct(fh, "<d", "RSKP")
-        r, bits = read_struct(fh, "<II", "RSKP")
+        sc, (beta, r, bits) = read_header(fh, KERNEL_MAGIC, "<dII")
         n = 2**bits
-        vals = read_f8(fh, n**d, "RSKP").reshape((n,) * d)
+        vals = read_f8(fh, n**sc.d, "RSKP").reshape((n,) * sc.d)
         expect_end(fh, "RSKP")
-        return {"s": s, "beta": beta, "r": r, "resolution_bits": bits}, vals
+        return {"s": sc.s, "beta": beta, "r": r, "resolution_bits": bits}, vals

@@ -108,14 +108,15 @@ def build_wavelet(order: int, r: int, cascade_depth: int = 12) -> WaveletFamily:
     fm = filters.scaling_moments(h, jmax)
     mm = filters.mother_moments(h, jmax)
     center, cfm = filters.centered_scaling_moments(h, jmax)
+    phi = filters.cascade_father(h, cascade_depth)
     return WaveletFamily(
         order=order,
         r=r,
         h=h,
         g=g,
         cascade_depth=cascade_depth,
-        father_samples=filters.cascade_father(h, cascade_depth),
-        mother_samples=filters.cascade_mother(h, cascade_depth),
+        father_samples=phi,
+        mother_samples=filters.cascade_mother(h, phi),
         father_moments=fm,
         mother_moments=mm,
         center=center,
@@ -252,20 +253,14 @@ def forward_transform(
     if not np.all(np.isfinite(samples)):
         raise ValueError("samples must be finite")
     N = _infer_level(samples.shape, scaling)
-    c = samples * 2.0 ** (-N * scaling.total / 2.0)
-    details: list[np.ndarray] = [None] * N
-    for n in range(N - 1, -1, -1):
-        c, det = decompose_level(c, fam, scaling)
-        details[n] = det
-    return CoeffPyramid(scaling, N, c, details)
+    return analyze_v_coefficients(
+        samples * 2.0 ** (-N * scaling.total / 2.0), fam, scaling, N
+    )
 
 
 def inverse_transform(pyr: CoeffPyramid, fam: WaveletFamily) -> np.ndarray:
     """Exact left inverse of forward_transform."""
-    c = pyr.base
-    for n in range(pyr.N):
-        c = reassemble_level(c, pyr.details[n], fam, pyr.scaling)
-    return c * 2.0 ** (pyr.N * pyr.scaling.total / 2.0)
+    return level_coefficients(pyr, fam, pyr.N) * 2.0 ** (pyr.N * pyr.scaling.total / 2.0)
 
 
 def level_coefficients(pyr: CoeffPyramid, fam: WaveletFamily, n: int) -> np.ndarray:

@@ -87,20 +87,22 @@ class CoeffPyramid:
         return self.base.size + sum(d.size for d in self.details)
 
 
-def save_rsbf(path, pyr: CoeffPyramid) -> None:
-    """Write a pyramid: magic, version, d, s entries, N, then coefficients.
+def write_header(fh, magic: bytes, scaling: Scaling, tail_layout: str, *tail) -> None:
+    """The shared binary header: magic, then u32-LE version, d and the s
+    entries, then the format's own tail fields packed with tail_layout."""
+    fh.write(magic)
+    fh.write(struct.pack(f"<II{scaling.d}I", RSBF_VERSION, scaling.d, *scaling.s))
+    fh.write(struct.pack(tail_layout, *tail))
 
-    Header integers are unsigned 32-bit little-endian; coefficients are
-    little-endian float64, base first, then details in (n, psi-index,
-    lexicographic x) order.
+
+def save_rsbf(path, pyr: CoeffPyramid) -> None:
+    """Write a pyramid: the shared header with tail N, then coefficients.
+
+    Coefficients are little-endian float64, base first, then details in
+    (n, psi-index, lexicographic x) order.
     """
     with open(path, "wb") as fh:
-        fh.write(RSBF_MAGIC)
-        fh.write(struct.pack("<I", RSBF_VERSION))
-        fh.write(struct.pack("<I", pyr.scaling.d))
-        for si in pyr.scaling.s:
-            fh.write(struct.pack("<I", si))
-        fh.write(struct.pack("<I", pyr.N))
+        write_header(fh, RSBF_MAGIC, pyr.scaling, "<I", pyr.N)
         fh.write(np.ascontiguousarray(pyr.base, dtype="<f8").tobytes())
         for d in pyr.details:
             fh.write(np.ascontiguousarray(d, dtype="<f8").tobytes())
@@ -127,17 +129,22 @@ def expect_end(fh, fmt_name: str) -> None:
         raise ValueError(f"trailing bytes after the {fmt_name} payload")
 
 
+def read_header(fh, magic: bytes, tail_layout: str) -> tuple[Scaling, tuple]:
+    """Inverse of write_header: the scaling and the unpacked tail fields.
+    The magic bytes name the format in every error."""
+    fmt_name = magic.decode()
+    if fh.read(len(magic)) != magic:
+        raise ValueError(f"not an {fmt_name} file")
+    version, d = read_struct(fh, "<II", fmt_name)
+    if version != RSBF_VERSION:
+        raise ValueError(f"unsupported {fmt_name} version {version}")
+    s = read_struct(fh, f"<{d}I", fmt_name)
+    return Scaling(s), read_struct(fh, tail_layout, fmt_name)
+
+
 def load_rsbf(path) -> CoeffPyramid:
     with open(path, "rb") as fh:
-        if fh.read(4) != RSBF_MAGIC:
-            raise ValueError("not an RSBF file")
-        (version,) = read_struct(fh, "<I", "RSBF")
-        if version != RSBF_VERSION:
-            raise ValueError(f"unsupported RSBF version {version}")
-        (d,) = read_struct(fh, "<I", "RSBF")
-        s = read_struct(fh, f"<{d}I", "RSBF")
-        (N,) = read_struct(fh, "<I", "RSBF")
-        scaling = Scaling(s)
+        scaling, (N,) = read_header(fh, RSBF_MAGIC, "<I")
         npsi = 2**scaling.total - 1
         base = read_f8(fh, scaling.grid_size(0), "RSBF").reshape(scaling.grid_shape(0))
         details = []

@@ -50,6 +50,7 @@ def _smooth_step():
 _STEP = _smooth_step()
 _BUMP = bs.bspline_bump(10)  # corrector bump B on [-1, 1]
 _MESH_BITS = 11  # box-mesh points per axis (log2) for the P0 moments
+_MAX_ND_POINTS = 2**24  # largest n-d kernel sampling mesh (the N=2 mesh at s=(2,1))
 
 
 def s_gauge(scaling: Scaling, pts: np.ndarray) -> np.ndarray:
@@ -523,23 +524,17 @@ def _analyze_kernel_nd(fn, n, fam, scaling: Scaling, N: int, taylor: int = 2) ->
     sampling on a moderately refined grid, then exact cascades per axis."""
     margin = max(2, 6 - max(0, n))  # coarser margin for the coarse levels
     shapes = [2 ** ((N + margin) * si) for si in scaling.s]
+    points = math.prod(shapes)
+    if points > _MAX_ND_POINTS:
+        raise ValueError(
+            f"the n-d kernel mesh at s={scaling.s}, N={N}, level {n} has "
+            f"{points} points (at most {_MAX_ND_POINTS} supported)"
+        )
     axes = [(np.arange(m) + fam.center) / m for m in shapes]
     # wrap sample points into [-1/2, 1/2) so compact kernels see their support
     mesh = np.meshgrid(*[((a + 0.5) % 1.0) - 0.5 for a in axes], indexing="ij")
-    pts = np.stack(mesh, axis=-1)
-    S = fn(pts)
-    c = S
-    mu = fam.centered_father_moments
-    if taylor >= 2:
-        for ax in range(scaling.d):
-            c = c + (mu[2] / 2.0) * (
-                np.roll(S, -1, axis=ax) - 2.0 * S + np.roll(S, 1, axis=ax)
-            )
-    c = c * 2.0 ** (-sum((N + margin) * si for si in scaling.s) / 2.0)
-    for ax in range(scaling.d):
-        for _ in range(margin * scaling.s[ax]):
-            c = mra._analysis_axis(c, fam.h, ax)
-    return c
+    S = fn(np.stack(mesh, axis=-1))
+    return an.corrected_coeffs(S, fam, tuple(margin * si for si in scaling.s), taylor)
 
 
 def extend_structure(

@@ -40,14 +40,17 @@ def weighted_lp(values, weight: float, p) -> float:
 def fit_log2_slope(levels, values, tiny: float = 1e-300) -> float:
     """Least-squares slope of log2(values) against the level index.
 
-    Values ~ C * 2^(slope * n).  Entries that underflow to ~0 are dropped.
+    Values ~ C * 2^(slope * n).  Entries that underflow to ~0 are dropped;
+    a non-finite value raises, and fewer than two usable points give NaN.
     """
     n = np.asarray(levels, dtype=float)
     v = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ValueError("cannot fit a slope through non-finite values")
     keep = v > tiny
     n, v = n[keep], v[keep]
     if n.size < 2:
-        return 0.0
+        return float("nan")
     y = np.log2(v)
     A = np.vstack([n, np.ones_like(n)]).T
     return float(np.linalg.lstsq(A, y, rcond=None)[0][0])

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from rsbesov import build_wavelet, polynomial_structure
 from rsbesov.modelled import ModelledDistribution
 from rsbesov.scaling import Scaling
 
 TWO_PI = 2.0 * np.pi
+
+# property tests draw the same examples on every run, with a bounded count
+settings.register_profile("rsbesov", derandomize=True, deadline=None, max_examples=25)
+settings.load_profile("rsbesov")
 
 
 @pytest.fixture(scope="session")

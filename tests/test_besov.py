@@ -268,3 +268,19 @@ def test_random_besov_reproducible(sc1, fam6):
     a = besov.synthesize("random_besov", sc1, 6, fam6, alpha=-0.2, seed=9)
     b = besov.synthesize("random_besov", sc1, 6, fam6, alpha=-0.2, seed=9)
     assert a.max_abs_diff(b) == 0.0
+
+
+def test_critical_exponent_rejects_nan_coefficient(sc1, fam6):
+    pyr = mra.forward_transform(np.sin(2 * np.pi * np.arange(256) / 256), fam6, sc1)
+    pyr.details[5][0, 3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        besov.critical_exponent(pyr, 2.0)
+
+
+def test_slope_fit_needs_two_points():
+    from rsbesov.util import fit_log2_slope
+
+    assert math.isnan(fit_log2_slope([0, 1, 2], [1.0, 0.0, 0.0]))
+    assert fit_log2_slope([0, 1, 2], [1.0, 0.0, 4.0]) == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        fit_log2_slope([0, 1], [1.0, np.inf])

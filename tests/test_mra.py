@@ -1,8 +1,11 @@
+from functools import cache
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from rsbesov import analysis as an
-from rsbesov import mra
+from rsbesov import besov, mra
 from rsbesov.pyramid import CoeffPyramid, load_rsbf, save_rsbf
 from rsbesov.scaling import Scaling
 
@@ -218,3 +221,55 @@ def test_point_values_of_smooth_function(sc1, fam6):
     grid = np.arange(2**N) / 2**N
     vals = mra.point_values(pyr, fam6)
     assert np.max(np.abs(vals - np.sin(2 * np.pi * grid))) < 1e-6
+
+
+# --- properties over random scalings, orders and inputs ---------------------------
+
+SCALINGS = [(1,), (2, 1), (1, 1), (1, 2)]
+
+
+@cache
+def _family(order):
+    return mra.build_wavelet(order, 0)
+
+
+@given(
+    s=st.sampled_from(SCALINGS),
+    order=st.sampled_from([1, 4, 6, 9]),
+    N=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_roundtrip_and_parseval_property(s, order, N, seed):
+    sc, fam = Scaling(s), _family(order)
+    u = np.random.default_rng(seed).standard_normal(sc.grid_shape(N))
+    pyr = mra.forward_transform(u, fam, sc)
+    assert np.max(np.abs(mra.inverse_transform(pyr, fam) - u)) < 1e-10
+    sample_l2 = np.sqrt(np.sum(u**2) * 2.0 ** (-N * sc.total))
+    assert abs(sample_l2 - pyr.l2()) <= 1e-10 * sample_l2
+
+
+@given(
+    s=st.sampled_from(SCALINGS),
+    order=st.sampled_from([1, 4, 6, 9]),
+    N=st.integers(1, 2),
+    data=st.data(),
+)
+def test_dirac_coefficients_are_basis_values_property(s, order, N, data):
+    # <delta_x0, phi^n_x> = phi^n_x(x0), evaluated one grid point x at a time
+    sc, fam = Scaling(s), _family(order)
+    bits = data.draw(st.integers(0, 6))
+    x0 = [data.draw(st.integers(0, 2**bits - 1)) / 2**bits for _ in s]
+    pyr = besov.synthesize_dirac(sc, N, fam, x0)
+    query = [np.array([xi]) for xi in x0]
+
+    def point_values(kind, n, code=None):
+        out = np.zeros(sc.grid_shape(n))
+        for idx in np.ndindex(*out.shape):
+            x = np.array([k / 2.0 ** (n * si) for k, si in zip(idx, s)])
+            out[idx] = mra.eval_basis(fam, sc, kind, n, x, query, psi_code=code).item()
+        return out
+
+    assert np.array_equal(pyr.base, point_values("father", 0))
+    for n in range(N):
+        for i, code in enumerate(mra.psi_codes(sc)):
+            assert np.array_equal(pyr.details[n][i], point_values("mother", n, code))

@@ -328,3 +328,19 @@ def test_output_norm_within_budget(extended):
     norms = rs.model_norms(em, GAMMA, d)
     budget = md.d_norm(f, em if f.structure is st_e else nm, 2.0, INF).total
     assert rep.total <= SCHAUDER_NORM_C * budget * norms.pi * (1.0 + norms.gamma)
+
+
+def test_nd_route_integrates_to_p0_moment(sc21, fam6, heat_setup):
+    # sum_t <G, phi^N_t> = 2^(N|s|/2) int G for the non-separable heat piece
+    N = 1
+    arr = sch._deriv_kernel_array(heat_setup, (0, 0), fam6, sc21, N, 1)
+    total = float(np.sum(arr)) * 2.0 ** (-N * sc21.total / 2.0)
+    assert abs(total - heat_setup.pplus_moment((0, 0), 1)) < 1e-8
+
+
+def test_oversized_nd_mesh_rejected(sc21, fam6, heat_setup):
+    # N=6 at s=(2,1) would sample the level-0 piece on a (2^24, 2^12) mesh
+    xi = besov.synthesize("random_besov", sc21, 6, fam6, alpha=-1.5, seed=1)
+    stn, nm = rs.noise_structure(-1.5, xi, 1.25, fam6)
+    with pytest.raises(ValueError, match=r"s=\(2, 1\), N=6, level 0 has 68719476736 points"):
+        sch.extend_structure(stn, nm, heat_setup, 1.25)
