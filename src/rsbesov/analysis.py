@@ -137,10 +137,6 @@ def subsample(arr: np.ndarray, scaling: Scaling, from_level: int, to_level: int)
     return arr[sl]
 
 
-def pair(c: np.ndarray, k: np.ndarray) -> float:
-    return float(np.vdot(c, k))
-
-
 def kernel_moment_1d(fn: Fn1D, a: int, mesh_bits: int = 14) -> float:
     """int u^a fn(u) du by fine Riemann sums over the support."""
     if fn.support is None:

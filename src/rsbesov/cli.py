@@ -35,6 +35,10 @@ SUBCOMMANDS = (
 )
 
 
+# The level sweeps of reconstruct and embed (and so of report) start here.
+MIN_SWEEP_LEVEL = 4
+
+
 class ConfigError(ValueError):
     pass
 
@@ -157,6 +161,11 @@ def _family(cfg: ExperimentConfig):
     return mra.build_wavelet(order, r_eff), r_eff
 
 
+def _require_sweep(cfg: ExperimentConfig) -> None:
+    if cfg.levels < MIN_SWEEP_LEVEL:
+        raise ConfigError(f"reconstruct, embed and report need --levels >= {MIN_SWEEP_LEVEL}")
+
+
 def _sin_lift(cfg, st, sc, N):
     pts = sc.grid_points(N)
     x0 = pts[..., 0]
@@ -220,7 +229,7 @@ def cmd_besov(cfg: ExperimentConfig) -> int:
     for p in (1.0, 2.0, math.inf):
         meas = besov.critical_exponent(pyr, p)
         want = -sc.total + (0.0 if math.isinf(p) else sc.total / p)
-        rows.append(("inf" if math.isinf(p) else p, meas, want, abs(meas - want)))
+        rows.append((p, meas, want, abs(meas - want)))
     write_rows(
         _out(cfg, "besov"),
         ["p", "measured_alpha", "predicted_alpha", "abs_error"],
@@ -252,11 +261,12 @@ def cmd_dnorm(cfg: ExperimentConfig) -> int:
 
 
 def cmd_reconstruct(cfg: ExperimentConfig) -> int:
+    _require_sweep(cfg)
     sc = Scaling(cfg.s)
     fam, r = _family(cfg)
     rows = []
     bound_rows = []
-    for N in range(max(4, cfg.levels - 4), cfg.levels + 1):
+    for N in range(max(MIN_SWEEP_LEVEL, cfg.levels - 4), cfg.levels + 1):
         if cfg.structure == "polynomial":
             st, model = structures.polynomial_structure(cfg.gamma, sc, fam, N)
             f = _sin_lift(cfg, st, sc, N)
@@ -374,11 +384,12 @@ def cmd_lift(cfg: ExperimentConfig) -> int:
 
 
 def cmd_embed(cfg: ExperimentConfig) -> int:
+    _require_sweep(cfg)
     sc = Scaling(cfg.s)
     fam, _ = _family(cfg)
     gamma = cfg.gamma if cfg.structure == "polynomial" else 1.3
     rows = []
-    for N in range(4, cfg.levels + 1):
+    for N in range(MIN_SWEEP_LEVEL, cfg.levels + 1):
         st, model = structures.polynomial_structure(gamma, sc, fam, N)
         fbar = _random_fbar(st, gamma, N, cfg.seed)
         cases = [
@@ -392,17 +403,7 @@ def cmd_embed(cfg: ExperimentConfig) -> int:
         for case in cases:
             rep = embeddings.embed_check(fbar, model, case)
             rows.append(
-                (
-                    case.case,
-                    case.gamma,
-                    case.p,
-                    "inf" if math.isinf(case.q) else case.q,
-                    case.gamma_t,
-                    "inf" if math.isinf(case.p_t) else case.p_t,
-                    "inf" if math.isinf(case.q_t) else case.q_t,
-                    N,
-                    rep.ratio,
-                )
+                (case.case, case.gamma, case.p, case.q, case.gamma_t, case.p_t, case.q_t, N, rep.ratio)
             )
     write_rows(
         _out(cfg, "embed"),
@@ -484,6 +485,7 @@ def cmd_schauder(cfg: ExperimentConfig) -> int:
 
 
 def cmd_report(cfg: ExperimentConfig) -> int:
+    _require_sweep(cfg)
     rcodes = [
         cmd_synthesize(cfg),
         cmd_besov(cfg),

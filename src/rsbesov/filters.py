@@ -174,19 +174,11 @@ def cascade_father(h: np.ndarray, depth: int) -> np.ndarray:
     vals = np.zeros((L - 1) * 2**0 + 1)
     vals[1:-1] = v
     for j in range(depth):
-        m = len(vals) - 1  # current mesh count over [0, L-1] is m per unit*? no: total
+        m = len(vals) - 1  # mesh intervals over [0, L-1] at step 2^-j
         fine = np.zeros(2 * m + 1)
         fine[::2] = vals
-        # new odd points: phi(x) = sqrt2 sum h_k phi(2x - k)
-        step = 2**j  # points per unit at the current level
-        for t in range(1, 2 * m, 2):
-            x2 = t  # index of 2x at the current level: (t/2^{j+1})*2 = t/2^j
-            acc = 0.0
-            for k in range(L):
-                src = x2 - k * step
-                if 0 <= src <= m:
-                    acc += h[k] * vals[src]
-            fine[t] = SQRT2 * acc
+        # new odd points t: phi(t 2^-(j+1)) = sqrt2 sum_k h_k phi((t - k 2^j) 2^-j)
+        fine[1::2] = _refine(h, vals, np.arange(1, 2 * m, 2), 2**j)
         vals = fine
     return vals
 
@@ -194,16 +186,17 @@ def cascade_father(h: np.ndarray, depth: int) -> np.ndarray:
 def cascade_mother(h: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Point values of psi on [0, L-1] from the father values phi of
     `cascade_father` at the same dyadic mesh."""
-    L = len(h)
-    g = mother_filter(h)
     m = len(phi) - 1
-    step = m // (L - 1)  # mesh points per unit
-    vals = np.zeros(m + 1)
-    for t in range(m + 1):
-        acc = 0.0
-        for k in range(L):
-            src = 2 * t - k * step
-            if 0 <= src <= m:
-                acc += g[k] * phi[src]
-        vals[t] = SQRT2 * acc
-    return vals
+    return _refine(mother_filter(h), phi, 2 * np.arange(m + 1), m // (len(h) - 1))
+
+
+def _refine(f: np.ndarray, vals: np.ndarray, src: np.ndarray, step: int) -> np.ndarray:
+    """One refinement sum per index in src: sqrt2 sum_k f_k vals[src - k step],
+    with vals taken as zero outside its samples.  The taps are added in k
+    order, like a scalar loop, so the samples do not depend on vectorising."""
+    acc = np.zeros(len(src))
+    for k, fk in enumerate(f):
+        j = src - k * step
+        ok = (j >= 0) & (j < len(vals))
+        acc[ok] += fk * vals[j[ok]]
+    return SQRT2 * acc

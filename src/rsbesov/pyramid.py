@@ -83,9 +83,6 @@ class CoeffPyramid:
             worst = max(worst, float(np.max(np.abs(a - b))))
         return worst
 
-    def storage_size(self) -> int:
-        return self.base.size + sum(d.size for d in self.details)
-
 
 def write_header(fh, magic: bytes, scaling: Scaling, tail_layout: str, *tail) -> None:
     """The shared binary header: magic, then u32-LE version, d and the s

@@ -37,12 +37,6 @@ class Scaling:
         x = wrap_displacement(x)
         return float(np.max(np.abs(x) ** (1.0 / np.array(self.s, dtype=float))))
 
-    def snorm_array(self, xs: np.ndarray) -> np.ndarray:
-        """||.||_s along the last axis of an array of displacements."""
-        xs = wrap_displacement(np.asarray(xs, dtype=float))
-        expo = 1.0 / np.array(self.s, dtype=float)
-        return np.max(np.abs(xs) ** expo, axis=-1)
-
     def scaled_degree(self, k) -> int:
         """|k|_s = sum_i s_i k_i of a multi-index."""
         return int(sum(si * int(ki) for si, ki in zip(self.s, k)))

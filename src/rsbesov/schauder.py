@@ -371,23 +371,14 @@ class ExtendedModel(NoiseModel):
     # -- Gamma --------------------------------------------------------------
     def gamma(self, x, y) -> np.ndarray:
         M = super().gamma(x, y)  # polynomial block + fixed Xi
-        xi_idx = self._grid_index(x)
-        yi_idx = self._grid_index(y)
+        xi_idx = self.scaling.nearest_grid_index(x, self.N)
+        yi_idx = self.scaling.nearest_grid_index(y, self.N)
         delta = wrap_displacement(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
         for k in self.taylor_ks:
             M[self.structure.index(_poly_name(k)), self.ixi_index] = self._c_coeff(
                 k, xi_idx, yi_idx, delta
             )
         return M
-
-    def _grid_index(self, x):
-        sc = self.scaling
-        idx = []
-        for i, si in enumerate(sc.s):
-            m = 2 ** (self.N * si)
-            j = np.floor(np.asarray(x, dtype=float)[..., i] * m + 0.5).astype(int) % m
-            idx.append(j)
-        return tuple(idx)
 
     def _c_coeff(self, k, x_idx, y_idx, delta):
         """Gamma_{x,y} IXi polynomial coefficient on X^k."""
@@ -423,41 +414,26 @@ class ExtendedModel(NoiseModel):
         )
         wdel = wrap_displacement(-delta)  # x - y
         for k in self.taylor_ks:
-            c = self.t_tables[k][x_index] / multi_factorial(k)
-            for ell in self.taylor_ks:
-                if all(a <= b for a, b in zip(k, ell)):
-                    diff = tuple(b - a for a, b in zip(k, ell))
-                    c = c - (
-                        self.t_tables[ell][y_index]
-                        / (multi_factorial(diff) * multi_factorial(k))
-                    ) * float(np.prod(wdel ** np.asarray(diff)))
+            c = self._c_coeff(k, x_index, y_index, wdel)
             out[..., self.structure.index(_poly_name(k))] += c * ix
         return out
 
-    # -- Pi -------------------------------------------------------------------
-    def pi_center_weights(self, n):
-        out = []
-        for i, s in enumerate(self.structure.symbols):
-            if i == self.xi_index:
-                out.append(self.xi_levels[n])
-            elif i == self.ixi_index:
-                w = self.conv_levels_coeffs[n].copy()
-                for ell in self.taylor_ks:
-                    pairing = self.poly_father_pairing(ell, n)
-                    tl = an.subsample(self.t_tables[ell], self.scaling, self.N, n)
-                    w = w - tl / multi_factorial(ell) * pairing
-                out.append(w)
-            else:
-                out.append(self.poly_father_pairing(s.k, n))
-        return out
-
-    def abstract_father_point(self, sym, n, x, z, z_idx):
-        if sym == self.xi_index:
-            return float(self.xi_levels[n][z_idx])
+    # -- Pi: the IXi symbol; Xi and the polynomials come from the base classes --
+    def pi_center_weight(self, sym, n):
         if sym != self.ixi_index:
-            raise NotImplementedError
+            return super().pi_center_weight(sym, n)
+        w = self.conv_levels_coeffs[n].copy()
+        for ell in self.taylor_ks:
+            pairing = self.poly_father_pairing(ell, n)
+            tl = an.subsample(self.t_tables[ell], self.scaling, self.N, n)
+            w = w - tl / multi_factorial(ell) * pairing
+        return w
+
+    def pi_father_point(self, sym, n, x, z, z_idx):
+        if sym != self.ixi_index:
+            return super().pi_father_point(sym, n, x, z, z_idx)
         acc = float(self.conv_levels_coeffs[n][z_idx])
-        x_idx = self._grid_index(np.asarray(x))
+        x_idx = self.scaling.nearest_grid_index(x, self.N)
         delta = wrap_displacement(np.asarray(z, dtype=float) - np.asarray(x, dtype=float))
         for ell in self.taylor_ks:
             acc -= (
@@ -468,19 +444,14 @@ class ExtendedModel(NoiseModel):
         return acc
 
     def pi_profile_table(self, sym, scale_n, profile):
-        if sym == self.xi_index:
-            return self._profile_corr(self.xi_levels[self.N], scale_n, profile, "xi")
-        if sym == self.ixi_index:
-            conv = self._profile_corr(
-                self.conv_levels_coeffs[self.N], scale_n, profile, "conv"
+        if sym != self.ixi_index:
+            return super().pi_profile_table(sym, scale_n, profile)
+        out = self._profile_corr(self.conv_levels_coeffs[self.N], scale_n, profile, "conv")
+        for ell in self.taylor_ks:
+            out = out - self.t_tables[ell] / multi_factorial(ell) * (
+                self.poly_profile_moment(ell, scale_n, profile)
             )
-            out = conv
-            for ell in self.taylor_ks:
-                out = out - self.t_tables[ell] / multi_factorial(ell) * (
-                    self.poly_profile_moment(ell, scale_n, profile)
-                )
-            return out
-        return self.poly_profile_moment(self.structure.symbols[sym].k, scale_n, profile)
+        return out
 
 
 def _poly_name(k) -> str:
@@ -622,38 +593,28 @@ def schauder_apply(
     vals[..., st_out.index("IXi")] = f_xi
     # 2+3) polynomial parts
     for k in ext_model.deriv_ks:
-        if sc.scaled_degree(k) >= gamma + beta:
+        deg = sc.scaled_degree(k)
+        if deg >= gamma + beta:
             continue
         kidx = st_out.index(_poly_name(k))
         rec_pair = an.correlate(cN_rec, ext_model.w_arrays[k])
         germ_pair = np.zeros_like(rec_pair)
+        taylor = np.zeros_like(rec_pair)
         for i, s in enumerate(st_out.symbols):
             fi = f_ext.values[..., i]
             if not np.any(fi):
                 continue
             if s.name == "Xi":
-                germ_pair = germ_pair + fi * ext_model.t_tables[k]
+                pairing = ext_model.t_tables[k]
             elif s.kind == "poly":
-                germ_pair = germ_pair + fi * _poly_deriv_pairing(
-                    ext_model.kernel, s.k, k, ext_model.conv_levels
-                )
+                pairing = _poly_deriv_pairing(ext_model.kernel, s.k, k, ext_model.conv_levels)
             else:  # IXi never occurs in the input (order gamma < zeta_I + ...)
                 raise ValueError("input may not already contain the extension symbol")
-        # Taylor part: only sectors with zeta + beta > |k|_s contribute
-        taylor = np.zeros_like(rec_pair)
-        deg = sc.scaled_degree(k)
-        for i, s in enumerate(st_out.symbols):
-            fi = f_ext.values[..., i]
-            if not np.any(fi):
-                continue
-            if s.zeta + beta <= deg or s.zeta >= gamma:
-                continue
-            if s.name == "Xi":
-                taylor = taylor + fi * ext_model.t_tables[k]
-            elif s.kind == "poly":
-                taylor = taylor + fi * _poly_deriv_pairing(
-                    ext_model.kernel, s.k, k, ext_model.conv_levels
-                )
+            term = fi * pairing
+            germ_pair = germ_pair + term
+            # Taylor part: only sectors with zeta + beta > |k|_s contribute
+            if deg < s.zeta + beta and s.zeta < gamma:
+                taylor = taylor + term
         nonlocal_part = rec_pair - germ_pair
         vals[..., kidx] += (taylor + nonlocal_part) / multi_factorial(k)
     out = ModelledDistribution(st_out, gamma + beta, N, vals)

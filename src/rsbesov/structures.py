@@ -162,17 +162,22 @@ class Model:
             out = out * (2.0 ** (-n * si * (ki + 0.5)) * acc)
         return out
 
+    def pi_center_weight(self, sym: int, n: int):
+        """<Pi_x tau, phi^n_x> as a scalar or a Lambda_n array."""
+        return self.poly_father_pairing(self.structure.symbols[sym].k, n)
+
     def pi_center_weights(self, n: int) -> list:
         """Per symbol: <Pi_x tau, phi^n_x> as a scalar or a Lambda_n array."""
-        raise NotImplementedError
+        return [self.pi_center_weight(i, n) for i in range(self.structure.dim)]
 
-    def pi_father_general(self, sym: int, n: int, x: np.ndarray, z_delta: np.ndarray):
-        """<Pi_x tau, phi^n_z> with z = x + z_delta (arrays broadcast over x)."""
-        raise NotImplementedError
+    def pi_father_point(self, sym: int, n: int, x, z, z_idx) -> float:
+        """<Pi_x tau, phi^n_z> at a single Lambda_n point z (index z_idx)."""
+        delta = wrap_displacement(np.asarray(z) - np.asarray(x))
+        return float(self.poly_father_pairing(self.structure.symbols[sym].k, n, delta))
 
     def pi_profile_table(self, sym: int, scale_n: int, profile: Profile) -> np.ndarray | float:
         """<Pi_x tau, eta^lambda_x> for all x on Lambda_N (or a scalar)."""
-        raise NotImplementedError
+        return self.poly_profile_moment(self.structure.symbols[sym].k, scale_n, profile)
 
     def _profile_corr(self, cN: np.ndarray, scale_n: int, profile: Profile, tag) -> np.ndarray:
         key = (tag, scale_n, profile.name)
@@ -198,14 +203,6 @@ class Model:
 class PolynomialModel(Model):
     """Pi_x X^k = (. - x)^k, Gamma the translation action."""
 
-    def pi_center_weights(self, n):
-        return [
-            self.poly_father_pairing(s.k, n) for s in self.structure.symbols
-        ]
-
-    def pi_profile_table(self, sym, scale_n, profile):
-        return self.poly_profile_moment(self.structure.symbols[sym].k, scale_n, profile)
-
 
 class NoiseModel(Model):
     """One abstract symbol Xi realised by a fixed coefficient pyramid."""
@@ -217,24 +214,20 @@ class NoiseModel(Model):
         self.xi_levels = mra.all_level_coefficients(xi, fam)
         self.xi_index = structure.index("Xi")
 
-    def pi_center_weights(self, n):
-        out = []
-        for i, s in enumerate(self.structure.symbols):
-            if i == self.xi_index:
-                out.append(self.xi_levels[n])
-            else:
-                out.append(self.poly_father_pairing(s.k, n))
-        return out
+    def pi_center_weight(self, sym, n):
+        if sym == self.xi_index:
+            return self.xi_levels[n]
+        return super().pi_center_weight(sym, n)
 
-    def abstract_father_point(self, sym, n, x, z, z_idx) -> float:
-        if sym != self.xi_index:
-            raise NotImplementedError
-        return float(self.xi_levels[n][z_idx])
+    def pi_father_point(self, sym, n, x, z, z_idx):
+        if sym == self.xi_index:
+            return float(self.xi_levels[n][z_idx])
+        return super().pi_father_point(sym, n, x, z, z_idx)
 
     def pi_profile_table(self, sym, scale_n, profile):
         if sym == self.xi_index:
             return self._profile_corr(self.xi_levels[self.N], scale_n, profile, "xi")
-        return self.poly_profile_moment(self.structure.symbols[sym].k, scale_n, profile)
+        return super().pi_profile_table(sym, scale_n, profile)
 
 
 def polynomial_structure(
@@ -448,19 +441,8 @@ def validate_model(
                 acc = 0.0
                 for i in range(st.dim):
                     if Mxy[i, j] != 0.0:
-                        acc += Mxy[i, j] * _pi_father_point(model, i, n, x, z, z_idx)
-                rhs = _pi_father_point(model, j, n, y, z, z_idx)
+                        acc += Mxy[i, j] * model.pi_father_point(i, n, x, z, z_idx)
+                rhs = model.pi_father_point(j, n, y, z, z_idx)
                 compat = max(compat, abs(acc - rhs))
     return ValidationReport(tri, grp, idm, compat)
 
-
-def _pi_father_point(model: Model, sym: int, n: int, x, z, z_idx) -> float:
-    """<Pi_x tau, phi^n_z> at a single Lambda_n point z (index z_idx)."""
-    s = model.structure.symbols[sym]
-    if s.kind == "poly":
-        delta = wrap_displacement(np.asarray(z) - np.asarray(x))
-        return float(model.poly_father_pairing(s.k, n, delta))
-    pairer = getattr(model, "abstract_father_point", None)
-    if pairer is None:
-        raise NotImplementedError("no pointwise Pi evaluation for this symbol")
-    return pairer(sym, n, x, z, z_idx)

@@ -216,3 +216,29 @@ def test_determinism_byte_identity(tmp_path):
     for name in files_a:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
     _assert_matches_golden(outs[0])
+
+
+@pytest.mark.parametrize(
+    "sub, levels", [("reconstruct", 2), ("reconstruct", 3), ("embed", 3), ("report", 3)]
+)
+def test_level_sweeps_need_four_levels(sub, levels, tmp_path, capsys):
+    assert main([sub, "--levels", str(levels), "--out", str(tmp_path)]) == 2
+    assert "--levels >= 4" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())  # failed before writing any table
+
+
+def test_perfbench_span_targets_resolve():
+    # the traced benchmark wraps these bindings; a rename must fail here too
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("rsbesov_perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for mod, attr in spans.TARGETS:
+        owner, leaf = spans._resolve(importlib.import_module(f"rsbesov.{mod}"), attr)
+        assert callable(owner.__dict__.get(leaf)), f"rsbesov.{mod}.{attr}"
+    for mod, name, src in spans.BY_VALUE:
+        bound = getattr(importlib.import_module(f"rsbesov.{mod}"), name)
+        assert bound is getattr(importlib.import_module(f"rsbesov.{src}"), name), f"rsbesov.{mod}.{name}"

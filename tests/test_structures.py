@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rsbesov import besov, mra
+from rsbesov import schauder as sch
 from rsbesov import structures as rs
 from rsbesov.scaling import Scaling
 from rsbesov.util import fit_log2_slope
@@ -194,3 +195,37 @@ def test_top_sector_gamma_identity(sc1, fam6):
         row = np.zeros(st.dim)
         row[i] = 1.0
         np.testing.assert_allclose(M[i, :], row, atol=0)
+
+
+def _gamma_view_model(kind, sc1, sc21, fam6, fam4):
+    if kind == "poly-1":
+        return rs.polynomial_structure(2.5, sc1, fam6, 6)[1]
+    if kind == "poly-21":
+        return rs.polynomial_structure(2.5, sc21, fam4, 3)[1]
+    sc, fam, N = (sc1, fam6, 6) if kind != "noise-21" else (sc21, fam4, 3)
+    xi = besov.synthesize("random_besov", sc, N, fam, alpha=-0.5, seed=5)
+    stn, nm = rs.noise_structure(-0.5, xi, 1.25, fam)
+    if kind != "extended-1":
+        return nm
+    K = sch.decompose_kernel("riesz", sc1, r=3, beta=0.7)
+    return sch.extend_structure(stn, nm, K, 1.25)[1]
+
+
+@pytest.mark.parametrize("kind", ["poly-1", "poly-21", "noise-1", "noise-21", "extended-1"])
+def test_gamma_field_matches_gamma_matrix(kind, sc1, sc21, fam6, fam4):
+    # the field view gamma_apply_field and the matrix view gamma are one Gamma
+    model = _gamma_view_model(kind, sc1, sc21, fam6, fam4)
+    sc, N = model.scaling, model.N
+    shape = sc.grid_shape(N)
+    rng = np.random.default_rng(1)
+    vals = rng.standard_normal((*shape, model.structure.dim))
+    pts = sc.grid_points(N)
+    for steps in [(1,) * sc.d, (-3,) + (2,) * (sc.d - 1)]:
+        delta = np.array(steps) / np.array(shape)
+        field = model.gamma_apply_field(vals, delta)
+        worst = 0.0
+        for idx in np.ndindex(*shape):
+            x = pts[idx]
+            want = model.gamma(x, (x + delta) % 1.0) @ vals[idx]
+            worst = max(worst, float(np.max(np.abs(field[idx] - want))))
+        assert worst <= 1e-13
