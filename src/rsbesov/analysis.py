@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mra import WaveletFamily, _analysis_axis
+from .mra import WaveletFamily, filter_step
 from .scaling import Scaling
 
 
@@ -70,7 +70,7 @@ def corrected_coeffs(
     c = c * 2.0 ** (-sum(m.bit_length() - 1 for m in S.shape) / 2.0)
     for ax, k in enumerate(steps):
         for _ in range(k):
-            c = _analysis_axis(c, fam.h, ax)
+            c = filter_step(c, fam.h, ax, 2)
     return c
 
 

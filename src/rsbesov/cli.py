@@ -35,7 +35,8 @@ SUBCOMMANDS = (
 )
 
 
-# The level sweeps of reconstruct and embed (and so of report) start here.
+# The level sweeps of reconstruct and embed start here; besov, roundtrip,
+# lift and schauder fit slopes over levels and need as many (so does report).
 MIN_SWEEP_LEVEL = 4
 
 
@@ -163,7 +164,7 @@ def _family(cfg: ExperimentConfig):
 
 def _require_sweep(cfg: ExperimentConfig) -> None:
     if cfg.levels < MIN_SWEEP_LEVEL:
-        raise ConfigError(f"reconstruct, embed and report need --levels >= {MIN_SWEEP_LEVEL}")
+        raise ConfigError(f"level sweeps and slope fits need --levels >= {MIN_SWEEP_LEVEL}")
 
 
 def _sin_lift(cfg, st, sc, N):
@@ -220,6 +221,7 @@ def cmd_synthesize(cfg: ExperimentConfig) -> int:
 
 
 def cmd_besov(cfg: ExperimentConfig) -> int:
+    _require_sweep(cfg)
     sc = Scaling(cfg.s)
     fam, _ = _family(cfg)
     N = cfg.levels
@@ -341,6 +343,7 @@ def _exact_sin_coeffs(fam, sc, N):
 
 
 def cmd_roundtrip(cfg: ExperimentConfig) -> int:
+    _require_sweep(cfg)
     sc = Scaling(cfg.s)
     fam, _ = _family(cfg)
     N = cfg.levels
@@ -365,6 +368,7 @@ def cmd_roundtrip(cfg: ExperimentConfig) -> int:
 
 
 def cmd_lift(cfg: ExperimentConfig) -> int:
+    _require_sweep(cfg)
     sc = Scaling(cfg.s)
     fam, _ = _family(cfg)
     N = cfg.levels
@@ -436,6 +440,7 @@ def _random_fbar(st, gamma, N, seed):
 
 
 def cmd_schauder(cfg: ExperimentConfig) -> int:
+    _require_sweep(cfg)
     sc = Scaling(cfg.s)
     fam, r = _family(cfg)
     N = cfg.levels

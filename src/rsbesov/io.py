@@ -118,4 +118,6 @@ def load_kernel_profile(path):
         n = 2**bits
         vals = read_f8(fh, n**sc.d, "RSKP").reshape((n,) * sc.d)
         expect_end(fh, "RSKP")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("RSKP samples must be finite")
         return {"s": sc.s, "beta": beta, "r": r, "resolution_bits": bits}, vals

@@ -12,6 +12,7 @@ from itertools import product
 
 import numpy as np
 
+from .analysis import subsample
 from .scaling import Scaling, translation_offsets
 from .structures import Model, RegularityStructure, sector_abs
 from .util import fit_log2_slope, lq_aggregate, weighted_lp
@@ -108,9 +109,6 @@ class DNormReport:
             tot += lq_aggregate(arr, self.q)
         return tot
 
-    def translation_lq(self, zeta: float) -> float:
-        return lq_aggregate(self.translation[zeta], self.q)
-
     def raw_numerators(self, zeta: float) -> np.ndarray:
         """Translation numerators with the 2^{-n(gamma-zeta)} weight undone."""
         return self.translation[zeta] * 2.0 ** (
@@ -146,10 +144,6 @@ def shift_plus(values: np.ndarray, steps: tuple[int, ...]) -> np.ndarray:
         if st:
             out = np.roll(out, -st, axis=ax)
     return out
-
-
-def _level_subsample(sc: Scaling, arr: np.ndarray, down: int) -> np.ndarray:
-    return arr[tuple(slice(None, None, 2 ** (down * si)) for si in sc.s)]
 
 
 def _level_index(sc: Scaling, n: int, N: int):
@@ -234,7 +228,7 @@ def dbar_norm(fbar: AveragedMD, model: Model, p, q) -> DNormReport:
         return _shell_lq(st, zetas, diffs, n, lambda z: 2.0 ** (-n * (gamma - z)), p, q)
 
     def consistency(n):
-        diff = lv[n] - _level_subsample(sc, lv[n + 1], 1)
+        diff = lv[n] - subsample(lv[n + 1], sc, n + 1, n)
         return {
             z: _lp_grid(sector_abs(st, diff, z), n, p, sc) / 2.0 ** (-n * (gamma - z))
             for z in zetas
@@ -247,7 +241,7 @@ def dbar_norm(fbar: AveragedMD, model: Model, p, q) -> DNormReport:
         diffs = (
             lv[n]
             - model.gamma_apply_field(
-                _level_subsample(sc, shift_plus(lv[n + 1], h), 1),
+                subsample(shift_plus(lv[n + 1], h), sc, n + 1, n),
                 np.array([hi * 2.0 ** (-(n + 1) * si) for hi, si in zip(h, sc.s)]),
                 x_index,
             )
@@ -290,9 +284,6 @@ def average(f: ModelledDistribution, model: Model) -> AveragedMD:
 class UnaverageReport:
     increments: dict[float, np.ndarray]  # ||f_{n+1} - f_n||_{L^p} per sector
     slopes: dict[float, float]
-
-    def fitted_order(self, zeta: float) -> float:
-        return self.slopes[zeta]
 
 
 def unaverage(

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import filters
 from .pyramid import CoeffPyramid
@@ -138,91 +139,71 @@ def psi_codes(scaling: Scaling) -> list[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# periodic filter-bank steps
+# periodic filter bank
 
 
-def _analysis_axis(c: np.ndarray, f: np.ndarray, axis: int) -> np.ndarray:
-    """out[k] = sum_m f[m] c[(2k + m) mod L] along the given axis."""
+def filter_step(
+    c: np.ndarray, taps: np.ndarray, axis: int, stride: int = 1, start: int = 0
+) -> np.ndarray:
+    """out[k] = sum_m taps[m] c[(stride k + start + m) mod L] along one axis.
+
+    The windows of the wrap-indexed axis are copied to a contiguous array
+    and contracted with the taps; k runs over L / stride outputs.
+    """
     L = c.shape[axis]
-    if L % 2:
-        raise ValueError("axis length must be even")
-    idx = (2 * np.arange(L // 2)[:, None] + np.arange(len(f))[None, :]) % L
-    moved = np.moveaxis(c, axis, -1)
-    out = moved[..., idx] @ f
-    return np.moveaxis(out, -1, axis)
+    if L % stride:
+        raise ValueError("axis length must be a multiple of the stride")
+    idx = np.arange(start, start + L - stride + len(taps))
+    windows = sliding_window_view(np.take(c, idx, axis, mode="wrap"), len(taps), axis)
+    windows = windows[(slice(None),) * axis + (slice(None, None, stride),)]
+    return np.ascontiguousarray(windows) @ taps
 
 
-def _upsample_conv_axis(c: np.ndarray, f: np.ndarray, axis: int) -> np.ndarray:
-    """out[j] = sum_k f[j - 2k mod L] c[k]: zero-upsample then periodic convolve."""
-    L = 2 * c.shape[axis]
-    moved = np.moveaxis(c, axis, -1)
-    up = np.zeros((*moved.shape[:-1], L))
-    up[..., ::2] = moved
-    idx = (np.arange(L)[:, None] - np.arange(len(f))[None, :]) % L
-    out = up[..., idx] @ f
-    return np.moveaxis(out, -1, axis)
-
-
-def _synthesis_axis(low, high, h, g, axis):
-    return _upsample_conv_axis(low, h, axis) + _upsample_conv_axis(high, g, axis)
+def _interleave(parts, axis: int) -> np.ndarray:
+    """out[.., n k + t, ..] = parts[t][.., k, ..] along axis, n = len(parts)."""
+    out = np.moveaxis(np.asarray(parts), 0, axis + 1)
+    return out.reshape(*out.shape[:axis], -1, *out.shape[axis + 2 :])
 
 
 def decompose_level(c: np.ndarray, fam: WaveletFamily, scaling: Scaling):
-    """One library-level analysis step: V_{n+1} coefficients -> (V_n, details)."""
-    pieces = {(): c}
-    for ax, s_ax in enumerate(scaling.s):
-        nxt = {}
-        for key, arr in pieces.items():
-            cur = arr
-            his = []
-            for j in range(s_ax - 1, -1, -1):
-                hi = _analysis_axis(cur, fam.g, ax)
-                cur = _analysis_axis(cur, fam.h, ax)
-                his.append((j, hi))
-            nxt[key + (0,)] = cur
-            for j, hi in his:
-                moved = np.moveaxis(hi, ax, -1)
-                for t in range(2**j):
-                    seg = moved[..., t :: 2**j]
-                    nxt[key + ((1 << j) + t,)] = np.moveaxis(seg, -1, ax)
-        pieces = nxt
-    d = scaling.d
-    newc = pieces[(0,) * d]
-    details = np.stack([pieces[code] for code in psi_codes(scaling)])
-    return newc, details
+    """One library-level analysis step: V_{n+1} coefficients -> (V_n, details).
+
+    The work array carries a leading axis of codes.  The axes are split
+    last to first, each one prepending its 2^s_i codes, so the leading axis
+    ends in psi_codes order with code 0 first.
+    """
+    x = c[None]
+    for ax in reversed(range(scaling.d)):
+        blocks = []
+        for j in reversed(range(scaling.s[ax])):
+            # code 2^j + t holds hi[2^j k + t]: split the axis into (k, t)
+            hi = filter_step(x, fam.g, ax + 1, 2)
+            hi = hi.reshape(*hi.shape[: ax + 1], -1, 2**j, *hi.shape[ax + 2 :])
+            blocks.insert(0, np.moveaxis(hi, ax + 2, 0))
+            x = filter_step(x, fam.h, ax + 1, 2)
+        x = np.concatenate([x[None], *blocks]).reshape(-1, *x.shape[1:])
+    return x[0], x[1:]
 
 
 def reassemble_level(
     newc: np.ndarray, details: np.ndarray, fam: WaveletFamily, scaling: Scaling
 ) -> np.ndarray:
-    """Inverse of decompose_level."""
-    pieces = {(0,) * scaling.d: newc}
-    for i, code in enumerate(psi_codes(scaling)):
-        pieces[code] = details[i]
-    d = scaling.d
-    for ax in range(d - 1, -1, -1):
-        s_ax = scaling.s[ax]
-        grouped: dict[tuple, dict[int, np.ndarray]] = {}
-        for key, arr in pieces.items():
-            grouped.setdefault(key[:ax], {})[key[ax]] = arr
-        nxt = {}
-        for prefix, by_code in grouped.items():
-            cur = by_code[0]
-            for j in range(s_ax):
-                size = cur.shape[ax]
-                moved_shape = None
-                w = None
-                for t in range(2**j):
-                    seg = np.moveaxis(by_code[(1 << j) + t], ax, -1)
-                    if w is None:
-                        moved_shape = (*seg.shape[:-1], seg.shape[-1] * 2**j)
-                        w = np.zeros(moved_shape)
-                    w[..., t :: 2**j] = seg
-                w = np.moveaxis(w, -1, ax)
-                cur = _synthesis_axis(cur, w, fam.h, fam.g, ax)
-            nxt[prefix] = cur
-        pieces = nxt
-    return pieces[()]
+    """Inverse of decompose_level: the axes are merged first to last.
+
+    Synthesis is polyphase: output parity p at 2i + p sums the interleaved
+    (low, high) window ending at 2i + 1 against the reversed parity-p taps
+    of (h, g), so no zero-upsampled array is built.
+    """
+    hg = np.stack([fam.h, fam.g], axis=1)
+    taps = [hg[p::2][::-1].ravel() for p in (0, 1)]
+    x = np.concatenate([newc[None], details])
+    for ax, s_ax in enumerate(scaling.s):
+        codes = x.reshape(2**s_ax, -1, *x.shape[1:])
+        x = codes[0]
+        for j in range(s_ax):
+            z = _interleave([x, _interleave(codes[2**j : 2 ** (j + 1)], ax + 1)], ax + 1)
+            x = _interleave([filter_step(z, t, ax + 1, 2, 2 - len(t)) for t in taps], ax + 1)
+    return x[0]
 
 
 # ---------------------------------------------------------------------------
@@ -295,24 +276,16 @@ def point_values(pyr: CoeffPyramid, fam: WaveletFamily) -> np.ndarray:
     """Exact point values of the V_N element on Lambda_N.
 
     Distinct from inverse_transform (which returns the coefficient samples):
-    f(y) = sum_t c_t phi^N_t(y) reduces on the grid to a periodic filter by
-    the integer samples of the father function.
+    f(y) = sum_t c_t phi^N_t(y) reduces on the grid to a stride-1 periodic
+    filter step per axis by the integer samples of the father function.
     """
     sc = pyr.scaling
     c = level_coefficients(pyr, fam, pyr.N)
     L = fam.support_len
-    phi_int = fam.father_at(np.arange(L + 1, dtype=float))
-    out = c
-    for ax, si in enumerate(sc.s):
-        M = out.shape[ax]
-        kern = np.zeros(M)
-        for m in range(L + 1):
-            kern[m % M] += phi_int[m]
-        K = np.fft.fft(kern)
-        moved = np.moveaxis(out, ax, -1)
-        moved = np.real(np.fft.ifft(np.fft.fft(moved, axis=-1) * K, axis=-1))
-        out = np.moveaxis(moved, -1, ax)
-    return out * 2.0 ** (pyr.N * sc.total / 2.0)
+    taps = fam.father_at(np.arange(L + 1, dtype=float))[::-1]
+    for ax in range(sc.d):
+        c = filter_step(c, taps, ax, 1, -L)
+    return c * 2.0 ** (pyr.N * sc.total / 2.0)
 
 
 def project(pyr: CoeffPyramid, n: int, which: str) -> CoeffPyramid:

@@ -36,6 +36,8 @@ class CoeffPyramid:
         for n, d in enumerate(self.details):
             if d.shape != (npsi, *self.scaling.grid_shape(n)):
                 raise ValueError(f"detail block {n} has the wrong shape")
+        if not all(np.all(np.isfinite(b)) for b in [self.base, *self.details]):
+            raise ValueError("pyramid coefficients must be finite")
 
     @property
     def n_psi(self) -> int:

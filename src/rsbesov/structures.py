@@ -62,9 +62,6 @@ class RegularityStructure:
     def sectors_below(self, gamma: float) -> list[float]:
         return [z for z in self.homogeneities if z < gamma]
 
-    def indices_below(self, gamma: float) -> list[int]:
-        return [i for i, s in enumerate(self.symbols) if s.zeta < gamma]
-
     def poly_indices(self) -> list[int]:
         return [i for i, s in enumerate(self.symbols) if s.kind == "poly"]
 

@@ -219,7 +219,17 @@ def test_determinism_byte_identity(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "sub, levels", [("reconstruct", 2), ("reconstruct", 3), ("embed", 3), ("report", 3)]
+    "sub, levels",
+    [
+        ("reconstruct", 2),
+        ("reconstruct", 3),
+        ("embed", 3),
+        ("report", 3),
+        ("roundtrip", 2),
+        ("lift", 2),
+        ("besov", 3),
+        ("schauder", 3),
+    ],
 )
 def test_level_sweeps_need_four_levels(sub, levels, tmp_path, capsys):
     assert main([sub, "--levels", str(levels), "--out", str(tmp_path)]) == 2

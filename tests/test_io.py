@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -66,8 +67,12 @@ def binary_files(tmp_path_factory, sc1, fam6):
         (lambda raw: raw + b"\0", "trailing bytes after the {fmt} payload"),
         (lambda raw: raw[:4] + struct.pack("<I", 7) + raw[8:], "unsupported {fmt} version 7"),
         (lambda raw: b"XXXX" + raw[4:], "not an {fmt} file"),
+        (lambda raw: raw[:-8] + struct.pack("<d", math.nan), "finite"),
     ],
-    ids=["truncated-payload", "truncated-header", "trailing-bytes", "bad-version", "bad-magic"],
+    ids=[
+        "truncated-payload", "truncated-header", "trailing-bytes", "bad-version", "bad-magic",
+        "nan-payload",
+    ],
 )
 def test_binary_loader_rejects_damaged_file(binary_files, tmp_path, fmt, damage, match):
     path, load = binary_files[fmt]

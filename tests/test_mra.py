@@ -273,3 +273,115 @@ def test_dirac_coefficients_are_basis_values_property(s, order, N, data):
     for n in range(N):
         for i, code in enumerate(mra.psi_codes(sc)):
             assert np.array_equal(pyr.details[n][i], point_values("mother", n, code))
+    # the transform of the level-N father values puts each mother code where
+    # psi_codes (and so synthesize_dirac) puts it
+    analyzed = mra.analyze_v_coefficients(point_values("father", N), fam, sc, N)
+    assert _rel_err(analyzed.base, pyr.base) <= 1e-12
+    for n in range(N):
+        assert _rel_err(analyzed.details[n], pyr.details[n]) <= 1e-12
+
+
+# --- reference filter bank: the modulo gather, zero-upsampled synthesis and FFT ---
+
+
+def _ref_analysis(c, f, axis):
+    """out[k] = sum_m f[m] c[(2k + m) mod L] by a modulo index gather."""
+    L = c.shape[axis]
+    idx = (2 * np.arange(L // 2)[:, None] + np.arange(len(f))[None, :]) % L
+    out = np.moveaxis(c, axis, -1)[..., idx] @ f
+    return np.moveaxis(out, -1, axis)
+
+
+def _ref_upsample_conv(c, f, axis):
+    """out[j] = sum_k f[j - 2k mod L] c[k]: zero-upsample, then periodic convolve."""
+    L = 2 * c.shape[axis]
+    moved = np.moveaxis(c, axis, -1)
+    up = np.zeros((*moved.shape[:-1], L))
+    up[..., ::2] = moved
+    idx = (np.arange(L)[:, None] - np.arange(len(f))[None, :]) % L
+    return np.moveaxis(up[..., idx] @ f, -1, axis)
+
+
+def _code_chain(sc, code):
+    """Per axis (axis, filters in order, step, offset): code 0 is s_i
+    low-passes; code 2^j + t is s_i - 1 - j low-passes, one high-pass, and
+    every 2^j-th coefficient from offset t."""
+    for ax, (si, k) in enumerate(zip(sc.s, code)):
+        if k == 0:
+            yield ax, ["h"] * si, 1, 0
+        else:
+            j = k.bit_length() - 1
+            yield ax, ["h"] * (si - 1 - j) + ["g"], 2**j, k - 2**j
+
+
+def _ref_decompose(c, fam, sc):
+    """Each code's block on its own: its filter chain, then its offset."""
+    blocks = []
+    for code in [(0,) * sc.d] + mra.psi_codes(sc):
+        x = c
+        for ax, chain, step, t in _code_chain(sc, code):
+            for name in chain:
+                x = _ref_analysis(x, getattr(fam, name), ax)
+            x = np.moveaxis(np.moveaxis(x, ax, 0)[t::step], 0, ax)
+        blocks.append(x)
+    return blocks[0], np.stack(blocks[1:])
+
+
+def _ref_reassemble(newc, details, fam, sc):
+    """The adjoint of _ref_decompose, one code at a time."""
+    out = 0.0
+    for code, block in zip([(0,) * sc.d] + mra.psi_codes(sc), [newc, *details]):
+        x = block
+        for ax, chain, step, t in _code_chain(sc, code):
+            moved = np.moveaxis(x, ax, 0)
+            full = np.zeros((moved.shape[0] * step, *moved.shape[1:]))
+            full[t::step] = moved
+            x = np.moveaxis(full, 0, ax)
+            for name in reversed(chain):
+                x = _ref_upsample_conv(x, getattr(fam, name), ax)
+        out = out + x
+    return out
+
+
+def _ref_point_values(c, fam):
+    """Periodic convolution with the integer father samples, by FFT."""
+    L = fam.support_len
+    phi_int = fam.father_at(np.arange(L + 1, dtype=float))
+    for ax in range(c.ndim):
+        M = c.shape[ax]
+        kern = np.zeros(M)
+        for m in range(L + 1):
+            kern[m % M] += phi_int[m]
+        moved = np.fft.fft(np.moveaxis(c, ax, -1), axis=-1) * np.fft.fft(kern)
+        c = np.moveaxis(np.real(np.fft.ifft(moved, axis=-1)), -1, ax)
+    return c
+
+
+def _rel_err(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize(
+    "s", [(1,), (2, 1), (1, 1), (1, 2), (3,), (2, 1, 1)], ids=lambda s: "s" + "".join(map(str, s))
+)
+def test_filter_bank_matches_reference(s):
+    # orders 1/4/6/9 and N <= 4 include every grid shorter than the filter
+    sc = Scaling(s)
+    rng = np.random.default_rng(len(s) * 10 + s[0])
+    for order in (1, 4, 6, 9):
+        fam = _family(order)
+        for N in range(1, 5):
+            c = rng.standard_normal(sc.grid_shape(N))
+            for ax in range(sc.d):
+                for f in (fam.h, fam.g):
+                    assert _rel_err(mra.filter_step(c, f, ax, 2), _ref_analysis(c, f, ax)) <= 1e-13
+            newc, details = mra.decompose_level(c, fam, sc)
+            ref_newc, ref_details = _ref_decompose(c, fam, sc)
+            assert _rel_err(newc, ref_newc) <= 1e-13
+            assert _rel_err(details, ref_details) <= 1e-13
+            back = mra.reassemble_level(ref_newc, ref_details, fam, sc)
+            assert _rel_err(back, _ref_reassemble(ref_newc, ref_details, fam, sc)) <= 1e-13
+            assert _rel_err(back, c) <= 1e-13
+            pyr = mra.analyze_v_coefficients(c, fam, sc, N)
+            ref_values = _ref_point_values(mra.level_coefficients(pyr, fam, N), fam)
+            assert _rel_err(mra.point_values(pyr, fam), ref_values * 2.0 ** (N * sc.total / 2.0)) <= 1e-13
