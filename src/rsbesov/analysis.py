@@ -9,6 +9,7 @@ kernels <xi, G(. - x)> are circular FFT cross-correlations of the arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,14 +45,20 @@ def periodic_samples(fn: Fn1D, y: np.ndarray) -> np.ndarray:
 
 
 def corrected_coeffs(
-    S: np.ndarray, fam: WaveletFamily, steps: tuple[int, ...], taylor: int
+    S: np.ndarray,
+    fam: WaveletFamily,
+    fine_bits: int,
+    steps: tuple[int, ...],
+    taylor: int,
 ) -> np.ndarray:
     """Father coefficients from fine samples S of a smooth periodic function.
 
     One-point quadrature with centered-moment Taylor corrections on each
     axis, realised as periodic central differences (mu_2 for taylor >= 2,
-    mu_3 for taylor >= 3), scaled to the L^2 normalisation of the sample
-    grid, then steps[ax] exact low-pass cascade steps along each axis.
+    mu_3 for taylor >= 3), scaled to the L^2 normalisation of a sample grid
+    of 2^fine_bits points in all, then steps[ax] exact low-pass cascade
+    steps along each axis.  S may be a window of that grid: the differences
+    and the cascade then wrap within the window.
     """
     c = S
     mu = fam.centered_father_moments
@@ -67,11 +74,33 @@ def corrected_coeffs(
                 + 2.0 * np.roll(S, 1, axis=ax)
                 - np.roll(S, 2, axis=ax)
             )
-    c = c * 2.0 ** (-sum(m.bit_length() - 1 for m in S.shape) / 2.0)
+    c = c * 2.0 ** (-fine_bits / 2.0)
     for ax, k in enumerate(steps):
         for _ in range(k):
             c = filter_step(c, fam.h, ax, 2)
     return c
+
+
+def sample_window(
+    support: tuple[float, float] | None, fam: WaveletFamily, level_1d: int, margin: int
+) -> tuple[int, int]:
+    """Fine-grid index range [start, stop) that smooth_coeffs_1d samples.
+
+    It covers the support, two samples of Taylor stencil on each side (one
+    more for rounding) and (len(h) - 1)(2^margin - 1) samples of filter
+    spread before it, rounded out to whole coarse cells of 2^margin samples.
+    A window that would cover the torus is the whole torus [0, 2^(level_1d
+    + margin)).
+    """
+    M, cell = 2 ** (level_1d + margin), 2**margin
+    if support is None:
+        return 0, M
+    lo, hi = support
+    spread = (len(fam.h) - 1) * (cell - 1)
+    first = math.floor(lo * M - fam.center) - 3 - spread
+    last = math.ceil(hi * M - fam.center) + 3
+    start, stop = first // cell * cell, -(-(last + 1) // cell) * cell
+    return (0, M) if stop - start >= M else (start, stop)
 
 
 def smooth_coeffs_1d(
@@ -82,10 +111,21 @@ def smooth_coeffs_1d(
     taylor: int = 3,
 ) -> np.ndarray:
     """<G_per, phi^J_t> for all t at the 1-d level, G smooth at coarser scales:
-    corrected quadrature of the periodic samples at level_1d + margin."""
+    corrected quadrature of the periodic samples at level_1d + margin.
+
+    Only the sample_window of the fine grid is sampled and cascaded.  Every
+    sample outside it is an exact zero, so the window, taken as a torus,
+    gives the same coefficients, which are then placed periodically.
+    """
     M = 2 ** (level_1d + margin)
-    y = (np.arange(M) + fam.center) / M % 1.0
-    return corrected_coeffs(periodic_samples(fn, y), fam, (margin,), taylor)
+    start, stop = sample_window(fn.support, fam, level_1d, margin)
+    y = (np.arange(start, stop) % M + fam.center) / M % 1.0
+    c = corrected_coeffs(
+        periodic_samples(fn, y), fam, level_1d + margin, (margin,), taylor
+    )
+    out = np.zeros(2**level_1d)
+    out[(start // 2**margin + np.arange(len(c))) % len(out)] = c
+    return out
 
 
 @dataclass

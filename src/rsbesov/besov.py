@@ -136,11 +136,24 @@ class Profile:
     beta: int  # annihilates scaled degree <= beta; -1 means none
     factor: an.Fn1D
     moments: dict = field(default_factory=dict, repr=False)
+    kernels: dict = field(default_factory=dict, repr=False, compare=False)
 
     def moment(self, a: int) -> float:
         if a not in self.moments:
             self.moments[a] = an.kernel_moment_1d(self.factor, a)
         return self.moments[a]
+
+    def kernel_coeffs(
+        self, fam: mra.WaveletFamily, scaling: Scaling, scale_n: int, N: int
+    ) -> np.ndarray:
+        """V_N coefficients of eta^lambda_0, lambda = 2^-scale_n, analyzed once
+        per (family taps, s, scale_n, N) and returned read-only."""
+        key = (fam.h.tobytes(), tuple(scaling.s), scale_n, N)
+        if key not in self.kernels:
+            k = an.analyze_kernel(profile_kernel(self, scaling, scale_n), fam, scaling, N)
+            k.flags.writeable = False
+            self.kernels[key] = k
+        return self.kernels[key]
 
 
 @dataclass
@@ -226,7 +239,7 @@ def besov_norm_testfn(
         lam = 2.0 ** (-n)
         best = 0.0
         for prof in profiles:
-            k = an.analyze_kernel(profile_kernel(prof, sc, n), fam, sc, pyr.N)
+            k = prof.kernel_coeffs(fam, sc, n, pyr.N)
             tab = an.correlate(cN, k)
             best = max(best, lpn_norm(np.abs(tab) / lam**params.alpha, pyr.N, params.p, sc))
         per_scale[i] = best
@@ -234,7 +247,7 @@ def besov_norm_testfn(
     if params.alpha >= 0:
         local = 0.0
         for prof in [p for p in dictionary.profiles if p.beta == -1]:
-            k = an.analyze_kernel(profile_kernel(prof, sc, 0), fam, sc, pyr.N)
+            k = prof.kernel_coeffs(fam, sc, 0, pyr.N)
             tab = an.correlate(cN, k)
             local = max(local, lpn_norm(tab, pyr.N, params.p, sc))
         total += local

@@ -18,6 +18,7 @@ from .structures import Model, RegularityStructure, sector_abs
 from .util import fit_log2_slope, lq_aggregate, weighted_lp
 
 TRANSLATION_MIN_LEVEL = 2
+ROUNDOFF_REL = 1e-12  # increments below this share of the field are round-off
 
 
 @dataclass
@@ -304,11 +305,18 @@ def unaverage(
             for z in zetas:
                 increments[z][n - 1] = _lp_grid(sector_abs(st, diff, z), N, p, sc)
         prev = f_n
+    # increments at round-off of the field carry no rate: NaN, not a slope
+    field_lp = max((_lp_grid(sector_abs(st, f_n, z), N, p, sc) for z in zetas), default=0.0)
+    floor = ROUNDOFF_REL * field_lp
     slopes = {}
     for z in zetas:
         ns = np.arange(N)
         lo = max(0, N - fit_last)
-        slopes[z] = -fit_log2_slope(ns[lo:], increments[z][lo:])
+        inc = increments[z][lo:]
+        if float(inc.max(initial=0.0)) <= floor:
+            slopes[z] = float("nan")
+        else:
+            slopes[z] = -fit_log2_slope(ns[lo:], inc)
     return ModelledDistribution(st, fbar.gamma, N, f_n), UnaverageReport(
         increments, slopes
     )

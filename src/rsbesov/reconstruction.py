@@ -239,9 +239,7 @@ def _scale_table(
     for si_, m in enumerate(scales):
         best = np.zeros(sc.grid_shape(N))
         for prof in dictionary.profiles:
-            kern = an.analyze_kernel(
-                besov.profile_kernel(prof, sc, m), model.fam, sc, N
-            )
+            kern = prof.kernel_coeffs(model.fam, sc, m, N)
             best = np.maximum(best, np.abs(residual(m, prof, kern)))
         raw[si_] = weighted_lp(best, 2.0 ** (-N * sc.total), p)
     lam = 2.0 ** (-scales.astype(float))

@@ -124,17 +124,19 @@ class KernelDecomposition:
         u = x / self.corrector_scale
         return np.nan_to_num(der(u), nan=0.0) / self.corrector_scale ** (1 + k)
 
-    def _corrector(self, k: tuple[int, ...], pts: np.ndarray) -> np.ndarray:
-        """D^k of the tensor corrector bump: a product of 1-d factors."""
-        out = np.ones(pts.shape[:-1])
-        for i, ki in enumerate(k):
-            out = out * self._corrector_1d(ki, pts[..., i])
+    def _corrector(self, k: tuple[int, ...], axes: list) -> np.ndarray:
+        """D^k of the tensor corrector bump: a product of 1-d factors, each
+        evaluated once per distinct coordinate of its axis (see _axis_coords)."""
+        out = 1.0
+        for ki, (u, inv) in zip(k, axes):
+            out = out * self._corrector_1d(ki, u)[inv]
         return out
 
     def p0(self, pts: np.ndarray) -> np.ndarray:
         out = self.p0_raw(pts)
+        axes = _axis_coords(pts)
         for k, c in self.correction_coeffs.items():
-            out = out - c * self._corrector(k, pts)
+            out = out - c * self._corrector(k, axes)
         return out
 
     def pn(self, n: int, pts: np.ndarray, corrected: bool = True) -> np.ndarray:
@@ -146,9 +148,10 @@ class KernelDecomposition:
         """d^k P0: the annular part by nested central differences at high
         resolution, the corrector part by exact spline derivatives."""
         out = _fd_partial(self.p0_raw, k, pts, h)
+        axes = _axis_coords(pts)
         for kc, c in self.correction_coeffs.items():
             kk = tuple(a + b for a, b in zip(kc, k))
-            out = out - c * self._corrector(kk, pts)
+            out = out - c * self._corrector(kk, axes)
         return out
 
     def pn_deriv(self, k: tuple[int, ...], n: int, pts: np.ndarray) -> np.ndarray:
@@ -203,6 +206,16 @@ class KernelDecomposition:
         if levels is None:
             return base / (1.0 - rho)
         return base * (1.0 - rho**levels) / (1.0 - rho)
+
+
+def _axis_coords(pts: np.ndarray) -> list:
+    """Per axis: the distinct coordinates u and the index array that puts
+    them back on the points, pts[..., i] == u[inv]."""
+    out = []
+    for i in range(pts.shape[-1]):
+        u, inv = np.unique(pts[..., i], return_inverse=True)
+        out.append((u, inv.reshape(pts.shape[:-1])))
+    return out
 
 
 def _fd_partial(f, k: tuple[int, ...], pts: np.ndarray, h: float) -> np.ndarray:
@@ -505,7 +518,9 @@ def _analyze_kernel_nd(fn, n, fam, scaling: Scaling, N: int, taylor: int = 2) ->
     # wrap sample points into [-1/2, 1/2) so compact kernels see their support
     mesh = np.meshgrid(*[((a + 0.5) % 1.0) - 0.5 for a in axes], indexing="ij")
     S = fn(np.stack(mesh, axis=-1))
-    return an.corrected_coeffs(S, fam, tuple(margin * si for si in scaling.s), taylor)
+    return an.corrected_coeffs(
+        S, fam, (N + margin) * scaling.total, tuple(margin * si for si in scaling.s), taylor
+    )
 
 
 def extend_structure(

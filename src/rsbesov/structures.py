@@ -16,7 +16,8 @@ import numpy as np
 
 from . import analysis as an
 from . import mra
-from .besov import Profile, TestDictionary, profile_kernel
+# profile_kernel is unused here but stays bound: perfbench/spans.py traces it
+from .besov import Profile, TestDictionary, profile_kernel  # noqa: F401
 from .pyramid import CoeffPyramid
 from .scaling import Scaling, wrap_displacement
 from .util import multi_binom
@@ -179,12 +180,7 @@ class Model:
     def _profile_corr(self, cN: np.ndarray, scale_n: int, profile: Profile, tag) -> np.ndarray:
         key = (tag, scale_n, profile.name)
         if key not in self._profile_cache:
-            k = an.analyze_kernel(
-                profile_kernel(profile, self.scaling, scale_n),
-                self.fam,
-                self.scaling,
-                self.N,
-            )
+            k = profile.kernel_coeffs(self.fam, self.scaling, scale_n, self.N)
             self._profile_cache[key] = an.correlate(cN, k)
         return self._profile_cache[key]
 

@@ -68,6 +68,21 @@ def test_config_sets_every_key_and_flags_override(tmp_path):
     assert resolve_config(args) == want
 
 
+def test_parabolic_lift_reports_no_slope_for_a_round_off_sector(tmp_path):
+    # at s=(2,1) the X^(0,1) sector of the lifted sin field is zero up to
+    # round-off (increments 3e-16..3e-14): its fitted slope must be NaN
+    cfg = tmp_path / "lift21.ini"
+    cfg.write_text("[experiment]\nd = 2\ns = 2,1\nlevels = 4\n")
+    assert main(["lift", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    rows = dict(
+        line.split(",") for line in (tmp_path / "lift.csv").read_text().splitlines()
+        if not line.startswith("#")
+    )
+    assert rows["unaverage_slope_zeta_1.0"] == "nan"
+    for z in ("0.0", "2.0"):  # the live sectors keep their fitted rates
+        assert math.isfinite(float(rows[f"unaverage_slope_zeta_{z}"]))
+
+
 def test_bad_exponent_exits_2(tmp_path):
     assert main(["besov", "--q", "often", "--out", str(tmp_path)]) == 2
     cfg = tmp_path / "bad.ini"

@@ -305,8 +305,10 @@ def test_two_model_pi_perturbation_linear(sc1, fam6):
         assert abs(expo - 1.0) <= 0.1
 
 
-class GammaPerturbed(rs.NoiseModel):
-    """Cocycle perturbation: Gamma' Xi = Xi + eps (c(x) - c(y)) 1."""
+class _CocycleModel(rs.NoiseModel):
+    """Gamma' = Gamma + eps (c(x) - c(y)) e_row e_col^T, c = sin(2 pi .)."""
+
+    row = col = None
 
     def __init__(self, st, fam, xi, alpha, eps):
         super().__init__(st, fam, xi, alpha)
@@ -316,7 +318,7 @@ class GammaPerturbed(rs.NoiseModel):
         M = super().gamma(x, y)
         cx = np.sin(2 * np.pi * np.asarray(x)[0])
         cy = np.sin(2 * np.pi * np.asarray(y)[0])
-        M[self.structure.index("1"), self.structure.index("Xi")] += self.eps * (cx - cy)
+        M[self.structure.index(self.row), self.structure.index(self.col)] += self.eps * (cx - cy)
         return M
 
     def gamma_apply_field(self, vals, delta, x_index=None):
@@ -328,8 +330,14 @@ class GammaPerturbed(rs.NoiseModel):
         steps = int(round(float(np.asarray(delta)[0]) * 2**N))
         ys = ((np.asarray(x_index[0]) + steps) % 2**N) / 2**N
         corr = self.eps * (np.sin(2 * np.pi * xs) - np.sin(2 * np.pi * ys))
-        out[..., self.structure.index("1")] += corr * vals[..., self.structure.index("Xi")]
+        out[..., self.structure.index(self.row)] += corr * vals[..., self.structure.index(self.col)]
         return out
+
+
+class GammaPerturbed(_CocycleModel):
+    """Cocycle perturbation: Gamma' Xi = Xi + eps (c(x) - c(y)) 1."""
+
+    row, col = "1", "Xi"
 
 
 def test_gamma_perturbation_distance_linear(sc1, fam6):
@@ -346,23 +354,46 @@ def test_gamma_perturbation_distance_linear(sc1, fam6):
         assert abs(expo - 1.0) <= 0.1
 
 
-class GammaLowered(rs.NoiseModel):
+class GammaLowered(_CocycleModel):
     """Cocycle perturbation below the diagonal: Gamma' 1 = 1 + eps (c(x) - c(y)) Xi.
 
     GammaPerturbed perturbs above the diagonal, which the Gamma-difference
-    sweep (beta < zeta) does not read.  Only gamma(x, y) is perturbed here.
+    sweep (beta < zeta) does not read.
     """
 
-    def __init__(self, st, fam, xi, alpha, eps):
-        super().__init__(st, fam, xi, alpha)
-        self.eps = eps
+    row, col = "Xi", "1"
 
-    def gamma(self, x, y):
-        M = super().gamma(x, y)
-        cx = np.sin(2 * np.pi * np.asarray(x)[0])
-        cy = np.sin(2 * np.pi * np.asarray(y)[0])
-        M[self.structure.index("Xi"), self.structure.index("1")] += self.eps * (cx - cy)
-        return M
+
+@pytest.mark.parametrize("cls", [GammaPerturbed, GammaLowered])
+def test_cocycle_field_matches_gamma_matrix(sc1, fam6, cls):
+    N = 6
+    xi = besov.synthesize("random_besov", sc1, N, fam6, alpha=-0.5, seed=5)
+    st, _ = rs.noise_structure(-0.5, xi, 1.25, fam6)
+    model = cls(st, fam6, xi, -0.5, 0.3)
+    vals = np.random.default_rng(1).standard_normal((2**N, st.dim))
+    pts = sc1.grid_points(N)
+    for steps in (1, -3, 17):
+        delta = np.array([steps / 2**N])
+        field = model.gamma_apply_field(vals, delta)
+        want = [model.gamma(pts[i], (pts[i] + delta) % 1.0) @ vals[i] for i in range(2**N)]
+        assert np.max(np.abs(field - np.array(want))) <= 1e-13
+
+
+def test_two_model_gamma_lowered_within_budget(sc1, fam6):
+    # criterion 9b with a Gamma perturbation the model distance does see.
+    # Reconstruction reads Pi only, so the left side is 0 here; the budget
+    # carries the Gamma term and falls linearly with eps.
+    N = 8
+    xi, st, model, f = _rough_md(sc1, fam6, N)
+    d = besov.make_dictionary(2, scales=range(2, 6))
+    budgets = []
+    for eps in [1e-1, 1e-2, 1e-3]:
+        lowered = GammaLowered(st, fam6, xi, -0.5, eps)
+        assert rs.model_distance(model, lowered, f.gamma, d).gamma > 0.0
+        _, _, normalized, budget = rc.two_model_compare(f, model, f, lowered, 2.0, INF, d)
+        assert lq_aggregate(normalized, INF) <= budget
+        budgets.append(budget)
+    assert abs(fit_log2_slope(np.log2([1e-1, 1e-2, 1e-3]), budgets) - 1.0) <= 0.1
 
 
 def test_model_distance_of_model_to_itself_is_zero(sc1, sc21, fam6):
