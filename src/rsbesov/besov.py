@@ -258,23 +258,19 @@ def besov_norm_testfn(
 # mollification
 
 
-_RHO_ORDER = 8  # C^6 even bump, knots at dyadic rationals
+RHO = bspline_bump(8)  # the mollifier rho: C^6 even bump, knots at dyadic rationals
+RHO_MASS = an.kernel_moment_1d(_spline_fn(RHO, -1, 1), 0)
 
 
 def mollifier_kernel(scaling: Scaling, lam: float) -> an.SeparableKernel:
     """rho^lambda_0: tensor bump, smooth, even, integral one, support the
     unit s-ball scaled by lambda."""
-    bump = bspline_bump(_RHO_ORDER)
-    mass = an.kernel_moment_1d(_spline_fn(bump, -1, 1), 0)
     factors = []
     for si in scaling.s:
         li = lam**si
         factors.append(
             an.Fn1D(
-                lambda u, b=bump, li=li, m=mass: np.nan_to_num(
-                    b(u / li), nan=0.0
-                )
-                / (m * li),
+                lambda u, li=li: np.nan_to_num(RHO(u / li), nan=0.0) / (RHO_MASS * li),
                 (-li, li),
             )
         )

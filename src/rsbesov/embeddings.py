@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .besov import lpn_norm
 from .modelled import AveragedMD, dbar_norm
 from .scaling import Scaling
 from .structures import Model
@@ -136,9 +137,7 @@ def embed_check(fbar: AveragedMD, model: Model, case: EmbeddingCase) -> EmbedRep
         for z in st.sectors_below(case.gamma):
             pz = case4_ladder_exponent(sc, case.gamma, case.p, z)
             sup = max(
-                weighted_lp(
-                    sector_abs(st, fbar.levels[n], z), 2.0 ** (-n * sc.total), pz
-                )
+                lpn_norm(sector_abs(st, fbar.levels[n], z), n, pz, sc)
                 for n in range(fbar.N + 1)
             )
             ladder.append((z, pz, sup))

@@ -13,9 +13,10 @@ from itertools import product
 import numpy as np
 
 from .analysis import subsample
+from .besov import lpn_norm
 from .scaling import Scaling, translation_offsets
 from .structures import Model, RegularityStructure, sector_abs
-from .util import fit_log2_slope, lq_aggregate, weighted_lp
+from .util import fit_log2_slope, lq_aggregate
 
 TRANSLATION_MIN_LEVEL = 2
 ROUNDOFF_REL = 1e-12  # increments below this share of the field are round-off
@@ -134,27 +135,30 @@ class DNormReport:
                 yield (z, n, "consistency", v)
 
 
-def _lp_grid(arr: np.ndarray, n: int, p, scaling: Scaling) -> float:
-    return weighted_lp(arr, 2.0 ** (-n * scaling.total), p)
-
-
-def shift_plus(values: np.ndarray, steps: tuple[int, ...]) -> np.ndarray:
-    """out[idx] = values[idx + steps] (periodic), steps in grid units."""
-    out = values
-    for ax, st in enumerate(steps):
-        if st:
-            out = np.roll(out, -st, axis=ax)
-    return out
-
-
-def _level_index(sc: Scaling, n: int, N: int):
-    """ix_-style fine-grid indices of the Lambda_n points."""
+def _level_index(sc: Scaling, n: int, N: int, rem=None):
+    """ix_-style fine-grid indices of the Lambda_n points, each shifted by
+    rem fine cells (default none)."""
+    rem = rem or (0,) * sc.d
     return np.ix_(
-        *[
-            np.arange(2 ** (n * si)) * 2 ** ((N - n) * si)
-            for si in sc.s
-        ]
+        *[np.arange(2 ** (n * si)) * 2 ** ((N - n) * si) + r for si, r in zip(sc.s, rem)]
     )
+
+
+def _fine_cells(sc: Scaling, h, n: int, N: int) -> tuple[int, ...]:
+    """A Lambda_n offset h (in level-n cells) in fine-grid cells."""
+    return tuple(hi * 2 ** ((N - n) * si) for hi, si in zip(h, sc.s))
+
+
+def _moved(model: Model, g: np.ndarray, m: int, N: int, x_index, step) -> np.ndarray:
+    """Gamma_{x,x+h} g(x+h) at the fine-grid targets x_index, where h is step
+    fine cells, g is a Lambda_m array and every x + h lies on Lambda_m."""
+    sc = model.scaling
+    src = tuple(
+        ((xi + st) % 2 ** (N * si)) // 2 ** ((N - m) * si)
+        for xi, st, si in zip(x_index, step, sc.s)
+    )
+    delta = np.array([st * 2.0 ** (-N * si) for st, si in zip(step, sc.s)])
+    return model.gamma_apply_field(g[src], delta, x_index)
 
 
 def _shell_lq(st: RegularityStructure, zetas, diffs, n: int, weight, p, q) -> dict[float, float]:
@@ -163,7 +167,7 @@ def _shell_lq(st: RegularityStructure, zetas, diffs, n: int, weight, p, q) -> di
     acc = {z: [] for z in zetas}
     for diff in diffs:
         for z in zetas:
-            acc[z].append(_lp_grid(sector_abs(st, diff, z), n, p, st.scaling) / weight(z))
+            acc[z].append(lpn_norm(sector_abs(st, diff, z), n, p, st.scaling) / weight(z))
     return {z: lq_aggregate(acc[z], q) for z in zetas}
 
 
@@ -175,22 +179,19 @@ def _level_table(zetas, levels, per_level) -> dict[float, np.ndarray]:
 
 def _fine_norm(f: ModelledDistribution, local_values: np.ndarray, difference, p, q) -> DNormReport:
     """Local L^p bounds of local_values plus the translation bound on Lambda_N,
-    where difference(steps, delta) is the difference translated by -h for an
-    h in E_n, given as fine-grid shifts and as a real displacement."""
+    where difference(step) is the difference translated by -h for an h in
+    E_n, given in fine-grid cells."""
     st, sc = f.structure, f.structure.scaling
     N = f.N
     zetas = st.sectors_below(f.gamma)
-    local = {z: _lp_grid(sector_abs(st, local_values, z), N, p, sc) for z in zetas}
+    local = {z: lpn_norm(sector_abs(st, local_values, z), N, p, sc) for z in zetas}
     levels = np.arange(TRANSLATION_MIN_LEVEL, N + 1)
 
     def shell(n):
         hnorm = 2.0 ** (-n)
         # D[y] = f(y) - Gamma_{y, y-h} f(y-h), same l^p as the x+h form
         diffs = (
-            difference(
-                tuple(-hi * 2 ** ((N - n) * si) for hi, si in zip(h, sc.s)),
-                np.array([-hi * 2.0 ** (-n * si) for hi, si in zip(h, sc.s)]),
-            )
+            difference(_fine_cells(sc, [-hi for hi in h], n, N))
             for h in translation_offsets(sc, n)
         )
         return _shell_lq(st, zetas, diffs, N, lambda z: hnorm ** (f.gamma - z), p, q)
@@ -201,9 +202,10 @@ def _fine_norm(f: ModelledDistribution, local_values: np.ndarray, difference, p,
 def d_norm(f: ModelledDistribution, model: Model, p, q) -> DNormReport:
     """The modelled-distribution norm: local L^p bounds plus the dyadic-shell
     discretization of the translation bound."""
+    fine = _level_index(f.structure.scaling, f.N, f.N)
 
-    def difference(steps, delta):
-        return f.values - model.gamma_apply_field(shift_plus(f.values, steps), delta)
+    def difference(step):
+        return f.values - _moved(model, f.values, f.N, f.N, fine, step)
 
     return _fine_norm(f, f.values, difference, p, q)
 
@@ -213,17 +215,12 @@ def dbar_norm(fbar: AveragedMD, model: Model, p, q) -> DNormReport:
     st, sc = fbar.structure, fbar.structure.scaling
     N, gamma, lv = fbar.N, fbar.gamma, fbar.levels
     zetas = st.sectors_below(gamma)
-    local = {z: _lp_grid(sector_abs(st, lv[0], z), 0, p, sc) for z in zetas}
+    local = {z: lpn_norm(sector_abs(st, lv[0], z), 0, p, sc) for z in zetas}
 
     def translation(n):
         x_index = _level_index(sc, n, N)
         diffs = (
-            lv[n]
-            - model.gamma_apply_field(
-                shift_plus(lv[n], tuple(-hi for hi in h)),
-                np.array([-hi * 2.0 ** (-n * si) for hi, si in zip(h, sc.s)]),
-                x_index,
-            )
+            lv[n] - _moved(model, lv[n], n, N, x_index, _fine_cells(sc, [-hi for hi in h], n, N))
             for h in translation_offsets(sc, n)
         )
         return _shell_lq(st, zetas, diffs, n, lambda z: 2.0 ** (-n * (gamma - z)), p, q)
@@ -231,7 +228,7 @@ def dbar_norm(fbar: AveragedMD, model: Model, p, q) -> DNormReport:
     def consistency(n):
         diff = lv[n] - subsample(lv[n + 1], sc, n + 1, n)
         return {
-            z: _lp_grid(sector_abs(st, diff, z), n, p, sc) / 2.0 ** (-n * (gamma - z))
+            z: lpn_norm(sector_abs(st, diff, z), n, p, sc) / 2.0 ** (-n * (gamma - z))
             for z in zetas
         }
 
@@ -240,12 +237,7 @@ def dbar_norm(fbar: AveragedMD, model: Model, p, q) -> DNormReport:
         # plus h = 0 (the consistency term itself)
         x_index = _level_index(sc, n, N)
         diffs = (
-            lv[n]
-            - model.gamma_apply_field(
-                subsample(shift_plus(lv[n + 1], h), sc, n + 1, n),
-                np.array([hi * 2.0 ** (-(n + 1) * si) for hi, si in zip(h, sc.s)]),
-                x_index,
-            )
+            lv[n] - _moved(model, lv[n + 1], n + 1, N, x_index, _fine_cells(sc, h, n + 1, N))
             for h in [(0,) * sc.d] + translation_offsets(sc, n + 1)
         )
         return _shell_lq(st, zetas, diffs, n, lambda z: 2.0 ** (-n * (gamma - z)), p, q)
@@ -264,18 +256,13 @@ def average(f: ModelledDistribution, model: Model) -> AveragedMD:
     N = f.N
     levels: list[np.ndarray] = [None] * (N + 1)
     levels[N] = f.values.copy()
-    size = sc.grid_shape(N)
     for n in range(N):
-        shape_n = sc.grid_shape(n)
         radii = [2 ** ((N - n) * si) for si in sc.s]
         x_index = _level_index(sc, n, N)
-        acc = np.zeros((*shape_n, st.dim))
+        acc = np.zeros((*sc.grid_shape(n), st.dim))
         count = 0
         for off in product(*[range(-r, r + 1) for r in radii]):
-            idx = tuple((x_index[i] + off[i]) % size[i] for i in range(sc.d))
-            vals = f.values[idx]
-            delta = np.array([off[i] * 2.0 ** (-N * sc.s[i]) for i in range(sc.d)])
-            acc += model.gamma_apply_field(vals, delta, x_index)
+            acc += _moved(model, f.values, N, N, x_index, off)
             count += 1
         levels[n] = acc / count
     return AveragedMD(st, f.gamma, N, levels)
@@ -303,10 +290,10 @@ def unaverage(
         if prev is not None:
             diff = f_n - prev
             for z in zetas:
-                increments[z][n - 1] = _lp_grid(sector_abs(st, diff, z), N, p, sc)
+                increments[z][n - 1] = lpn_norm(sector_abs(st, diff, z), N, p, sc)
         prev = f_n
     # increments at round-off of the field carry no rate: NaN, not a slope
-    field_lp = max((_lp_grid(sector_abs(st, f_n, z), N, p, sc) for z in zetas), default=0.0)
+    field_lp = max((lpn_norm(sector_abs(st, f_n, z), N, p, sc) for z in zetas), default=0.0)
     floor = ROUNDOFF_REL * field_lp
     slopes = {}
     for z in zetas:
@@ -328,27 +315,12 @@ def _transport_to_fine(fbar: AveragedMD, model: Model, n: int) -> np.ndarray:
     N = fbar.N
     out = np.zeros((*sc.grid_shape(N), st.dim))
     strides = [2 ** ((N - n) * si) for si in sc.s]
-    shape_n = sc.grid_shape(n)
-    size = sc.grid_shape(N)
     for rem in product(*[range(s) for s in strides]):
-        near = [int(np.floor(rem[i] / strides[i] + 0.5)) for i in range(sc.d)]
-        # delta = x_n - x in real coordinates (source minus target)
-        delta = np.array(
-            [(near[i] * strides[i] - rem[i]) * 2.0 ** (-N * sc.s[i]) for i in range(sc.d)]
-        )
-        src_idx = np.ix_(
-            *[(np.arange(shape_n[i]) + near[i]) % shape_n[i] for i in range(sc.d)]
-        )
-        vals = fbar.levels[n][src_idx]
-        x_index = np.ix_(
-            *[
-                (np.arange(shape_n[i]) * strides[i] + rem[i]) % size[i]
-                for i in range(sc.d)
-            ]
-        )
-        moved = model.gamma_apply_field(vals, delta, x_index)
-        sl = tuple(slice(rem[i], None, strides[i]) for i in range(sc.d))
-        out[sl] = moved
+        # step = x_n - x in fine cells (source minus target), half-up ties
+        step = [int(np.floor(r / s + 0.5)) * s - r for r, s in zip(rem, strides)]
+        x_index = _level_index(sc, n, N, rem)
+        sl = tuple(slice(r, None, s) for r, s in zip(rem, strides))
+        out[sl] = _moved(model, fbar.levels[n], n, N, x_index, step)
     return out
 
 
@@ -367,12 +339,14 @@ def md_distance(
     if f2.gamma != f.gamma or f2.N != f.N:
         raise ValueError("order or resolution mismatch")
 
-    def difference(steps, delta):
+    fine = _level_index(f.structure.scaling, f.N, f.N)
+
+    def difference(step):
         return (
             f.values
             - f2.values
-            - model.gamma_apply_field(shift_plus(f.values, steps), delta)
-            + model2.gamma_apply_field(shift_plus(f2.values, steps), delta)
+            - _moved(model, f.values, f.N, f.N, fine, step)
+            + _moved(model2, f2.values, f.N, f.N, fine, step)
         )
 
     return _fine_norm(f, f.values - f2.values, difference, p, q)
@@ -396,7 +370,7 @@ def check_local_propagation(fbar: AveragedMD, model: Model, p, q) -> Propagation
     zetas = st.sectors_below(fbar.gamma)
     sup_lv = {
         z: max(
-            _lp_grid(sector_abs(st, fbar.levels[n], z), n, p, sc)
+            lpn_norm(sector_abs(st, fbar.levels[n], z), n, p, sc)
             for n in range(fbar.N + 1)
         )
         for z in zetas

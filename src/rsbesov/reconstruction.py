@@ -17,12 +17,12 @@ import numpy as np
 from . import analysis as an
 from . import besov
 from . import mra
-from .besov import BesovParams, TestDictionary, bspline_bump, mollify
+from .besov import BesovParams, TestDictionary, mollify
 from .modelled import AveragedMD, ModelledDistribution, average, unaverage
 from .pyramid import CoeffPyramid
 from .scaling import Scaling
 from .structures import Model, model_distance, model_norms
-from .util import fit_log2_slope, lq_aggregate, multi_factorial, weighted_lp
+from .util import fit_log2_slope, lq_aggregate, multi_factorial
 
 
 class CertificateError(RuntimeError):
@@ -96,12 +96,12 @@ def sewing_limit(
     a_tab = np.zeros(N + 1)
     for n in range(N + 1):
         w = 2.0 ** (-n * alpha - n * sc.total / 2.0)
-        a_tab[n] = weighted_lp(germ.A[n] / w, 2.0 ** (-n * sc.total), p)
+        a_tab[n] = besov.lpn_norm(germ.A[n] / w, n, p, sc)
     dA = germ.increments(fam)
     da_tab = np.zeros(N)
     for n in range(N):
         w = 2.0 ** (-n * gamma - n * sc.total / 2.0)
-        da_tab[n] = weighted_lp(dA[n] / w, 2.0 ** (-n * sc.total), p)
+        da_tab[n] = besov.lpn_norm(dA[n] / w, n, p, sc)
     lo = max(0, N - 5)
     growth = fit_log2_slope(np.arange(lo, N), da_tab[lo:])
     # roundoff-level increments get amplified by the 2^{n gamma} weights;
@@ -241,7 +241,7 @@ def _scale_table(
         for prof in dictionary.profiles:
             kern = prof.kernel_coeffs(model.fam, sc, m, N)
             best = np.maximum(best, np.abs(residual(m, prof, kern)))
-        raw[si_] = weighted_lp(best, 2.0 ** (-N * sc.total), p)
+        raw[si_] = besov.lpn_norm(best, N, p, sc)
     lam = 2.0 ** (-scales.astype(float))
     return scales, raw, raw / lam**f.gamma
 
@@ -295,35 +295,20 @@ def _deriv_of_weighted(a: int, ell: int):
     return terms
 
 
-_RHO = bspline_bump(besov._RHO_ORDER)
-_RHO_MASS = None
-
-
-def _rho_derivative(j: int):
-    return _RHO.derivative(j) if j > 0 else _RHO
-
-
-def _rho_mass() -> float:
-    global _RHO_MASS
-    if _RHO_MASS is None:
-        _RHO_MASS = an.kernel_moment_1d(
-            an.Fn1D(lambda u: np.nan_to_num(_RHO(u), nan=0.0), (-1, 1)), 0
-        )
-    return _RHO_MASS
-
-
 def _lift_factor_1d(a: int, ell: int, scale: float) -> an.Fn1D:
     """d^a/du^a A_ell(rho_scale)(u) with rho_scale(u) = rho(u/scale)/(mass*scale)."""
     terms = _deriv_of_weighted(a, ell)
-    mass = _rho_mass()
 
     def f(u):
         acc = np.zeros_like(u)
         inside = np.abs(u) < scale
-        v = u[inside] / scale
-        for coef, j, pw in terms:
-            dj = np.nan_to_num(_rho_derivative(j)(v), nan=0.0)
-            acc[inside] += coef * dj / (mass * scale ** (1 + j)) * u[inside] ** pw
+        ui = u[inside]
+        # terms share derivative orders: evaluate each rho^(j) once
+        for j in sorted({j for _, j, _ in terms}):
+            weight = sum(coef * ui**pw for coef, jj, pw in terms if jj == j)
+            rho_j = besov.RHO.derivative(j) if j > 0 else besov.RHO
+            dj = np.nan_to_num(rho_j(ui / scale), nan=0.0)
+            acc[inside] += dj * weight / (besov.RHO_MASS * scale ** (1 + j))
         return acc
 
     return an.Fn1D(f, (-scale, scale))

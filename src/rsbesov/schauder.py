@@ -22,7 +22,8 @@ from . import mra
 from .modelled import ModelledDistribution, d_norm
 from .pyramid import CoeffPyramid
 from .scaling import Scaling, wrap_displacement
-from .structures import Model, NoiseModel, RegularityStructure, Symbol, polynomial_symbols
+from .structures import Model, NoiseModel, RegularityStructure, Symbol
+from .structures import integer_homogeneities, poly_name, polynomial_symbols
 from .util import multi_factorial
 
 
@@ -388,7 +389,7 @@ class ExtendedModel(NoiseModel):
         yi_idx = self.scaling.nearest_grid_index(y, self.N)
         delta = wrap_displacement(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
         for k in self.taylor_ks:
-            M[self.structure.index(_poly_name(k)), self.ixi_index] = self._c_coeff(
+            M[self.structure.index(poly_name(k)), self.ixi_index] = self._c_coeff(
                 k, xi_idx, yi_idx, delta
             )
         return M
@@ -428,7 +429,7 @@ class ExtendedModel(NoiseModel):
         wdel = wrap_displacement(-delta)  # x - y
         for k in self.taylor_ks:
             c = self._c_coeff(k, x_index, y_index, wdel)
-            out[..., self.structure.index(_poly_name(k))] += c * ix
+            out[..., self.structure.index(poly_name(k))] += c * ix
         return out
 
     # -- Pi: the IXi symbol; Xi and the polynomials come from the base classes --
@@ -467,10 +468,6 @@ class ExtendedModel(NoiseModel):
         return out
 
 
-def _poly_name(k) -> str:
-    return "1" if not any(k) else "X^" + ",".join(map(str, k))
-
-
 def _deriv_kernel_array(
     kernel: KernelDecomposition,
     k: tuple[int, ...],
@@ -506,7 +503,7 @@ def _deriv_kernel_array(
 def _analyze_kernel_nd(fn, n, fam, scaling: Scaling, N: int, taylor: int = 2) -> np.ndarray:
     """Direct tensor quadrature for non-separable kernels: one-point corrected
     sampling on a moderately refined grid, then exact cascades per axis."""
-    margin = max(2, 6 - max(0, n))  # coarser margin for the coarse levels
+    margin = max(2, 6 - n)  # finest sampling (margin 6) for the smoothest piece n = 0
     shapes = [2 ** ((N + margin) * si) for si in scaling.s]
     points = math.prod(shapes)
     if points > _MAX_ND_POINTS:
@@ -543,8 +540,7 @@ def extend_structure(
     syms = polynomial_symbols(sc, gamma + kernel.beta)
     syms.append(Symbol("Xi", alpha, "abstract"))
     syms.append(Symbol("IXi", zeta_i, "abstract"))
-    ambient = tuple(float(k) for k in range(int(np.ceil(gamma + kernel.beta)) + 2))
-    st = RegularityStructure(syms, sc, ambient)
+    st = RegularityStructure(syms, sc, integer_homogeneities(gamma + kernel.beta))
     N = base_model.N
     model = ExtendedModel(
         st,
@@ -611,7 +607,7 @@ def schauder_apply(
         deg = sc.scaled_degree(k)
         if deg >= gamma + beta:
             continue
-        kidx = st_out.index(_poly_name(k))
+        kidx = st_out.index(poly_name(k))
         rec_pair = an.correlate(cN_rec, ext_model.w_arrays[k])
         germ_pair = np.zeros_like(rec_pair)
         taylor = np.zeros_like(rec_pair)

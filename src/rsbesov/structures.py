@@ -71,12 +71,21 @@ class RegularityStructure:
             raise ValueError(f"gamma={gamma} coincides with a homogeneity")
 
 
+def poly_name(k) -> str:
+    """Symbol name of the monomial X^k."""
+    return "1" if not any(k) else "X^" + ",".join(map(str, k))
+
+
 def polynomial_symbols(scaling: Scaling, gamma: float) -> list[Symbol]:
-    syms = []
-    for k in scaling.multi_indices_below(gamma):
-        name = "1" if not any(k) else "X^" + ",".join(map(str, k))
-        syms.append(Symbol(name, float(scaling.scaled_degree(k)), "poly", tuple(k)))
-    return syms
+    return [
+        Symbol(poly_name(k), float(scaling.scaled_degree(k)), "poly", tuple(k))
+        for k in scaling.multi_indices_below(gamma)
+    ]
+
+
+def integer_homogeneities(top: float) -> tuple[float, ...]:
+    """The ambient integers 0..ceil(top)+1 the polynomial sector contributes."""
+    return tuple(float(k) for k in range(int(np.ceil(top)) + 2))
 
 
 class Model:
@@ -229,8 +238,8 @@ def polynomial_structure(
     """The polynomial structure up to order gamma with its canonical model."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    ambient = tuple(float(k) for k in range(int(np.ceil(gamma)) + 2))
-    st = RegularityStructure(polynomial_symbols(scaling, gamma), scaling, ambient)
+    syms = polynomial_symbols(scaling, gamma)
+    st = RegularityStructure(syms, scaling, integer_homogeneities(gamma))
     st.check_gamma(gamma)
     return st, PolynomialModel(st, fam, N)
 
@@ -243,8 +252,7 @@ def noise_structure(
         raise ValueError("need alpha < 0 <= gamma")
     scaling = xi.scaling
     syms = polynomial_symbols(scaling, gamma) + [Symbol("Xi", alpha, "abstract")]
-    ambient = tuple(float(k) for k in range(int(np.ceil(gamma)) + 2))
-    st = RegularityStructure(syms, scaling, ambient)
+    st = RegularityStructure(syms, scaling, integer_homogeneities(gamma))
     st.check_gamma(gamma)
     return st, NoiseModel(st, fam, xi, alpha)
 

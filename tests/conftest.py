@@ -1,8 +1,10 @@
+from functools import cache
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from rsbesov import build_wavelet, polynomial_structure
+from rsbesov import besov, build_wavelet, polynomial_structure, schauder, structures
 from rsbesov.modelled import ModelledDistribution
 from rsbesov.scaling import Scaling
 
@@ -58,3 +60,26 @@ def sin_setup_n8(sc1, fam6):
 @pytest.fixture(scope="session")
 def sin_setup_n10(sc1, fam6):
     return make_sin_lift(sc1, fam6, 10)
+
+
+# model kinds: structure and scaling; "-1" is s=(1) with order 6, "-21" is
+# s=(2,1) with order 4 (the extended model exists at d=1 only)
+MODEL_KINDS = ["poly-1", "poly-21", "noise-1", "noise-21", "extended-1"]
+
+
+@cache
+def make_model(kind, N):
+    """The polynomial (gamma 2.5), noise (alpha -0.5, gamma 1.25) or extended
+    (Riesz beta 0.7) model of one kind at resolution N."""
+    if kind.endswith("-1"):
+        sc, fam = Scaling((1,)), build_wavelet(6, 2)
+    else:
+        sc, fam = Scaling((2, 1)), build_wavelet(4, 1)
+    if kind.startswith("poly"):
+        return structures.polynomial_structure(2.5, sc, fam, N)[1]
+    xi = besov.synthesize("random_besov", sc, N, fam, alpha=-0.5, seed=5)
+    st, model = structures.noise_structure(-0.5, xi, 1.25, fam)
+    if kind.startswith("noise"):
+        return model
+    K = schauder.decompose_kernel("riesz", sc, r=3, beta=0.7)
+    return schauder.extend_structure(st, model, K, 1.25)[1]

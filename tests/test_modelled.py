@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rsbesov import besov, modelled as md, structures as rs
-from conftest import make_sin_lift
+from conftest import MODEL_KINDS, make_model, make_sin_lift
 
 INF = math.inf
 
@@ -129,6 +129,44 @@ def test_average_linear(sin_setup_n8):
     b = md.average(g, model)
     for la, lb, lab in zip(a.levels, b.levels, ab.levels):
         np.testing.assert_allclose(lab, la + lb, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_transport_matches_gamma_matrix(kind):
+    # average: the mean of Gamma_{x,y} f(y) over the closed grid ball
+    # B(x, 2^-n); unaverage: f_n(x) = Gamma_{x,x_n} fbar^(n)(x_n) with x_n the
+    # nearest Lambda_n point (half-up ties), both in the matrix view
+    N = 3
+    model = make_model(kind, N)
+    st, sc = model.structure, model.scaling
+    gamma = 2.5 if kind.startswith("poly") else 1.25
+    vals = np.random.default_rng(0).standard_normal((*sc.grid_shape(N), st.dim))
+    vals[..., [s.zeta >= gamma for s in st.symbols]] = 0.0
+    f = md.ModelledDistribution(st, gamma, N, vals)
+    fbar = md.average(f, model)
+    pts = sc.grid_points(N)
+    for n in range(N):
+        radii = [2 ** ((N - n) * si) for si in sc.s]
+        ball = list(np.ndindex(*[2 * r + 1 for r in radii]))
+        want = np.zeros_like(fbar.levels[n])
+        for idx in np.ndindex(*sc.grid_shape(n)):
+            x_idx = [i * 2 ** ((N - n) * si) for i, si in zip(idx, sc.s)]
+            for off in ball:
+                y_idx = tuple(
+                    (xi + o - r) % m for xi, o, r, m in zip(x_idx, off, radii, sc.grid_shape(N))
+                )
+                want[idx] += model.gamma(pts[tuple(x_idx)], pts[y_idx]) @ f.values[y_idx]
+            want[idx] /= len(ball)
+        assert np.max(np.abs(fbar.levels[n] - want)) <= 1e-12 * np.max(np.abs(want))
+    for n in range(N + 1):
+        want = np.zeros_like(f.values)
+        for idx in np.ndindex(*sc.grid_shape(N)):
+            near = sc.nearest_grid_index(pts[idx], n)
+            x_n = np.array([i / m for i, m in zip(near, sc.grid_shape(n))])
+            want[idx] = model.gamma(pts[idx], x_n) @ fbar.levels[n][near]
+        got = md._transport_to_fine(fbar, model, n)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    np.testing.assert_array_equal(md.unaverage(fbar, model)[0].values, got)
 
 
 def test_roundtrip_convergence_orders(sc1, fam6):

@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as hst
 
 from rsbesov import besov, mra
-from rsbesov import schauder as sch
 from rsbesov import structures as rs
-from rsbesov.scaling import Scaling
 from rsbesov.util import fit_log2_slope
+from conftest import MODEL_KINDS, make_model
 
 INF = math.inf
 
@@ -197,24 +197,10 @@ def test_top_sector_gamma_identity(sc1, fam6):
         np.testing.assert_allclose(M[i, :], row, atol=0)
 
 
-def _gamma_view_model(kind, sc1, sc21, fam6, fam4):
-    if kind == "poly-1":
-        return rs.polynomial_structure(2.5, sc1, fam6, 6)[1]
-    if kind == "poly-21":
-        return rs.polynomial_structure(2.5, sc21, fam4, 3)[1]
-    sc, fam, N = (sc1, fam6, 6) if kind != "noise-21" else (sc21, fam4, 3)
-    xi = besov.synthesize("random_besov", sc, N, fam, alpha=-0.5, seed=5)
-    stn, nm = rs.noise_structure(-0.5, xi, 1.25, fam)
-    if kind != "extended-1":
-        return nm
-    K = sch.decompose_kernel("riesz", sc1, r=3, beta=0.7)
-    return sch.extend_structure(stn, nm, K, 1.25)[1]
-
-
-@pytest.mark.parametrize("kind", ["poly-1", "poly-21", "noise-1", "noise-21", "extended-1"])
-def test_gamma_field_matches_gamma_matrix(kind, sc1, sc21, fam6, fam4):
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_gamma_field_matches_gamma_matrix(kind):
     # the field view gamma_apply_field and the matrix view gamma are one Gamma
-    model = _gamma_view_model(kind, sc1, sc21, fam6, fam4)
+    model = make_model(kind, 6 if kind.endswith("-1") else 3)
     sc, N = model.scaling, model.N
     shape = sc.grid_shape(N)
     rng = np.random.default_rng(1)
@@ -229,3 +215,22 @@ def test_gamma_field_matches_gamma_matrix(kind, sc1, sc21, fam6, fam4):
             want = model.gamma(x, (x + delta) % 1.0) @ vals[idx]
             worst = max(worst, float(np.max(np.abs(field[idx] - want))))
         assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@given(data=hst.data())
+def test_gamma_group_law_property(kind, data):
+    # Gamma_{xy} Gamma_{yz} = Gamma_{xz} over random grid displacements; the
+    # per-axis bounds m/4 and m/4 - 1 keep the nearest images additive
+    model = make_model(kind, 6 if kind.endswith("-1") else 3)
+    shape = model.scaling.grid_shape(model.N)
+
+    def draw_cells(bound):
+        return np.array([data.draw(hst.integers(-bound(m), bound(m))) / m for m in shape])
+
+    x = draw_cells(lambda m: m - 1) % 1.0
+    y = (x + draw_cells(lambda m: m // 4)) % 1.0
+    z = (y + draw_cells(lambda m: m // 4 - 1)) % 1.0
+    Mxz = model.gamma(x, z)
+    err = np.max(np.abs(model.gamma(x, y) @ model.gamma(y, z) - Mxz))
+    assert err <= 1e-12 * np.max(np.abs(Mxz))
