@@ -17,27 +17,27 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import besov, embeddings, mra, modelled, reconstruction as rc, schauder, structures
+from . import analysis as an, besov, embeddings, mra, modelled, reconstruction as rc
+from . import schauder, structures
 from .pyramid import save_rsbf
 from .reports import write_rows
 from .scaling import Scaling
 
 SUBCOMMANDS = (
-    "synthesize",
-    "besov",
-    "dnorm",
-    "reconstruct",
-    "roundtrip",
-    "lift",
-    "embed",
-    "schauder",
+    "synthesize", "besov", "dnorm", "reconstruct", "roundtrip", "lift", "embed", "schauder",
     "report",
 )
-
+# The subcommands `report` runs, in its order.
+REPORT_SUBCOMMANDS = (
+    "synthesize", "besov", "dnorm", "reconstruct", "roundtrip", "embed", "lift", "schauder"
+)
 
 # The level sweeps of reconstruct and embed start here; besov, roundtrip,
 # lift and schauder fit slopes over levels and need as many (so does report).
 MIN_SWEEP_LEVEL = 4
+SWEEP_SUBCOMMANDS = frozenset(
+    {"besov", "reconstruct", "roundtrip", "lift", "embed", "schauder", "report"}
+)
 
 
 class ConfigError(ValueError):
@@ -162,174 +162,106 @@ def _family(cfg: ExperimentConfig):
     return mra.build_wavelet(order, r_eff), r_eff
 
 
-def _require_sweep(cfg: ExperimentConfig) -> None:
-    if cfg.levels < MIN_SWEEP_LEVEL:
-        raise ConfigError(f"level sweeps and slope fits need --levels >= {MIN_SWEEP_LEVEL}")
+@dataclass(frozen=True)
+class Run:
+    """What every subcommand of one invocation shares: the resolved config,
+    its scaling, and the wavelet family with its regularity budget r."""
+
+    cfg: ExperimentConfig
+    sc: Scaling
+    fam: mra.WaveletFamily
+    r: int
+
+    def write(self, name: str, header, rows, extra: dict | None = None) -> None:
+        """One table `<out>/<name>.<format>` carrying the config meta plus `extra`."""
+        cfg = self.cfg
+        path = Path(cfg.out) / f"{name}.{cfg.format}"
+        write_rows(path, header, rows, cfg.format, cfg.meta() | (extra or {}))
 
 
-def _sin_lift(cfg, st, sc, N):
-    pts = sc.grid_points(N)
-    x0 = pts[..., 0]
-    vals = np.zeros((*sc.grid_shape(N), st.dim))
-    for i, sym in enumerate(st.symbols):
-        k = sym.k[0]
-        if any(sym.k[1:]):
-            continue
-        deriv = np.sin(2 * np.pi * x0 + k * np.pi / 2.0) * (2 * np.pi) ** k
-        vals[..., i] = deriv / math.factorial(k)
-    return modelled.ModelledDistribution(st, cfg.gamma, N, vals)
+def _input(run: Run, N: int, gamma: float | None = None, noise: bool | None = None):
+    """(model, f, xi) at level N: the lift of sin(2 pi x_0) on the polynomial
+    structure (xi None), or the constant Xi on the noise structure of a
+    random Besov field xi.  gamma and the kind default to the config's."""
+    cfg, sc = run.cfg, run.sc
+    gamma = cfg.gamma if gamma is None else gamma
+    if noise is None:
+        noise = cfg.structure != "polynomial"
+    if noise:
+        xi = besov.synthesize_random_besov(sc, N, cfg.alpha, cfg.seed)
+        st, model = structures.noise_structure(cfg.alpha, xi, gamma, run.fam)
+        vals = np.zeros((*sc.grid_shape(N), st.dim))
+        vals[..., st.index("Xi")] = 1.0
+    else:
+        xi = None
+        st, model = structures.polynomial_structure(gamma, sc, run.fam, N)
+        vals = np.zeros((*sc.grid_shape(N), st.dim))
+        x0 = sc.grid_points(N)[..., 0]
+        for i, sym in enumerate(st.symbols):
+            k = sym.k[0]
+            if not any(sym.k[1:]):
+                deriv = np.sin(2 * np.pi * x0 + k * np.pi / 2.0) * (2 * np.pi) ** k
+                vals[..., i] = deriv / math.factorial(k)
+    return model, modelled.ModelledDistribution(st, gamma, N, vals), xi
 
 
-def _noise_setup(cfg, fam, sc, N):
-    xi = besov.synthesize_random_besov(sc, N, cfg.alpha, cfg.seed)
-    st, model = structures.noise_structure(cfg.alpha, xi, cfg.gamma, fam)
-    vals = np.zeros((*sc.grid_shape(N), st.dim))
-    vals[..., st.index("Xi")] = 1.0
-    return xi, st, model, modelled.ModelledDistribution(st, cfg.gamma, N, vals)
-
-
-def _out(cfg, name) -> Path:
-    ext = "csv" if cfg.format == "csv" else "jsonl"
-    return Path(cfg.out) / f"{name}.{ext}"
-
-
-def cmd_synthesize(cfg: ExperimentConfig) -> int:
-    sc = Scaling(cfg.s)
-    fam, r = _family(cfg)
-    N = cfg.levels
-    pyr = besov.synthesize_random_besov(sc, N, cfg.alpha, cfg.seed)
+def cmd_synthesize(run: Run) -> int:
+    cfg = run.cfg
+    pyr = besov.synthesize_random_besov(run.sc, cfg.levels, cfg.alpha, cfg.seed)
     Path(cfg.out).mkdir(parents=True, exist_ok=True)
     save_rsbf(Path(cfg.out) / "field.rsbf", pyr)
-    params = besov.BesovParams(cfg.alpha, cfg.p, cfg.q, max(r, int(abs(cfg.alpha)) + 1))
+    params = besov.BesovParams(cfg.alpha, cfg.p, cfg.q, max(run.r, int(abs(cfg.alpha)) + 1))
     rep = besov.besov_norm_wavelet(pyr, params)
-    rows = [(n, j, v) for (n, j, v) in rep.rows()]
-    write_rows(
-        _out(cfg, "synthesize"),
-        ["level", "psi_index", "value"],
-        rows,
-        cfg.format,
-        cfg.meta() | {"norm": rep.value},
-    )
-    write_rows(
-        _out(cfg, "synthesize_plot"),
-        ["level", "value"],
-        [(n, v) for n, v in enumerate(rep.level_max())],
-        cfg.format,
-        cfg.meta(),
-    )
+    run.write("synthesize", ["level", "psi_index", "value"], list(rep.rows()), {"norm": rep.value})
+    run.write("synthesize_plot", ["level", "value"], list(enumerate(rep.level_max())))
     return 0
 
 
-def cmd_besov(cfg: ExperimentConfig) -> int:
-    _require_sweep(cfg)
-    sc = Scaling(cfg.s)
-    fam, _ = _family(cfg)
-    N = cfg.levels
-    x0 = np.full(sc.d, 0.5)
-    pyr = besov.synthesize_dirac(sc, N, fam, x0)
+def cmd_besov(run: Run) -> int:
+    sc = run.sc
+    pyr = besov.synthesize_dirac(sc, run.cfg.levels, run.fam, np.full(sc.d, 0.5))
     rows = []
     for p in (1.0, 2.0, math.inf):
         meas = besov.critical_exponent(pyr, p)
-        want = -sc.total + (0.0 if math.isinf(p) else sc.total / p)
+        want = -sc.total + sc.total / p
         rows.append((p, meas, want, abs(meas - want)))
-    write_rows(
-        _out(cfg, "besov"),
-        ["p", "measured_alpha", "predicted_alpha", "abs_error"],
-        rows,
-        cfg.format,
-        cfg.meta(),
-    )
+    run.write("besov", ["p", "measured_alpha", "predicted_alpha", "abs_error"], rows)
     return 0
 
 
-def cmd_dnorm(cfg: ExperimentConfig) -> int:
-    sc = Scaling(cfg.s)
-    fam, _ = _family(cfg)
-    N = cfg.levels
-    if cfg.structure == "polynomial":
-        st, model = structures.polynomial_structure(cfg.gamma, sc, fam, N)
-        f = _sin_lift(cfg, st, sc, N)
-    else:
-        _, st, model, f = _noise_setup(cfg, fam, sc, N)
-    rep = modelled.d_norm(f, model, cfg.p, cfg.q)
-    write_rows(
-        _out(cfg, "dnorm"),
-        ["zeta", "n", "term_kind", "value"],
-        list(rep.rows()),
-        cfg.format,
-        cfg.meta() | {"total": rep.total},
-    )
+def cmd_dnorm(run: Run) -> int:
+    model, f, _ = _input(run, run.cfg.levels)
+    rep = modelled.d_norm(f, model, run.cfg.p, run.cfg.q)
+    run.write("dnorm", ["zeta", "n", "term_kind", "value"], list(rep.rows()), {"total": rep.total})
     return 0
 
 
-def cmd_reconstruct(cfg: ExperimentConfig) -> int:
-    _require_sweep(cfg)
-    sc = Scaling(cfg.s)
-    fam, r = _family(cfg)
+def cmd_reconstruct(run: Run) -> int:
+    cfg, sc, fam = run.cfg, run.sc, run.fam
     rows = []
     bound_rows = []
     for N in range(max(MIN_SWEEP_LEVEL, cfg.levels - 4), cfg.levels + 1):
-        if cfg.structure == "polynomial":
-            st, model = structures.polynomial_structure(cfg.gamma, sc, fam, N)
-            f = _sin_lift(cfg, st, sc, N)
-            out, cert = rc.reconstruct(f, model, cfg.p, cfg.q)
-            an_target = mra.analyze_v_coefficients(
-                _exact_sin_coeffs(fam, sc, N), fam, sc, N
-            )
-            err = out.plus(an_target.scaled(-1.0)).l2() / an_target.l2()
-            rows.append((N, err))
-            if N == cfg.levels:
-                d = besov.make_dictionary(max(r, 2), range(2, N - 1))
-                scales, raw, normed = rc.reconstruction_bound(
-                    f, model, out, cfg.p, cfg.q, d
-                )
-                bound_rows = [
-                    (int(m), rv, nv) for m, rv, nv in zip(scales, raw, normed)
-                ]
-        else:
-            xi, st, model, f = _noise_setup(cfg, fam, sc, N)
-            out, cert = rc.reconstruct(f, model, cfg.p, cfg.q)
-            err = out.max_abs_diff(xi)
-            rows.append((N, err))
-    write_rows(
-        _out(cfg, "reconstruct"),
-        ["levels", "rel_error"],
-        rows,
-        cfg.format,
-        cfg.meta(),
-    )
+        model, f, xi = _input(run, N)
+        out, cert = rc.reconstruct(f, model, cfg.p, cfg.q)
+        if xi is not None:
+            rows.append((N, out.max_abs_diff(xi)))
+            continue
+        an_target = mra.analyze_v_coefficients(_exact_sin_coeffs(fam, sc, N), fam, sc, N)
+        rows.append((N, out.plus(an_target.scaled(-1.0)).l2() / an_target.l2()))
+        if N == cfg.levels:
+            d = besov.make_dictionary(max(run.r, 2), range(2, N - 1))
+            scales, raw, normed = rc.reconstruction_bound(f, model, out, cfg.p, cfg.q, d)
+            bound_rows = [(int(m), rv, nv) for m, rv, nv in zip(scales, raw, normed)]
+    run.write("reconstruct", ["levels", "rel_error"], rows)
     if bound_rows:
-        write_rows(
-            _out(cfg, "reconstruct_bound"),
-            ["scale", "raw", "normalized"],
-            bound_rows,
-            cfg.format,
-            cfg.meta(),
-        )
-    if cert is not None:
-        cert_rows = [(n, "A", v, "") for n, v in enumerate(cert.sewing.a_table)]
-        cert_rows += [
-            (n, "deltaA", v, "") for n, v in enumerate(cert.sewing.da_table)
-        ]
-        if cert.bound_scales is not None:
-            budget = cert.budget if cert.budget is not None else ""
-            cert_rows += [
-                (int(m), "bound", v, budget)
-                for m, v in zip(cert.bound_scales, cert.bound_normalized)
-            ]
-        write_rows(
-            _out(cfg, "reconstruct_certificate"),
-            ["scale", "term", "value", "budget"],
-            cert_rows,
-            cfg.format,
-            cfg.meta(),
-        )
+        run.write("reconstruct_bound", ["scale", "raw", "normalized"], bound_rows)
+    cert_rows = [(n, "A", v, "") for n, v in enumerate(cert.sewing.a_table)]
+    cert_rows += [(n, "deltaA", v, "") for n, v in enumerate(cert.sewing.da_table)]
+    run.write("reconstruct_certificate", ["scale", "term", "value", "budget"], cert_rows)
     return 0
 
 
 def _exact_sin_coeffs(fam, sc, N):
-    from . import analysis as an
-
     kern = an.SeparableKernel(
         [
             (
@@ -342,59 +274,38 @@ def _exact_sin_coeffs(fam, sc, N):
     return an.analyze_kernel(kern, fam, sc, N)
 
 
-def cmd_roundtrip(cfg: ExperimentConfig) -> int:
-    _require_sweep(cfg)
-    sc = Scaling(cfg.s)
-    fam, _ = _family(cfg)
-    N = cfg.levels
-    if cfg.structure == "polynomial":
-        st, model = structures.polynomial_structure(cfg.gamma, sc, fam, N)
-        f = _sin_lift(cfg, st, sc, N)
-    else:
-        _, st, model, f = _noise_setup(cfg, fam, sc, N)
+def cmd_roundtrip(run: Run) -> int:
+    p = run.cfg.p
+    model, f, _ = _input(run, run.cfg.levels)
     fbar = modelled.average(f, model)
-    f2, rep = modelled.unaverage(fbar, model, p=cfg.p if not math.isinf(cfg.p) else 2.0)
-    rows = []
-    for z, arr in sorted(rep.increments.items()):
-        for n, v in enumerate(arr):
-            rows.append((z, n, v))
-    meta = cfg.meta() | {
-        f"slope_zeta_{z}": s for z, s in sorted(rep.slopes.items())
-    } | {"exact_at_finest": float(np.max(np.abs(f2.values - f.values)))}
-    write_rows(
-        _out(cfg, "roundtrip"), ["zeta", "n", "increment_lp"], rows, cfg.format, meta
-    )
+    f2, rep = modelled.unaverage(fbar, model, p=p if not math.isinf(p) else 2.0)
+    rows = [(z, n, v) for z, arr in sorted(rep.increments.items()) for n, v in enumerate(arr)]
+    meta = {f"slope_zeta_{z}": s for z, s in sorted(rep.slopes.items())}
+    meta["exact_at_finest"] = float(np.max(np.abs(f2.values - f.values)))
+    run.write("roundtrip", ["zeta", "n", "increment_lp"], rows, meta)
     return 0
 
 
-def cmd_lift(cfg: ExperimentConfig) -> int:
-    _require_sweep(cfg)
-    sc = Scaling(cfg.s)
-    fam, _ = _family(cfg)
-    N = cfg.levels
-    gamma = cfg.gamma
-    pyr = besov.synthesize_smooth(
-        sc, N, fam, lambda pts: np.sin(2 * np.pi * pts[..., 0])
-    )
+def cmd_lift(run: Run) -> int:
+    cfg, N = run.cfg, run.cfg.levels
+    pyr = besov.synthesize_smooth(run.sc, N, run.fam, lambda pts: np.sin(2 * np.pi * pts[..., 0]))
     for n in (N - 2, N - 1):
         pyr.details[n][:] = 0.0
-    f, rep = rc.lift(pyr, gamma, cfg.p, cfg.q, fam, check_roundtrip=True)
+    f, rep = rc.lift(pyr, cfg.gamma, cfg.p, cfg.q, run.fam, check_roundtrip=True)
     rows = [("roundtrip_rel_error", rep.roundtrip_rel_error)]
     for z, s in sorted(rep.unaverage.slopes.items()):
         rows.append((f"unaverage_slope_zeta_{z}", s))
     rows.append(("besov_norm", rep.besov_report.value))
-    write_rows(_out(cfg, "lift"), ["quantity", "value"], rows, cfg.format, cfg.meta())
+    run.write("lift", ["quantity", "value"], rows)
     return 0
 
 
-def cmd_embed(cfg: ExperimentConfig) -> int:
-    _require_sweep(cfg)
-    sc = Scaling(cfg.s)
-    fam, _ = _family(cfg)
+def cmd_embed(run: Run) -> int:
+    cfg, sc = run.cfg, run.sc
     gamma = cfg.gamma if cfg.structure == "polynomial" else 1.3
     rows = []
     for N in range(MIN_SWEEP_LEVEL, cfg.levels + 1):
-        st, model = structures.polynomial_structure(gamma, sc, fam, N)
+        st, model = structures.polynomial_structure(gamma, sc, run.fam, N)
         fbar = _random_fbar(st, gamma, N, cfg.seed)
         cases = [
             embeddings.EmbeddingCase(1, gamma, 2.0, 2.0, gamma, 2.0, math.inf),
@@ -409,13 +320,7 @@ def cmd_embed(cfg: ExperimentConfig) -> int:
             rows.append(
                 (case.case, case.gamma, case.p, case.q, case.gamma_t, case.p_t, case.q_t, N, rep.ratio)
             )
-    write_rows(
-        _out(cfg, "embed"),
-        ["case", "gamma", "p", "q", "gamma_t", "p_t", "q_t", "N", "ratio"],
-        rows,
-        cfg.format,
-        cfg.meta(),
-    )
+    run.write("embed", ["case", "gamma", "p", "q", "gamma_t", "p_t", "q_t", "N", "ratio"], rows)
     return 0
 
 
@@ -439,11 +344,8 @@ def _random_fbar(st, gamma, N, seed):
     return modelled.AveragedMD(st, gamma, N, levels)
 
 
-def cmd_schauder(cfg: ExperimentConfig) -> int:
-    _require_sweep(cfg)
-    sc = Scaling(cfg.s)
-    fam, r = _family(cfg)
-    N = cfg.levels
+def cmd_schauder(run: Run) -> int:
+    cfg, sc, N = run.cfg, run.sc, run.cfg.levels
     rows = []
     if sc.d >= 2:
         K = schauder.decompose_kernel("heat", sc, r=2)
@@ -467,41 +369,21 @@ def cmd_schauder(cfg: ExperimentConfig) -> int:
     rows.append(("telescoping_rel_error", rel))
     if sc.d == 1:
         gamma = cfg.gamma if cfg.structure != "polynomial" else 1.25
-        alpha = cfg.alpha
-        xi = besov.synthesize_random_besov(sc, N, alpha, cfg.seed)
-        stn, nm = structures.noise_structure(alpha, xi, gamma, fam)
-        st_e, em_model = schauder.extend_structure(stn, nm, K, gamma)
-        vals = np.zeros((*sc.grid_shape(N), stn.dim))
-        vals[..., stn.index("Xi")] = 1.0
-        fXi = modelled.ModelledDistribution(stn, gamma, N, vals)
+        nm, fXi, xi = _input(run, N, gamma, noise=True)
+        _, em_model = schauder.extend_structure(fXi.structure, nm, K, gamma)
         rel_id, _ = schauder.convolution_identity_check(fXi, em_model, cfg.p, cfg.q)
         rows.append(("convolution_identity_rel_error", rel_id))
-        from . import analysis as an
-
-        cN = mra.level_coefficients(xi, fam, N)
-        conv = mra.forward_transform(
-            an.correlate(cN, em_model.w_arrays[(0,) * sc.d]), fam, sc
-        )
+        conv = em_model.conv_pyramid
         gain = besov.critical_exponent(conv, 2.0) - besov.critical_exponent(xi, 2.0)
         rows.append(("besov_gain", gain))
         rows.append(("beta", K.beta))
-    write_rows(_out(cfg, "schauder"), ["quantity", "value"], rows, cfg.format, cfg.meta())
+    run.write("schauder", ["quantity", "value"], rows)
     return 0
 
 
-def cmd_report(cfg: ExperimentConfig) -> int:
-    _require_sweep(cfg)
-    rcodes = [
-        cmd_synthesize(cfg),
-        cmd_besov(cfg),
-        cmd_dnorm(cfg),
-        cmd_reconstruct(cfg),
-        cmd_roundtrip(cfg),
-        cmd_embed(cfg),
-        cmd_lift(cfg),
-        cmd_schauder(cfg),
-    ]
-    return max(rcodes)
+def cmd_report(run: Run) -> int:
+    # looked up at call time, so that a rebound cmd_* is the one that runs
+    return max([globals()[f"cmd_{sub}"](run) for sub in REPORT_SUBCOMMANDS])
 
 
 def main(argv=None) -> int:
@@ -517,13 +399,16 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         cfg = resolve_config(args)
+        if args.subcommand in SWEEP_SUBCOMMANDS and cfg.levels < MIN_SWEEP_LEVEL:
+            raise ConfigError(f"level sweeps and slope fits need --levels >= {MIN_SWEEP_LEVEL}")
+        run = Run(cfg, Scaling(cfg.s), *_family(cfg))
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     # looked up at call time, so that a rebound cmd_* is the one that runs
     runner = globals()[f"cmd_{args.subcommand}"]
     try:
-        return runner(cfg)
+        return runner(run)
     except rc.CertificateError as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return 1

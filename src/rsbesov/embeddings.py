@@ -33,9 +33,7 @@ def ell_embed(
     p_tilde = check_exponent(p_tilde)
     if p_tilde < p:
         raise ValueError("need p <= p~")
-    inv = (0.0 if math.isinf(p) else 1.0 / p) - (
-        0.0 if math.isinf(p_tilde) else 1.0 / p_tilde
-    )
+    inv = 1.0 / p - 1.0 / p_tilde
     if delta_tilde > delta - scaling.total * inv + 1e-12:
         raise ValueError("exponent hypothesis violated")
     w = 2.0 ** (-n * scaling.total)
@@ -68,20 +66,14 @@ class EmbeddingCase:
         elif self.case == 3:
             ok = qt == q and pt < p and gt == g
         elif self.case == 4:
-            inv = (0.0 if math.isinf(p) else 1.0 / p) - (
-                0.0 if math.isinf(pt) else 1.0 / pt
-            )
-            ok = qt == q and pt > p and inv > 0
+            ok = qt == q and pt > p and 1.0 / p - 1.0 / pt > 0
         if not ok:
             raise ValueError(f"exponents do not fit case {self.case}")
 
     def check_gap(self, scaling: Scaling, homogeneities=()) -> None:
         if self.case != 4:
             return
-        inv = (0.0 if math.isinf(self.p) else 1.0 / self.p) - (
-            0.0 if math.isinf(self.p_t) else 1.0 / self.p_t
-        )
-        crit = self.gamma - scaling.total * inv
+        crit = self.gamma - scaling.total * (1.0 / self.p - 1.0 / self.p_t)
         if self.gamma_t > crit + 1e-12:
             raise ValueError("case-4 target order above the critical line")
         if abs(self.gamma_t - crit) < 1e-12 and any(
@@ -111,8 +103,7 @@ def case4_ladder_exponent(
     scaling: Scaling, gamma: float, p: float, zeta: float, eps: float = 0.0
 ) -> float:
     """p_zeta with zeta + eps = gamma - |s| (1/p - 1/p_zeta), clamped to [p, inf]."""
-    invp = 0.0 if math.isinf(p) else 1.0 / p
-    rhs = invp - (gamma - zeta - eps) / scaling.total
+    rhs = 1.0 / p - (gamma - zeta - eps) / scaling.total
     if rhs <= 0.0:
         return math.inf
     return max(p, 1.0 / rhs)

@@ -251,7 +251,10 @@ def dbar_norm(fbar: AveragedMD, model: Model, p, q) -> DNormReport:
 
 def average(f: ModelledDistribution, model: Model) -> AveragedMD:
     """Ball averages of Gamma_{x,y} f(y) over y in the closed grid ball
-    B(x, 2^-n), uniform weights; the level-N map is f itself."""
+    B(x, 2^-n): the mean over its 2^{(N-n)s_i+1} + 1 offsets per axis.  Where
+    the radius reaches half the period an offset wraps onto a torus point
+    again, which then weighs more (at n = 0 each point counts twice and x
+    itself three times); the level-N map is f itself."""
     st, sc = f.structure, f.structure.scaling
     N = f.N
     levels: list[np.ndarray] = [None] * (N + 1)

@@ -120,7 +120,6 @@ def sewing_limit(
 @dataclass
 class ReconstructionCertificate:
     alpha: float
-    alpha_bar: float
     gamma: float
     p: float
     q: float
@@ -186,9 +185,7 @@ def reconstruct(
         germ, min(alpha, -eps), gamma, p, q, model.fam, reject=False
     )
     measured = besov.critical_exponent(xi, p)
-    cert = ReconstructionCertificate(
-        alpha, alpha, gamma, float(p), float(q), sew, measured
-    )
+    cert = ReconstructionCertificate(alpha, gamma, float(p), float(q), sew, measured)
     if dictionary is not None:
         scales, raw, normed = reconstruction_bound(f, model, xi, p, q, dictionary)
         cert.bound_scales = scales

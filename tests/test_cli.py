@@ -267,3 +267,38 @@ def test_perfbench_span_targets_resolve():
     for mod, name, src in spans.BY_VALUE:
         bound = getattr(importlib.import_module(f"rsbesov.{mod}"), name)
         assert bound is getattr(importlib.import_module(f"rsbesov.{src}"), name), f"rsbesov.{mod}.{name}"
+
+
+def test_report_builds_one_wavelet_family(tmp_path, monkeypatch):
+    from rsbesov import mra
+
+    calls = []
+    build = mra.build_wavelet
+    monkeypatch.setattr(mra, "build_wavelet", lambda *a, **k: calls.append(a) or build(*a, **k))
+    assert main(["report", "--levels", "4", "--seed", "7", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
+def _load_perfbench_spans():
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("rsbesov_perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def test_report_walks_the_traced_subcommands(monkeypatch):
+    # the benchmark times cli.cmd_<sub> for its CLI_SUBCOMMANDS: report must
+    # run exactly those, in that order, looking each runner up at call time
+    from rsbesov import cli
+
+    spans = _load_perfbench_spans()
+    assert all(callable(getattr(cli, f"cmd_{sub}", None)) for sub in cli.SUBCOMMANDS)
+    assert cli.SWEEP_SUBCOMMANDS <= set(cli.SUBCOMMANDS)
+    walked = []
+    for sub in set(cli.SUBCOMMANDS) - {"report"}:
+        monkeypatch.setattr(cli, f"cmd_{sub}", lambda run, sub=sub: walked.append(sub) or 0)
+    assert cli.cmd_report(None) == 0
+    assert tuple(walked) == spans.CLI_SUBCOMMANDS

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as hst
 
 from rsbesov import embeddings as em
 from rsbesov import modelled as md
 from rsbesov import structures as rs
+from rsbesov.scaling import Scaling
 
 INF = math.inf
 
@@ -82,6 +84,25 @@ def test_hypothesis_violation_rejected(sc1):
         em.ell_embed(np.ones(4), 2, sc1, 2.0, 1.0, 4.0, 0.9)
     with pytest.raises(ValueError):
         em.ell_embed(np.ones(4), 2, sc1, 4.0, 1.0, 2.0, 0.1)  # p~ < p
+
+
+@given(data=hst.data())
+def test_ell_embed_property(data):
+    # p <= p~ and delta~ <= delta - |s|(1/p - 1/p~): the level-n inequality
+    # holds on random arrays, and a delta~ above that bound is rejected
+    sc = Scaling(data.draw(hst.sampled_from([(1,), (2, 1)])))
+    n = data.draw(hst.integers(0, 3))
+    exponents = hst.one_of(hst.floats(1.0, 8.0), hst.just(INF))
+    p, pt = sorted((data.draw(exponents), data.draw(exponents)))
+    delta = data.draw(hst.floats(-2.0, 2.0))
+    bound = delta - sc.total * (1.0 / p - 1.0 / pt)
+    rng = np.random.default_rng(data.draw(hst.integers(0, 2**32 - 1)))
+    u = rng.standard_normal(sc.grid_shape(n)) * data.draw(hst.floats(1e-3, 1e3))
+    dt = bound - data.draw(hst.floats(0.0, 1.0))
+    lhs, rhs = em.ell_embed(u, n, sc, p, delta, pt, dt)
+    assert lhs <= rhs * (1.0 + 1e-12)
+    with pytest.raises(ValueError):
+        em.ell_embed(u, n, sc, p, delta, pt, bound + data.draw(hst.floats(1e-9, 1.0)))
 
 
 def test_case_constraints():

@@ -99,6 +99,25 @@ def test_average_of_xi_is_constant(sc1, fam6):
     assert np.max(np.abs(back.values - f.values)) < 1e-12
 
 
+def test_average_counts_wrapped_ball_points_again(sc1, fam6):
+    # the closed ball B(x, 2^-n) averages over its 2*2^(N-n)+1 offsets; where
+    # its radius reaches half the period an offset wraps onto a point again
+    N = 3
+    st, model = rs.polynomial_structure(2.5, sc1, fam6, N)
+    one = st.index("1")
+
+    def levels_of_unit_at(i):
+        vals = np.zeros((2**N, st.dim))
+        vals[i, one] = 1.0
+        return md.average(md.ModelledDistribution(st, 2.5, N, vals), model).levels
+
+    at_0, at_3 = levels_of_unit_at(0), levels_of_unit_at(3)
+    assert at_0[0][0, one] == pytest.approx(3 / 17, rel=1e-14)  # offsets -8, 0, 8
+    assert at_3[0][0, one] == pytest.approx(2 / 17, rel=1e-14)
+    assert at_0[1][0, one] == pytest.approx(1 / 9, rel=1e-14)
+    assert at_0[1][1, one] == pytest.approx(2 / 9, rel=1e-14)  # antipode: offsets -4, 4
+
+
 def test_average_matches_quadrature_of_sin(sin_setup_n8):
     # the function-level component of the average is the plain ball average
     st, model, f = sin_setup_n8
