@@ -9,7 +9,6 @@ from .scaling import Scaling, wrap_displacement  # noqa: F401
 from .pyramid import CoeffPyramid, load_rsbf, save_rsbf  # noqa: F401
 from .mra import (  # noqa: F401
     WaveletFamily,
-    auto_wavelet,
     build_wavelet,
     eval_basis,
     forward_transform,

@@ -177,12 +177,12 @@ def subsample(arr: np.ndarray, scaling: Scaling, from_level: int, to_level: int)
     return arr[sl]
 
 
-def kernel_moment_1d(fn: Fn1D, a: int, mesh_bits: int = 14) -> float:
-    """int u^a fn(u) du by fine Riemann sums over the support."""
+def kernel_moment_1d(fn: Fn1D, a: int) -> float:
+    """int u^a fn(u) du by midpoint sums over 2^14 cells of the support."""
     if fn.support is None:
         raise ValueError("moment of a non-compact factor")
     lo, hi = fn.support
-    m = 2**mesh_bits
+    m = 2**14
     h = (hi - lo) / m
     u = lo + (np.arange(m) + 0.5) * h
     return float(np.sum(u**a * fn(u)) * h)

@@ -77,11 +77,12 @@ def besov_norm_wavelet(pyr: CoeffPyramid, params: BesovParams) -> BesovReport:
     return BesovReport(base + detail, base, terms, params.alpha, params.p, params.q)
 
 
-def critical_exponent(pyr: CoeffPyramid, p, fit_levels: int = 5) -> float:
+def critical_exponent(pyr: CoeffPyramid, p) -> float:
     """Largest alpha with level-bounded wavelet norm at q = inf.
 
     The level term scales like 2^{n(alpha - alpha_crit)}, so the critical
-    exponent is read off the decay slope of the unweighted level norms.
+    exponent is read off the decay slope of the unweighted level norms over
+    the last five levels.
     """
     sc = pyr.scaling
     vals = []
@@ -91,7 +92,7 @@ def critical_exponent(pyr: CoeffPyramid, p, fit_levels: int = 5) -> float:
             max(lpn_norm(pyr.details[n][j] / w, n, p, sc) for j in range(pyr.n_psi))
         )
     ns = np.arange(pyr.N)
-    lo = max(0, pyr.N - fit_levels)
+    lo = max(0, pyr.N - 5)
     return -fit_log2_slope(ns[lo:], np.array(vals[lo:]))
 
 
@@ -112,12 +113,12 @@ def _spline_fn(bs: BSpline, lo: float, hi: float) -> an.Fn1D:
     return an.Fn1D(f, (lo, hi))
 
 
-def _cr_bound(fn: an.Fn1D, r: int, mesh: int = 4096) -> float:
+def _cr_bound(fn: an.Fn1D, r: int) -> float:
     """Numeric proxy for the C^r norm: max over derivative orders 0..r of the
-    sup norm, derivatives by repeated central differences."""
+    sup norm on 4096 points, derivatives by repeated central differences."""
     lo, hi = fn.support
     pad = (hi - lo) * 0.05
-    u = np.linspace(lo - pad, hi + pad, mesh)
+    u = np.linspace(lo - pad, hi + pad, 4096)
     h = u[1] - u[0]
     vals = fn(u)
     worst = float(np.max(np.abs(vals)))
@@ -166,7 +167,7 @@ class TestDictionary:
         return [p for p in self.profiles if p.beta >= beta]
 
 
-def make_dictionary(r: int, scales, n_extra: int = 2) -> TestDictionary:
+def make_dictionary(r: int, scales) -> TestDictionary:
     """Default dictionary: smooth tensor bumps plus derivative variants that
     annihilate polynomials (a derivative of order b+1 kills degree <= b).
 
@@ -190,7 +191,7 @@ def make_dictionary(r: int, scales, n_extra: int = 2) -> TestDictionary:
     add("bump_narrow", -1, half, -0.5, 0.5)
     shifted = BSpline(bump.t / 2.0 - 0.4, bump.c, bump.k, extrapolate=False)
     add("bump_offset", -1, shifted, -0.9, 0.1)
-    for b in range(min(r, 3) + n_extra - 2 + 1):
+    for b in range(min(r, 3) + 1):
         if b + 1 > order - 1:
             break
         add(f"d{b + 1}_bump", b, bump.derivative(b + 1), -1.0, 1.0)

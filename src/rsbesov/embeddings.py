@@ -99,11 +99,9 @@ class EmbedReport:
         return self.target_norm / self.source_norm
 
 
-def case4_ladder_exponent(
-    scaling: Scaling, gamma: float, p: float, zeta: float, eps: float = 0.0
-) -> float:
-    """p_zeta with zeta + eps = gamma - |s| (1/p - 1/p_zeta), clamped to [p, inf]."""
-    rhs = 1.0 / p - (gamma - zeta - eps) / scaling.total
+def case4_ladder_exponent(scaling: Scaling, gamma: float, p: float, zeta: float) -> float:
+    """p_zeta with zeta = gamma - |s| (1/p - 1/p_zeta), clamped to [p, inf]."""
+    rhs = 1.0 / p - (gamma - zeta) / scaling.total
     if rhs <= 0.0:
         return math.inf
     return max(p, 1.0 / rhs)

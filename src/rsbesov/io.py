@@ -10,6 +10,7 @@ import numpy as np
 from .modelled import ModelledDistribution
 from .pyramid import expect_end, read_f8, read_header, save_rsbf, write_header
 from .scaling import Scaling
+from .schauder import _box_axis
 from .structures import Model, RegularityStructure, Symbol
 
 MD_MAGIC = b"RSMD"
@@ -104,9 +105,8 @@ def save_kernel_profile(path, kernel, resolution_bits: int = 9) -> None:
     sc = kernel.scaling
     with open(path, "wb") as fh:
         write_header(fh, KERNEL_MAGIC, sc, "<dII", kernel.beta, kernel.r, resolution_bits)
-        n = 2**resolution_bits
-        axes = [np.linspace(-1.0, 1.0, n, endpoint=False) + 1.0 / n for _ in sc.s]
-        mesh = np.meshgrid(*axes, indexing="ij")
+        x, _ = _box_axis(resolution_bits)
+        mesh = np.meshgrid(*[x] * sc.d, indexing="ij")
         pts = np.stack(mesh, axis=-1)
         fh.write(np.ascontiguousarray(kernel.p0(pts), dtype="<f8").tobytes())
 

@@ -117,11 +117,12 @@ class DNormReport:
             -self.trans_levels * (self.gamma - zeta)
         )
 
-    def translation_slope(self, zeta: float, last: int = 5) -> float:
-        """Fitted decay exponent of the raw numerator against the level."""
+    def translation_slope(self, zeta: float) -> float:
+        """Fitted decay exponent of the raw numerator against the last five
+        levels."""
         vals = self.raw_numerators(zeta)
         ns = self.trans_levels
-        lo = max(0, len(ns) - last)
+        lo = max(0, len(ns) - 5)
         return -fit_log2_slope(ns[lo:], vals[lo:])
 
     def rows(self):
@@ -278,10 +279,11 @@ class UnaverageReport:
 
 
 def unaverage(
-    fbar: AveragedMD, model: Model, p=2.0, fit_last: int = 4
+    fbar: AveragedMD, model: Model, p=2.0
 ) -> tuple[ModelledDistribution, UnaverageReport]:
     """Transport the averages back to the finest grid: f_n(x) =
-    Gamma_{x, x_n} fbar^(n)(x_n); returns f_N and the convergence report."""
+    Gamma_{x, x_n} fbar^(n)(x_n); returns f_N and the convergence report,
+    whose slopes are fitted over the last four increments."""
     st, sc = fbar.structure, fbar.structure.scaling
     N = fbar.N
     zetas = st.sectors_below(fbar.gamma)
@@ -301,7 +303,7 @@ def unaverage(
     slopes = {}
     for z in zetas:
         ns = np.arange(N)
-        lo = max(0, N - fit_last)
+        lo = max(0, N - 4)
         inc = increments[z][lo:]
         if float(inc.max(initial=0.0)) <= floor:
             slopes[z] = float("nan")

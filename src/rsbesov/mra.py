@@ -126,11 +126,6 @@ def build_wavelet(order: int, r: int, cascade_depth: int = 12) -> WaveletFamily:
     )
 
 
-def auto_wavelet(r: int, cascade_depth: int = 12) -> WaveletFamily:
-    """Family at the smallest admissible order for regularity budget r."""
-    return build_wavelet(filters.min_order_for(r), r, cascade_depth)
-
-
 def psi_codes(scaling: Scaling) -> list[tuple[int, ...]]:
     """Per-dimension code tuples for the 2^|s| - 1 mothers, in index order."""
     codes = list(product(*[range(2**si) for si in scaling.s]))

@@ -85,12 +85,12 @@ def sewing_limit(
     p,
     q,
     fam: mra.WaveletFamily,
-    growth_tol: float = 0.1,
     reject: bool = True,
 ) -> tuple[CoeffPyramid, SewingCertificate]:
     """Assemble xi_N from the germ and certify the two dyadic conditions:
     level-boundedness of A at exponent alpha and l^q-decay of delta A at
-    exponent gamma."""
+    exponent gamma (a fitted growth of at most 0.1 over the last five
+    levels)."""
     sc = germ.scaling
     N = germ.N
     a_tab = np.zeros(N + 1)
@@ -107,11 +107,11 @@ def sewing_limit(
     # roundoff-level increments get amplified by the 2^{n gamma} weights;
     # only a growing table of non-negligible size is a genuine blow-up
     floor = 1e-8 * max(float(a_tab.max(initial=0.0)), 1.0)
-    accepted = growth <= growth_tol or float(da_tab[lo:].max(initial=0.0)) <= floor
+    accepted = growth <= 0.1 or float(da_tab[lo:].max(initial=0.0)) <= floor
     cert = SewingCertificate(alpha, gamma, p, q, a_tab, da_tab, growth, accepted)
     if reject and not cert.accepted:
         raise CertificateError(
-            f"delta-A table grows (fitted exponent {growth:.3f} > {growth_tol})", cert
+            f"delta-A table grows (fitted exponent {growth:.3f} > 0.1)", cert
         )
     out = mra.analyze_v_coefficients(germ.A[N].copy(), fam, sc, N)
     return out, cert
@@ -247,23 +247,22 @@ def derivative_check(
     f: ModelledDistribution,
     xi: CoeffPyramid,
     model: Model,
-    max_total_degree: int = 2,
-    scale_bits: int = 2,
 ) -> dict[tuple[int, ...], float]:
-    """Compare k! f_k against finite differences of the mollified output.
+    """Compare k! f_k against finite differences of the output mollified at
+    scale 2^{2-N}, for total degree |k| <= 2.
 
     Returns the max relative error per multi-index (relative to the sup of
     k! f_k, or absolute where that vanishes)."""
     st, sc = f.structure, f.structure.scaling
     N = f.N
-    lam = 2.0 ** (-(N - scale_bits))
+    lam = 2.0 ** (-(N - 2))
     smooth = mollify(xi, lam, model.fam)
     out = {}
     for i, s in enumerate(st.symbols):
         if s.kind != "poly" or s.zeta >= f.gamma:
             continue
         k = s.k
-        if sum(k) > max_total_degree:
+        if sum(k) > 2:
             continue
         fd = smooth
         for ax, ki in enumerate(k):

@@ -145,10 +145,10 @@ class KernelDecomposition:
         f = self.p0 if corrected else self.p0_raw
         return 2.0 ** (n * (self.scaling.total - self.beta)) * f(scaled)
 
-    def p0_deriv(self, k: tuple[int, ...], pts: np.ndarray, h: float = 1e-3) -> np.ndarray:
-        """d^k P0: the annular part by nested central differences at high
-        resolution, the corrector part by exact spline derivatives."""
-        out = _fd_partial(self.p0_raw, k, pts, h)
+    def p0_deriv(self, k: tuple[int, ...], pts: np.ndarray) -> np.ndarray:
+        """d^k P0: the annular part by nested central differences of step
+        1e-3, the corrector part by exact spline derivatives."""
+        out = _fd_partial(self.p0_raw, k, pts, 1e-3)
         axes = _axis_coords(pts)
         for kc, c in self.correction_coeffs.items():
             kk = tuple(a + b for a, b in zip(kc, k))
@@ -253,10 +253,11 @@ def _box_moments(f, scaling: Scaling, ms, mesh_bits: int) -> dict:
     return out
 
 
-def self_similarity_defect(P, scaling: Scaling, beta: float, n_pts: int = 512, seed: int = 1) -> float:
-    """Relative defect of P(2^s x) = 2^{-(|s|-beta)} P(x) on annulus samples."""
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-1, 1, (n_pts, scaling.d))
+def self_similarity_defect(P, scaling: Scaling, beta: float) -> float:
+    """Relative defect of P(2^s x) = 2^{-(|s|-beta)} P(x) on the annulus
+    samples among 512 seeded uniform points of [-1, 1]^d."""
+    rng = np.random.default_rng(1)
+    pts = rng.uniform(-1, 1, (512, scaling.d))
     g = s_gauge(scaling, pts)
     keep = (g > 0.1) & (g < 0.9)
     pts = pts[keep]
@@ -273,10 +274,10 @@ def decompose_kernel(
     r: int,
     beta: float | None = None,
     custom=None,
-    ss_tol: float = 1e-9,
 ) -> KernelDecomposition:
     """Build the dyadic decomposition of a self-similar kernel and correct the
-    base-piece moments up to scaled degree r."""
+    base-piece moments up to scaled degree r.  A custom kernel must be
+    self-similar to a relative defect of 1e-9."""
     if kind == "heat":
         P, beta = heat_kernel(scaling)
     elif kind == "riesz":
@@ -287,7 +288,7 @@ def decompose_kernel(
         if custom is None or beta is None:
             raise ValueError("custom kernels need a callable and beta")
         defect = self_similarity_defect(custom, scaling, beta)
-        if defect > ss_tol:
+        if defect > 1e-9:
             raise ValueError(
                 f"kernel is not exactly self-similar (relative defect {defect:.2e})"
             )
@@ -382,18 +383,7 @@ class ExtendedModel(NoiseModel):
         self.conv_pyramid = mra.forward_transform(self.conv_values, fam, sc)
         self.conv_levels_coeffs = mra.all_level_coefficients(self.conv_pyramid, fam)
 
-    # -- Gamma --------------------------------------------------------------
-    def gamma(self, x, y) -> np.ndarray:
-        M = super().gamma(x, y)  # polynomial block + fixed Xi
-        xi_idx = self.scaling.nearest_grid_index(x, self.N)
-        yi_idx = self.scaling.nearest_grid_index(y, self.N)
-        delta = wrap_displacement(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
-        for k in self.taylor_ks:
-            M[self.structure.index(poly_name(k)), self.ixi_index] = self._c_coeff(
-                k, xi_idx, yi_idx, delta
-            )
-        return M
-
+    # -- Gamma: the IXi column picks up the polynomial corrections c_k ------
     def _c_coeff(self, k, x_idx, y_idx, delta):
         """Gamma_{x,y} IXi polynomial coefficient on X^k."""
         acc = self.t_tables[k][x_idx] / multi_factorial(k)
@@ -406,7 +396,7 @@ class ExtendedModel(NoiseModel):
                 ) * float(np.prod(np.asarray(delta) ** np.asarray(diff)))
         return acc
 
-    def gamma_apply_field(self, vals, delta, x_index=None):
+    def gamma_apply_field(self, vals, delta, x_index):
         out = super().gamma_apply_field(vals, delta, x_index)
         ix = vals[..., self.ixi_index]
         if not np.any(ix):
@@ -421,8 +411,6 @@ class ExtendedModel(NoiseModel):
             if abs(st - sti) > 1e-9:
                 raise ValueError("transport displacement off the fine grid")
             steps.append(sti)
-        if x_index is None:
-            x_index = np.ix_(*[np.arange(2 ** (N * si)) for si in sc.s])
         y_index = tuple(
             (x_index[i] + steps[i]) % (2 ** (N * sc.s[i])) for i in range(sc.d)
         )
@@ -433,27 +421,17 @@ class ExtendedModel(NoiseModel):
         return out
 
     # -- Pi: the IXi symbol; Xi and the polynomials come from the base classes --
-    def pi_center_weight(self, sym, n):
-        if sym != self.ixi_index:
-            return super().pi_center_weight(sym, n)
-        w = self.conv_levels_coeffs[n].copy()
-        for ell in self.taylor_ks:
-            pairing = self.poly_father_pairing(ell, n)
-            tl = an.subsample(self.t_tables[ell], self.scaling, self.N, n)
-            w = w - tl / multi_factorial(ell) * pairing
-        return w
-
     def pi_father_point(self, sym, n, x, z, z_idx):
         if sym != self.ixi_index:
             return super().pi_father_point(sym, n, x, z, z_idx)
-        acc = float(self.conv_levels_coeffs[n][z_idx])
+        acc = self.conv_levels_coeffs[n][z_idx]
         x_idx = self.scaling.nearest_grid_index(x, self.N)
         delta = wrap_displacement(np.asarray(z, dtype=float) - np.asarray(x, dtype=float))
         for ell in self.taylor_ks:
-            acc -= (
-                float(self.t_tables[ell][x_idx])
+            acc = acc - (
+                self.t_tables[ell][x_idx]
                 / multi_factorial(ell)
-                * float(self.poly_father_pairing(ell, n, delta))
+                * self.poly_father_pairing(ell, n, delta)
             )
         return acc
 

@@ -100,33 +100,28 @@ class Model:
         self._profile_cache: dict = {}
 
     # -- Gamma ------------------------------------------------------------
-    def gamma_disp(self, delta: tuple[float, ...]) -> np.ndarray:
-        key = tuple(np.round(np.asarray(delta, dtype=float), 14))
-        if key not in self._gamma_cache:
-            self._gamma_cache[key] = self._gamma_matrix(np.asarray(key))
-        return self._gamma_cache[key]
-
     def gamma(self, x, y) -> np.ndarray:
-        """Gamma_{x,y}: re-expansion from base point y to base point x.
+        """Gamma_{x,y}: re-expansion from base point y to base point x, the
+        field action on the identity basis at x."""
+        x = np.asarray(x, dtype=float)
+        dim = self.structure.dim
+        x_index = tuple(
+            np.full(dim, i) for i in self.scaling.nearest_grid_index(x, self.N)
+        )
+        return self.gamma_apply_field(np.eye(dim), np.asarray(y) - x, x_index).T
 
-        Returns a fresh matrix (position-dependent models fill extra entries
-        in place, and the displacement-keyed cache must stay pristine).
-        """
-        return self.gamma_disp(
-            tuple(wrap_displacement(np.asarray(x) - np.asarray(y)))
-        ).copy()
-
-    def gamma_apply_field(
-        self, vals: np.ndarray, delta, x_index=None
-    ) -> np.ndarray:
+    def gamma_apply_field(self, vals: np.ndarray, delta, x_index) -> np.ndarray:
         """Apply Gamma_{x, x+delta} to vals, where vals[idx] = f(x_idx + delta).
 
         idx runs over the target points; delta = source - target.  x_index
         (per-axis fine-grid indices) only matters for position-dependent
-        models; translation-invariant models apply one matrix.
+        models; translation-invariant models apply one matrix, cached by
+        the nearest-image displacement x - y.
         """
-        M = self.gamma_disp(tuple(wrap_displacement(-np.asarray(delta, dtype=float))))
-        return vals @ M.T
+        key = tuple(np.round(wrap_displacement(-np.asarray(delta, dtype=float)), 14))
+        if key not in self._gamma_cache:
+            self._gamma_cache[key] = self._gamma_matrix(np.asarray(key))
+        return vals @ self._gamma_cache[key].T
 
     def _gamma_matrix(self, delta: np.ndarray) -> np.ndarray:
         """Identity plus Gamma X^k = sum_{l<=k} binom(k,l) delta^{k-l} X^l."""
@@ -144,8 +139,9 @@ class Model:
         return M
 
     # -- Pi ---------------------------------------------------------------
-    def poly_father_pairing(self, k: tuple[int, ...], n: int, delta=None):
-        """<(. - x)^k, phi^n_z> on the cover, delta = z - x (None: centered).
+    def poly_father_pairing(self, k: tuple[int, ...], n: int, delta):
+        """<(. - x)^k, phi^n_z> on the cover, delta = z - x (coordinates on
+        the last axis).
 
         Exact via father moments: per dimension
         2^{-n s (k+1/2)} sum_b binom(k,b) (2^{n s} delta)^(k-b) M_b.
@@ -155,10 +151,7 @@ class Model:
         for i, si in enumerate(sc.s):
             ki = k[i]
             scale = 2.0 ** (n * si)
-            if delta is None:
-                di = 0.0
-            else:
-                di = np.asarray(delta)[..., i]
+            di = np.asarray(delta)[..., i]
             acc = 0.0
             for b in range(ki + 1):
                 acc += (
@@ -169,18 +162,18 @@ class Model:
             out = out * (2.0 ** (-n * si * (ki + 0.5)) * acc)
         return out
 
-    def pi_center_weight(self, sym: int, n: int):
-        """<Pi_x tau, phi^n_x> as a scalar or a Lambda_n array."""
-        return self.poly_father_pairing(self.structure.symbols[sym].k, n)
-
     def pi_center_weights(self, n: int) -> list:
-        """Per symbol: <Pi_x tau, phi^n_x> as a scalar or a Lambda_n array."""
-        return [self.pi_center_weight(i, n) for i in range(self.structure.dim)]
+        """Per symbol: <Pi_x tau, phi^n_x> as a Lambda_n array, the father
+        pairing at the centre z = x."""
+        pts = self.scaling.grid_points(n)
+        idx = tuple(np.indices(self.scaling.grid_shape(n)))
+        return [self.pi_father_point(i, n, pts, pts, idx) for i in range(self.structure.dim)]
 
-    def pi_father_point(self, sym: int, n: int, x, z, z_idx) -> float:
-        """<Pi_x tau, phi^n_z> at a single Lambda_n point z (index z_idx)."""
+    def pi_father_point(self, sym: int, n: int, x, z, z_idx):
+        """<Pi_x tau, phi^n_z> at Lambda_n points z (indices z_idx), with x and
+        z points or arrays of points (last axis the coordinates)."""
         delta = wrap_displacement(np.asarray(z) - np.asarray(x))
-        return float(self.poly_father_pairing(self.structure.symbols[sym].k, n, delta))
+        return self.poly_father_pairing(self.structure.symbols[sym].k, n, delta)
 
     def pi_profile_table(self, sym: int, scale_n: int, profile: Profile) -> np.ndarray | float:
         """<Pi_x tau, eta^lambda_x> for all x on Lambda_N (or a scalar)."""
@@ -216,14 +209,9 @@ class NoiseModel(Model):
         self.xi_levels = mra.all_level_coefficients(xi, fam)
         self.xi_index = structure.index("Xi")
 
-    def pi_center_weight(self, sym, n):
-        if sym == self.xi_index:
-            return self.xi_levels[n]
-        return super().pi_center_weight(sym, n)
-
     def pi_father_point(self, sym, n, x, z, z_idx):
         if sym == self.xi_index:
-            return float(self.xi_levels[n][z_idx])
+            return self.xi_levels[n][z_idx]
         return super().pi_father_point(sym, n, x, z, z_idx)
 
     def pi_profile_table(self, sym, scale_n, profile):
@@ -274,16 +262,14 @@ def sector_abs(structure: RegularityStructure, vec: np.ndarray, zeta: float) -> 
     return np.max(np.abs(vec[..., idx]), axis=-1)
 
 
-def _gamma_sweep(model: Model, gamma: float, bases, matrix, levels=(1, 2, 3)) -> float:
+def _gamma_sweep(model: Model, gamma: float, bases, matrix) -> float:
     """sup |matrix(x, y) tau|_beta / ||x-y||^{zeta-beta} over beta < zeta,
-    the base points x and the grid displacements x - y of the given levels."""
+    the base points x and the grid displacements x - y of levels 1 to 3."""
     st = model.structure
     sc = model.scaling
     worst = 0.0
     zs = st.sectors_below(gamma)
-    for m in levels:
-        if m > model.N:
-            continue
+    for m in range(1, min(3, model.N) + 1):
         pts = sc.grid_points(m).reshape(-1, sc.d)
         for delta in pts:
             dn = sc.snorm(delta)
@@ -301,25 +287,21 @@ def _gamma_sweep(model: Model, gamma: float, bases, matrix, levels=(1, 2, 3)) ->
     return worst
 
 
-def gamma_norm(
-    model: Model,
-    gamma: float,
-    levels: tuple[int, ...] = (1, 2, 3),
-    n_base: int = 3,
-) -> float:
+def gamma_norm(model: Model, gamma: float) -> float:
     """||Gamma|| over grid pairs.
 
     Shipped models are translation-invariant up to the extension corrections,
-    so a few base points suffice alongside the displacement sweep.
+    so three base points (0 and two seeded grid points) suffice alongside the
+    displacement sweep.
     """
     sc = model.scaling
     rng = np.random.default_rng(0)
     shape = sc.grid_shape(model.N)
     bases = [np.zeros(sc.d)] + [
         np.array([rng.integers(0, shape[i]) / shape[i] for i in range(sc.d)])
-        for _ in range(n_base - 1)
+        for _ in range(2)
     ]
-    return _gamma_sweep(model, gamma, bases, model.gamma, levels)
+    return _gamma_sweep(model, gamma, bases, model.gamma)
 
 
 def _pi_sweep(model: Model, gamma: float, dictionary: TestDictionary, table) -> tuple[float, list]:
@@ -382,13 +364,11 @@ def validate_model(
     model: Model,
     gamma: float,
     n_samples: int = 200,
-    seed: int = 0,
-    radius: float = 1.0 / 8.0,
 ) -> ValidationReport:
     """Check triangularity, the group laws, and Pi_x Gamma_{x,y} = Pi_y on
-    sampled nearby triples (displacements within the given s-radius)."""
+    seeded nearby triples (displacements within the s-radius 1/8)."""
     st, sc = model.structure, model.scaling
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     N = model.N
     zetas = [s.zeta for s in st.symbols]
 
@@ -401,16 +381,16 @@ def validate_model(
     def rand_point():
         return np.array([rng.integers(0, shape[i]) / shape[i] for i in range(sc.d)])
 
-    def rand_disp(r):
-        lim = [max(1, int(r ** sc.s[i] * shape[i])) for i in range(sc.d)]
+    def rand_disp():
+        lim = [max(1, int((1.0 / 8.0) ** sc.s[i] * shape[i])) for i in range(sc.d)]
         return np.array(
             [rng.integers(-lim[i], lim[i] + 1) / shape[i] for i in range(sc.d)]
         )
 
     for _ in range(n_samples):
         x = rand_point()
-        y = (x + rand_disp(radius)) % 1.0
-        z = (y + rand_disp(radius)) % 1.0
+        y = (x + rand_disp()) % 1.0
+        z = (y + rand_disp()) % 1.0
         Mxy, Myz, Mxz = model.gamma(x, y), model.gamma(y, z), model.gamma(x, z)
         grp = max(grp, float(np.max(np.abs(Mxy @ Myz - Mxz))))
         idm = max(idm, float(np.max(np.abs(model.gamma(x, x) - np.eye(st.dim)))))
@@ -444,6 +424,6 @@ def validate_model(
                     if Mxy[i, j] != 0.0:
                         acc += Mxy[i, j] * model.pi_father_point(i, n, x, z, z_idx)
                 rhs = model.pi_father_point(j, n, y, z, z_idx)
-                compat = max(compat, abs(acc - rhs))
+                compat = max(compat, float(abs(acc - rhs)))
     return ValidationReport(tri, grp, idm, compat)
 

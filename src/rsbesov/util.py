@@ -37,7 +37,7 @@ def weighted_lp(values, weight: float, p) -> float:
     return float((weight * np.sum(np.abs(v) ** p)) ** (1.0 / p))
 
 
-def fit_log2_slope(levels, values, tiny: float = 1e-300) -> float:
+def fit_log2_slope(levels, values) -> float:
     """Least-squares slope of log2(values) against the level index.
 
     Values ~ C * 2^(slope * n).  Entries that underflow to ~0 are dropped;
@@ -47,7 +47,7 @@ def fit_log2_slope(levels, values, tiny: float = 1e-300) -> float:
     v = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("cannot fit a slope through non-finite values")
-    keep = v > tiny
+    keep = v > 1e-300
     n, v = n[keep], v[keep]
     if n.size < 2:
         return float("nan")

@@ -76,7 +76,7 @@ def test_criterion_2_dirac_critical_exponents(sc, fam):
 def test_criterion_3_d_dbar_equivalence(sc, fam):
     st, model, f = make_sin_lift(sc, fam, 10)
     fbar = md.average(f, model)
-    back, rep = md.unaverage(fbar, model, p=2.0, fit_last=4)
+    back, rep = md.unaverage(fbar, model, p=2.0)
     for z in st.sectors_below(f.gamma):
         check(
             rep.slopes[z] >= f.gamma - z - 0.1,

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as hst
 
+from rsbesov import analysis as an
 from rsbesov import besov, mra
+from rsbesov import schauder as sch
 from rsbesov import structures as rs
-from rsbesov.util import fit_log2_slope
+from rsbesov.scaling import wrap_displacement
+from rsbesov.util import fit_log2_slope, multi_factorial
 from conftest import MODEL_KINDS, make_model
 
 INF = math.inf
@@ -197,9 +200,48 @@ def test_top_sector_gamma_identity(sc1, fam6):
         np.testing.assert_allclose(M[i, :], row, atol=0)
 
 
+def _reference_gamma(model, x, y):
+    """Gamma_{x,y} assembled entry by entry: the translation matrix of the
+    nearest-image displacement and, for the extended model, the IXi column
+    c_k(x, y) = t_k(x)/k! - sum_{l >= k} t_l(y) (x - y)^{l-k} / ((l-k)! k!)."""
+    delta = wrap_displacement(x - y)
+    M = rs.Model._gamma_matrix(model, delta)
+    if isinstance(model, sch.ExtendedModel):
+        xi = model.scaling.nearest_grid_index(x, model.N)
+        yi = model.scaling.nearest_grid_index(y, model.N)
+        for k in model.taylor_ks:
+            c = model.t_tables[k][xi] / multi_factorial(k)
+            for ell in model.taylor_ks:
+                if all(a <= b for a, b in zip(k, ell)):
+                    diff = tuple(b - a for a, b in zip(k, ell))
+                    c = c - (
+                        model.t_tables[ell][yi] / (multi_factorial(diff) * multi_factorial(k))
+                    ) * float(np.prod(delta ** np.asarray(diff)))
+            M[model.structure.index(rs.poly_name(k)), model.ixi_index] = c
+    return M
+
+
+def _reference_center_weight(model, sym, n):
+    """<Pi_x tau, phi^n_x> per symbol kind: the polynomial father pairing at
+    displacement 0, the Xi level coefficients, and for IXi the convolution
+    coefficients minus the Taylor terms t_l(x)/l! <(. - x)^l, phi^n_x>."""
+    zero = np.zeros(model.scaling.d)
+    if isinstance(model, sch.ExtendedModel) and sym == model.ixi_index:
+        w = model.conv_levels_coeffs[n].copy()
+        for ell in model.taylor_ks:
+            pairing = model.poly_father_pairing(ell, n, zero)
+            tl = an.subsample(model.t_tables[ell], model.scaling, model.N, n)
+            w = w - tl / multi_factorial(ell) * pairing
+        return w
+    if isinstance(model, rs.NoiseModel) and sym == model.xi_index:
+        return model.xi_levels[n]
+    return model.poly_father_pairing(model.structure.symbols[sym].k, n, zero)
+
+
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_gamma_field_matches_gamma_matrix(kind):
-    # the field view gamma_apply_field and the matrix view gamma are one Gamma
+    # the field view gamma_apply_field and the derived matrix view gamma
+    # against Gamma assembled entry by entry
     model = make_model(kind, 6 if kind.endswith("-1") else 3)
     sc, N = model.scaling, model.N
     shape = sc.grid_shape(N)
@@ -208,13 +250,38 @@ def test_gamma_field_matches_gamma_matrix(kind):
     pts = sc.grid_points(N)
     for steps in [(1,) * sc.d, (-3,) + (2,) * (sc.d - 1)]:
         delta = np.array(steps) / np.array(shape)
-        field = model.gamma_apply_field(vals, delta)
+        field = model.gamma_apply_field(vals, delta, np.ix_(*[np.arange(m) for m in shape]))
         worst = 0.0
         for idx in np.ndindex(*shape):
             x = pts[idx]
-            want = model.gamma(x, (x + delta) % 1.0) @ vals[idx]
-            worst = max(worst, float(np.max(np.abs(field[idx] - want))))
+            y = (x + delta) % 1.0
+            M = _reference_gamma(model, x, y)
+            np.testing.assert_array_equal(model.gamma(x, y), M)
+            worst = max(worst, float(np.max(np.abs(field[idx] - M @ vals[idx]))))
         assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_center_weights_match_reference(kind):
+    # pi_center_weights is the father pairing at the centre, bit for bit
+    model = make_model(kind, 6 if kind.endswith("-1") else 3)
+    for n in range(model.N + 1):
+        got = model.pi_center_weights(n)
+        assert len(got) == model.structure.dim
+        for sym, w in enumerate(got):
+            assert w.shape == model.scaling.grid_shape(n)
+            want = np.broadcast_to(_reference_center_weight(model, sym, n), w.shape)
+            assert np.array_equal(w, want)
+
+
+def test_model_hooks_written_once():
+    # a model subclass overrides gamma_apply_field, pi_father_point and
+    # pi_profile_table; the matrix and centre-weight views live in Model only
+    classes = [rs.Model, rs.PolynomialModel, rs.NoiseModel, sch.ExtendedModel]
+    for name in ("gamma", "pi_center_weights"):
+        assert [c for c in classes if name in vars(c)] == [rs.Model]
+    for name in ("gamma_disp", "pi_center_weight"):
+        assert not any(hasattr(c, name) for c in classes)
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
