@@ -30,7 +30,73 @@ class Fn1D:
         return self.f(np.asarray(x, dtype=float))
 
 
-def periodic_samples(fn: Fn1D, y: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class PiecewisePoly:
+    """A compactly supported piecewise polynomial on equally spaced breakpoints.
+
+    With y = (x - start) * rate, piece i is scale * sum_k coeffs[i, k]
+    (y - i)^k for y in [i, i + 1), the last piece closed at its right end; the
+    function is 0 outside its support.  The breakpoints are implicit, so a
+    spline built from integers keeps an exact table and one rounded scale.
+    """
+
+    start: float
+    rate: float  # pieces per unit length
+    coeffs: np.ndarray  # (pieces, degree + 1)
+    scale: float = 1.0
+
+    @property
+    def support(self) -> tuple[float, float]:
+        return self.start, self.start + len(self.coeffs) / self.rate
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Horner per piece on the points of that piece only."""
+        x = np.asarray(x, dtype=float)
+        lo, hi = self.support
+        inside = (x >= lo) & (x <= hi)
+        y = (x[inside] - self.start) * self.rate
+        piece = np.minimum(y.astype(np.intp), len(self.coeffs) - 1)
+        vals = np.empty_like(y)
+        for i, c in enumerate(self.coeffs):
+            m = piece == i
+            t = y[m] - i
+            acc = np.full_like(t, c[-1])
+            for ck in c[-2::-1]:
+                acc *= t
+                acc += ck
+            vals[m] = acc
+        out = np.zeros_like(x)
+        out[inside] = vals * self.scale
+        return out
+
+    def __mul__(self, c: float) -> "PiecewisePoly":
+        return PiecewisePoly(self.start, self.rate, self.coeffs, self.scale * c)
+
+    def derivative(self, n: int = 1) -> "PiecewisePoly":
+        c = self.coeffs
+        for _ in range(n):
+            c = c[:, 1:] * (np.arange(1, c.shape[1]) * self.rate)
+        return PiecewisePoly(self.start, self.rate, c, self.scale)
+
+    def antiderivative(self) -> "PiecewisePoly":
+        """x -> int_start^x f, on the same pieces (so 0 beyond them)."""
+        P, k = self.coeffs.shape
+        L = math.lcm(*range(1, k + 1))  # integer tables stay integer
+        c = np.zeros((P, k + 1))
+        c[:, 1:] = self.coeffs * (L // np.arange(1, k + 1))
+        c[1:, 0] = np.cumsum(c[:, 1:].sum(axis=1))[:-1]
+        return PiecewisePoly(self.start, self.rate, c, self.scale / (L * self.rate))
+
+    def dilated(self, lam: float) -> "PiecewisePoly":
+        """x -> f(x / lam), lam > 0."""
+        return PiecewisePoly(self.start * lam, self.rate / lam, self.coeffs, self.scale)
+
+    def shifted(self, a: float) -> "PiecewisePoly":
+        """x -> f(x - a)."""
+        return PiecewisePoly(self.start + a, self.rate, self.coeffs, self.scale)
+
+
+def periodic_samples(fn: Fn1D | PiecewisePoly, y: np.ndarray) -> np.ndarray:
     """Samples of the 1-periodization of fn at points y in [0, 1)."""
     if fn.support is None:
         return fn(y)
@@ -104,7 +170,7 @@ def sample_window(
 
 
 def smooth_coeffs_1d(
-    fn: Fn1D,
+    fn: Fn1D | PiecewisePoly,
     fam: WaveletFamily,
     level_1d: int,
     margin: int = 8,
@@ -132,7 +198,7 @@ def smooth_coeffs_1d(
 class SeparableKernel:
     """sum of tensor-product terms: K(u) = sum_t coef_t * prod_i f_{t,i}(u_i)."""
 
-    terms: list[tuple[float, list[Fn1D]]]
+    terms: list[tuple[float, list[Fn1D | PiecewisePoly]]]
 
     def scaled(self, c: float) -> "SeparableKernel":
         return SeparableKernel([(c * a, fs) for a, fs in self.terms])
@@ -177,7 +243,7 @@ def subsample(arr: np.ndarray, scaling: Scaling, from_level: int, to_level: int)
     return arr[sl]
 
 
-def kernel_moment_1d(fn: Fn1D, a: int) -> float:
+def kernel_moment_1d(fn: Fn1D | PiecewisePoly, a: int) -> float:
     """int u^a fn(u) du by midpoint sums over 2^14 cells of the support."""
     if fn.support is None:
         raise ValueError("moment of a non-compact factor")

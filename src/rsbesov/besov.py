@@ -8,7 +8,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from . import analysis as an
 from . import mra
@@ -100,20 +99,27 @@ def critical_exponent(pyr: CoeffPyramid, p) -> float:
 # test-function dictionary
 
 
-def bspline_bump(order: int) -> BSpline:
-    """Iterated self-convolution of the indicator, supported on [-1, 1]."""
-    return BSpline.basis_element(np.linspace(-1.0, 1.0, order + 1), extrapolate=False)
+def bspline_bump(order: int) -> an.PiecewisePoly:
+    """Iterated self-convolution of the indicator, supported on [-1, 1]: the
+    B-spline on order + 1 equally spaced knots, summing to one over its
+    translates.  On piece i, with y = order (x + 1) / 2 in [i, i + 1),
+    B = sum_{j<=i} (-1)^j C(order, j) (y - j)^(order-1) / (order-1)!:
+    an integer table in powers of y - i and the scale 1 / (order-1)!.
+    """
+    n = order
+    coeffs = [
+        [
+            math.comb(n - 1, k)
+            * sum((-1) ** j * math.comb(n, j) * (i - j) ** (n - 1 - k) for j in range(i + 1))
+            for k in range(n)
+        ]
+        for i in range(n)
+    ]
+    table = np.array(coeffs, dtype=float)
+    return an.PiecewisePoly(-1.0, n / 2, table, 1.0 / math.factorial(n - 1))
 
 
-def _spline_fn(bs: BSpline, lo: float, hi: float) -> an.Fn1D:
-    def f(u):
-        out = bs(u)
-        return np.nan_to_num(out, nan=0.0, posinf=0.0, neginf=0.0)
-
-    return an.Fn1D(f, (lo, hi))
-
-
-def _cr_bound(fn: an.Fn1D, r: int) -> float:
+def _cr_bound(fn: an.PiecewisePoly, r: int) -> float:
     """Numeric proxy for the C^r norm: max over derivative orders 0..r of the
     sup norm on 4096 points, derivatives by repeated central differences."""
     lo, hi = fn.support
@@ -135,7 +141,7 @@ class Profile:
 
     name: str
     beta: int  # annihilates scaled degree <= beta; -1 means none
-    factor: an.Fn1D
+    factor: an.PiecewisePoly
     moments: dict = field(default_factory=dict, repr=False)
     kernels: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -179,22 +185,16 @@ def make_dictionary(r: int, scales) -> TestDictionary:
     bump = bspline_bump(order)
     profiles = []
 
-    def add(name, beta, bs, lo, hi):
-        fn = _spline_fn(bs, lo, hi)
-        c = _cr_bound(fn, r)
-        profiles.append(
-            Profile(name, beta, an.Fn1D(lambda u, f=fn, c=c: f(u) / (1.0001 * c), (lo, hi)))
-        )
+    def add(name, beta, fn):
+        profiles.append(Profile(name, beta, fn * (1.0 / (1.0001 * _cr_bound(fn, r)))))
 
-    add("bump", -1, bump, -1.0, 1.0)
-    half = BSpline(bump.t / 2.0, bump.c, bump.k, extrapolate=False)
-    add("bump_narrow", -1, half, -0.5, 0.5)
-    shifted = BSpline(bump.t / 2.0 - 0.4, bump.c, bump.k, extrapolate=False)
-    add("bump_offset", -1, shifted, -0.9, 0.1)
+    add("bump", -1, bump)
+    add("bump_narrow", -1, bump.dilated(0.5))
+    add("bump_offset", -1, bump.dilated(0.5).shifted(-0.4))
     for b in range(min(r, 3) + 1):
         if b + 1 > order - 1:
             break
-        add(f"d{b + 1}_bump", b, bump.derivative(b + 1), -1.0, 1.0)
+        add(f"d{b + 1}_bump", b, bump.derivative(b + 1))
     return TestDictionary(r, profiles, list(scales))
 
 
@@ -202,16 +202,8 @@ def profile_kernel(
     profile: Profile, scaling: Scaling, scale_n: int
 ) -> an.SeparableKernel:
     """eta^lambda_0 with lambda = 2^-scale_n, L^1-normalised scaling."""
-    factors = []
-    for si in scaling.s:
-        lam = 2.0 ** (-scale_n * si)
-        lo, hi = profile.factor.support
-        factors.append(
-            an.Fn1D(
-                lambda u, f=profile.factor, lam=lam: f(u / lam) / lam,
-                (lo * lam, hi * lam),
-            )
-        )
+    lams = [2.0 ** (-scale_n * si) for si in scaling.s]
+    factors = [profile.factor.dilated(lam) * (1.0 / lam) for lam in lams]
     return an.SeparableKernel([(1.0, factors)])
 
 
@@ -260,21 +252,15 @@ def besov_norm_testfn(
 
 
 RHO = bspline_bump(8)  # the mollifier rho: C^6 even bump, knots at dyadic rationals
-RHO_MASS = an.kernel_moment_1d(_spline_fn(RHO, -1, 1), 0)
+RHO_DERIVS = tuple(RHO.derivative(j) for j in range(8))
+RHO_MASS = an.kernel_moment_1d(RHO, 0)
 
 
 def mollifier_kernel(scaling: Scaling, lam: float) -> an.SeparableKernel:
     """rho^lambda_0: tensor bump, smooth, even, integral one, support the
     unit s-ball scaled by lambda."""
-    factors = []
-    for si in scaling.s:
-        li = lam**si
-        factors.append(
-            an.Fn1D(
-                lambda u, li=li: np.nan_to_num(RHO(u / li), nan=0.0) / (RHO_MASS * li),
-                (-li, li),
-            )
-        )
+    lis = [lam**si for si in scaling.s]
+    factors = [RHO.dilated(li) * (1.0 / (RHO_MASS * li)) for li in lis]
     return an.SeparableKernel([(1.0, factors)])
 
 

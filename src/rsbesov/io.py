@@ -1,17 +1,15 @@
-"""File formats beyond the coefficient pyramid: modelled-distribution blocks,
-model manifests, and sampled kernel profiles."""
+"""File formats beyond the coefficient pyramid: modelled-distribution blocks
+and sampled kernel profiles."""
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import numpy as np
 
 from .modelled import ModelledDistribution
-from .pyramid import expect_end, read_f8, read_header, save_rsbf, write_header
-from .scaling import Scaling
+from .pyramid import expect_end, read_f8, read_header, write_header
+from .pyramid import save_rsbf  # noqa: F401  (perfbench/spans.py traces it here)
 from .schauder import _box_axis
-from .structures import Model, RegularityStructure, Symbol
+from .structures import RegularityStructure
 
 MD_MAGIC = b"RSMD"
 
@@ -35,65 +33,6 @@ def load_md(path, structure: RegularityStructure) -> ModelledDistribution:
             vals[..., i] = read_f8(fh, sc.grid_size(N), "RSMD").reshape(sc.grid_shape(N))
         expect_end(fh, "RSMD")
         return ModelledDistribution(structure, gamma, N, vals)
-
-
-def save_model_manifest(prefix, model: Model) -> list[str]:
-    """Text manifest of the structure plus one RSBF table per abstract symbol.
-
-    Returns the written file names (manifest first)."""
-    prefix = Path(prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    st = model.structure
-    lines = ["format: rsbesov-model/1"]
-    lines.append("scaling: " + ",".join(map(str, st.scaling.s)))
-    lines.append("levels: " + str(model.N))
-    lines.append(
-        "homogeneities: " + ",".join(format(z, ".17g") for z in st.homogeneities)
-    )
-    written = [str(prefix) + ".manifest"]
-    for sym in st.symbols:
-        tag = f"symbol: {sym.name} zeta={format(sym.zeta, '.17g')} kind={sym.kind}"
-        if sym.k is not None:
-            tag += " k=" + ",".join(map(str, sym.k))
-        lines.append(tag)
-    xi = getattr(model, "xi", None)
-    if xi is not None:
-        name = str(prefix) + ".Xi.rsbf"
-        save_rsbf(name, xi)
-        lines.append("table: Xi " + Path(name).name)
-        written.append(name)
-    with open(written[0], "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return written
-
-
-def load_model_manifest(path) -> tuple[list[Symbol], Scaling, int, dict]:
-    """Parse a manifest back into symbols, scaling, levels, and table names."""
-    symbols = []
-    tables = {}
-    scaling = None
-    levels = None
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("scaling:"):
-            scaling = Scaling(tuple(int(x) for x in line.split(":")[1].split(",")))
-        elif line.startswith("levels:"):
-            levels = int(line.split(":")[1])
-        elif line.startswith("symbol:"):
-            parts = line.split()
-            name = parts[1]
-            fields = dict(p.split("=", 1) for p in parts[2:])
-            k = (
-                tuple(int(x) for x in fields["k"].split(","))
-                if "k" in fields
-                else None
-            )
-            symbols.append(Symbol(name, float(fields["zeta"]), fields["kind"], k))
-        elif line.startswith("table:"):
-            _, name, fname = line.split()
-            tables[name] = fname
-    if scaling is None or levels is None:
-        raise ValueError("incomplete manifest")
-    return symbols, scaling, levels, tables
 
 
 KERNEL_MAGIC = b"RSKP"

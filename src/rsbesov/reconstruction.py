@@ -294,17 +294,16 @@ def _deriv_of_weighted(a: int, ell: int):
 def _lift_factor_1d(a: int, ell: int, scale: float) -> an.Fn1D:
     """d^a/du^a A_ell(rho_scale)(u) with rho_scale(u) = rho(u/scale)/(mass*scale)."""
     terms = _deriv_of_weighted(a, ell)
+    # terms share derivative orders: one scaled rho^(j) per order
+    rho = {
+        j: besov.RHO_DERIVS[j].dilated(scale) * (1.0 / (besov.RHO_MASS * scale ** (1 + j)))
+        for j in sorted({j for _, j, _ in terms})
+    }
 
     def f(u):
         acc = np.zeros_like(u)
-        inside = np.abs(u) < scale
-        ui = u[inside]
-        # terms share derivative orders: evaluate each rho^(j) once
-        for j in sorted({j for _, j, _ in terms}):
-            weight = sum(coef * ui**pw for coef, jj, pw in terms if jj == j)
-            rho_j = besov.RHO.derivative(j) if j > 0 else besov.RHO
-            dj = np.nan_to_num(rho_j(ui / scale), nan=0.0)
-            acc[inside] += dj * weight / (besov.RHO_MASS * scale ** (1 + j))
+        for j, rho_j in rho.items():
+            acc += rho_j(u) * sum(coef * u**pw for coef, jj, pw in terms if jj == j)
         return acc
 
     return an.Fn1D(f, (-scale, scale))

@@ -27,29 +27,21 @@ from .structures import integer_homogeneities, poly_name, polynomial_symbols
 from .util import multi_factorial
 
 
-def _smooth_step():
-    """S: 1 below 1/4, 0 above 1/2, a spline CDF in between."""
-    bump = bs.bspline_bump(8)
-    anti = bump.antiderivative()
-    mass = float(anti(1.0) - anti(-1.0))
-
-    def S(u):
-        u = np.asarray(u, dtype=float)
-        v = (u - 0.375) / 0.125  # [1/4, 1/2] -> [-1, 1]
-        out = np.empty_like(u)
-        lo = v <= -1.0
-        hi = v >= 1.0
-        mid = ~(lo | hi)
-        out[lo] = 1.0
-        out[hi] = 0.0
-        out[mid] = 1.0 - (anti(v[mid]) - anti(-1.0)) / mass
-        return out
-
-    return S
-
-
-_STEP = _smooth_step()
+# the order-8 bump has mass 2/8: its normalised antiderivative, moved to [1/4, 1/2]
+_CDF = (bs.bspline_bump(8).antiderivative() * 4.0).dilated(0.125).shifted(0.375)
 _BUMP = bs.bspline_bump(10)  # corrector bump B on [-1, 1]
+_BUMP_DERIVS = tuple(_BUMP.derivative(k) for k in range(10))
+
+
+def _step(u: np.ndarray) -> np.ndarray:
+    """S: 1 below 1/4, 0 above 1/2, one minus a spline CDF in between."""
+    u = np.asarray(u, dtype=float)
+    out = _CDF(u)
+    np.subtract(1.0, out, out=out)
+    out[u >= 0.5] = 0.0
+    return out
+
+
 _MESH_BITS = 11  # box-mesh points per axis (log2) for the P0 moments
 _MAX_ND_POINTS = 2**24  # largest n-d kernel sampling mesh (the N=2 mesh at s=(2,1))
 
@@ -66,7 +58,7 @@ def s_gauge(scaling: Scaling, pts: np.ndarray) -> np.ndarray:
 def annular_cutoff(scaling: Scaling, pts: np.ndarray) -> np.ndarray:
     """chi = S(g) - S(2 g): supported in the dyadic annulus g in [1/8, 1/2]."""
     g = s_gauge(scaling, pts)
-    return _STEP(g) - _STEP(2.0 * g)
+    return _step(g) - _step(2.0 * g)
 
 
 def heat_kernel(scaling: Scaling):
@@ -121,9 +113,7 @@ class KernelDecomposition:
 
     def _corrector_1d(self, k: int, x: np.ndarray) -> np.ndarray:
         """D^k of the 1-d corrector factor B(x/s)/s (exact spline derivative)."""
-        der = _BUMP.derivative(k) if k else _BUMP
-        u = x / self.corrector_scale
-        return np.nan_to_num(der(u), nan=0.0) / self.corrector_scale ** (1 + k)
+        return _BUMP_DERIVS[k](x / self.corrector_scale) / self.corrector_scale ** (1 + k)
 
     def _corrector(self, k: tuple[int, ...], axes: list) -> np.ndarray:
         """D^k of the tensor corrector bump: a product of 1-d factors, each
@@ -170,7 +160,7 @@ class KernelDecomposition:
 
     def tail(self, pts: np.ndarray) -> np.ndarray:
         """P minus the full uncorrected dyadic part: P * (1 - S(g))."""
-        return self.P(pts) * (1.0 - _STEP(s_gauge(self.scaling, pts)))
+        return self.P(pts) * (1.0 - _step(s_gauge(self.scaling, pts)))
 
     # -- moments -----------------------------------------------------------
     def p0_moment(self, m: tuple[int, ...], mesh_bits: int = _MESH_BITS) -> float:
@@ -304,9 +294,8 @@ def decompose_kernel(
     ]
     raw = _box_moments(K.p0_raw, scaling, ks, _MESH_BITS)
     K._mom_cache.update({("raw", m, _MESH_BITS): v for m, v in raw.items()})
-    bfn = an.Fn1D(lambda u: np.nan_to_num(_BUMP(u), nan=0.0), (-1, 1))
     mx = max(max(k) for k in ks) if ks else 0
-    mom1d = [an.kernel_moment_1d(bfn, j) for j in range(mx + 1)]
+    mom1d = [an.kernel_moment_1d(_BUMP, j) for j in range(mx + 1)]
     sc_ = K.corrector_scale
     A = np.zeros((len(ks), len(ks)))
     rhs = np.zeros(len(ks))

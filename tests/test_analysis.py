@@ -35,10 +35,8 @@ def _full_samples(fn, fam, margin):
 
 
 def _bump_on(lo, hi):
-    """A smooth bump supported on [lo, hi]."""
-    bs = besov.bspline_bump(6)
-    mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
-    return an.Fn1D(lambda u: np.nan_to_num(bs((u - mid) / half), nan=0.0), (lo, hi))
+    """A smooth bump supported on [lo, hi], up to rounding of the ends."""
+    return besov.bspline_bump(6).dilated((hi - lo) / 2.0).shifted((lo + hi) / 2.0)
 
 
 def _window_len(support, fam, margin):
@@ -124,3 +122,143 @@ def test_profile_kernel_memo(monkeypatch):
     p1.kernel_coeffs(fam, sc1, 2, N)
     p1.kernel_coeffs(fam, sc1, 3, N - 1)
     assert len(calls) == 5 and len(p1.kernels) == 4
+
+
+# --- spline factors against scipy's BSpline ----------------------------------
+#
+# The reference builds every spline factor on scipy's BSpline(extrapolate=False),
+# with its NaNs outside the knots set to zero.
+
+ORACLE_RTOL = 1e-13
+
+
+def _ref_spline(bs):
+    return lambda u: np.nan_to_num(bs(u), nan=0.0, posinf=0.0, neginf=0.0)
+
+
+def _ref_bump(order):
+    from scipy.interpolate import BSpline
+
+    return BSpline.basis_element(np.linspace(-1.0, 1.0, order + 1), extrapolate=False)
+
+
+def _knots(bs):
+    """The knots of a BSpline that bound its nonzero pieces."""
+    return bs.t[bs.k : len(bs.t) - bs.k]
+
+
+def _points(knots):
+    """A dense grid over the knot span and a margin, plus every knot."""
+    lo, hi = float(np.min(knots)), float(np.max(knots))
+    pad = 0.1 * (hi - lo)
+    return np.concatenate([np.linspace(lo - pad, hi + pad, 4001), knots, [lo, hi]])
+
+
+def _assert_oracle(got, ref, u):
+    want = ref(u)
+    assert np.max(np.abs(got(u) - want)) <= ORACLE_RTOL * np.max(np.abs(want))
+
+
+def _ref_dictionary(r):
+    """(name, reference spline, support, knots) per profile of make_dictionary(r),
+    before the C^r normalisation."""
+    from scipy.interpolate import BSpline
+
+    bump = _ref_bump(max(r + 2, 4))
+    moved = lambda t: BSpline(t, bump.c, bump.k, extrapolate=False)  # noqa: E731
+    splines = [
+        ("bump", bump, -1.0, 1.0),
+        ("bump_narrow", moved(bump.t / 2.0), -0.5, 0.5),
+        ("bump_offset", moved(bump.t / 2.0 - 0.4), -0.9, 0.1),
+    ]
+    splines += [
+        (f"d{b + 1}_bump", bump.derivative(b + 1), -1.0, 1.0) for b in range(min(r, 3) + 1)
+    ]
+    return [(name, _ref_spline(bs), (lo, hi), _knots(bs)) for name, bs, lo, hi in splines]
+
+
+def _ref_rho():
+    rho = _ref_bump(8)
+    mass = an.kernel_moment_1d(an.Fn1D(_ref_spline(rho), (-1.0, 1.0)), 0)
+    return rho, mass
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_dictionary_factors_match_bspline(r):
+    profiles = besov.make_dictionary(r, range(11)).profiles
+    ref = _ref_dictionary(r)
+    assert [p.name for p in profiles] == [name for name, _, _, _ in ref]
+    bump = besov.bspline_bump(max(r + 2, 4))
+    raw = [bump, bump.dilated(0.5), bump.dilated(0.5).shifted(-0.4)]
+    raw += [bump.derivative(b + 1) for b in range(min(r, 3) + 1)]
+    for prof, pp, (_, f, support, t) in zip(profiles, raw, ref):
+        # the C^r proxy takes r-th finite differences at step ~5e-4: they
+        # magnify round-off in the samples by ~h^-r, so it agrees less closely
+        c = besov._cr_bound(pp, r)
+        assert abs(c - besov._cr_bound(an.Fn1D(f, support), r)) <= 1e-6 * c
+        for n in range(11):
+            lam = 2.0**-n
+            got = besov.profile_kernel(prof, SC1, n).terms[0][1][0]
+            ref_n = lambda u, lam=lam: f(u / lam) / (lam * 1.0001 * c)  # noqa: E731
+            _assert_oracle(got, ref_n, _points(t * lam))
+
+
+def test_mollifier_factor_matches_bspline():
+    rho, mass = _ref_rho()
+    for lam in (1.0, 0.3, 2.0**-5):
+        got = besov.mollifier_kernel(SC1, lam).terms[0][1][0]
+        ref = lambda u: _ref_spline(rho)(u / lam) / (mass * lam)  # noqa: E731
+        _assert_oracle(got, ref, _points(_knots(rho) * lam))
+
+
+def test_lift_factors_match_bspline():
+    rho, mass = _ref_rho()
+
+    def ref_lift(a, ell, scale):  # sums scipy's rho^(j) with the polynomial weights
+        terms = rc._deriv_of_weighted(a, ell)
+
+        def f(u):
+            acc = np.zeros_like(u)
+            inside = np.abs(u) < scale
+            ui = u[inside]
+            for j in sorted({j for _, j, _ in terms}):
+                weight = sum(coef * ui**pw for coef, jj, pw in terms if jj == j)
+                dj = _ref_spline(rho.derivative(j) if j else rho)(ui / scale)
+                acc[inside] += dj * weight / (mass * scale ** (1 + j))
+            return acc
+
+        return f
+
+    for n in range(11):
+        scale = 2.0**-n
+        for a in range(3):
+            for ell in range(3):
+                u = _points(_knots(rho) * scale)
+                _assert_oracle(rc._lift_factor_1d(a, ell, scale), ref_lift(a, ell, scale), u)
+
+
+def test_corrector_bump_matches_bspline():
+    bump = _ref_bump(10)
+    for k in range(5):
+        ref = _ref_spline(bump.derivative(k) if k else bump)
+        _assert_oracle(sch._BUMP_DERIVS[k], ref, _points(_knots(bump)))
+
+
+def test_smooth_step_matches_bspline():
+    anti = _ref_bump(8).antiderivative()
+    mass = float(anti(1.0) - anti(-1.0))
+
+    def ref(u):
+        v = (u - 0.375) / 0.125
+        cdf = (anti(np.clip(v, -1.0, 1.0)) - anti(-1.0)) / mass
+        return np.where(v <= -1.0, 1.0, np.where(v >= 1.0, 0.0, 1.0 - cdf))
+
+    _assert_oracle(sch._step, ref, _points(0.375 + 0.125 * _knots(anti)))
+
+
+def test_piecewise_poly_knot_convention():
+    """Pieces [b_i, b_{i+1}), the last closed at its right end, 0 strictly outside."""
+    d3 = besov.bspline_bump(4).derivative(3)
+    u = np.array([np.nextafter(-1.0, -2.0), -1.0, -0.5, 0.0, 0.5, 1.0, np.nextafter(1.0, 2.0)])
+    assert d3(u).tolist() == [0.0, 8.0, -24.0, 24.0, -8.0, -8.0, 0.0]
+    assert besov.bspline_bump(4).support == (-1.0, 1.0)

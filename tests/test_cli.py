@@ -233,6 +233,19 @@ def test_determinism_byte_identity(tmp_path):
     _assert_matches_golden(outs[0])
 
 
+def test_report_runs_without_scipy(tmp_path):
+    # scipy is a test-only dependency: a whole report never imports it
+    script = (
+        "import sys, rsbesov, rsbesov.cli\n"
+        f"code = rsbesov.cli.main(['report', '--levels', '4', '--out', {str(tmp_path)!r}])\n"
+        "mods = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(code, len(mods), mods[:3])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[:2] == ["0", "0"], proc.stdout
+
+
 @pytest.mark.parametrize(
     "sub, levels",
     [

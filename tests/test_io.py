@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from rsbesov import besov, io, modelled as md, schauder as sch, structures as rs
+from rsbesov import io, schauder as sch
 from rsbesov.pyramid import CoeffPyramid, load_rsbf, save_rsbf
 from conftest import make_sin_lift
 
@@ -16,19 +16,6 @@ def test_md_file_roundtrip(tmp_path, sc1, fam6):
     back = io.load_md(path, st)
     assert back.gamma == f.gamma and back.N == f.N
     np.testing.assert_array_equal(back.values, f.values)
-
-
-def test_model_manifest_roundtrip(tmp_path, sc1, fam6):
-    xi = besov.synthesize("random_besov", sc1, 6, fam6, alpha=-0.5, seed=1)
-    st, nm = rs.noise_structure(-0.5, xi, 1.25, fam6)
-    files = io.save_model_manifest(tmp_path / "model", nm)
-    symbols, scaling, levels, tables = io.load_model_manifest(files[0])
-    assert scaling == sc1 and levels == 6
-    assert [s.name for s in symbols] == [s.name for s in st.symbols]
-    assert [s.zeta for s in symbols] == [s.zeta for s in st.symbols]
-    assert "Xi" in tables
-    back = load_rsbf(tmp_path / tables["Xi"])
-    assert back.max_abs_diff(xi) == 0.0
 
 
 def test_kernel_profile_roundtrip(tmp_path, sc1):
