@@ -8,7 +8,6 @@ shells start at n = 2 so that translated balls stay embedded (|h|_s <= 1/4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -136,35 +135,36 @@ class DNormReport:
                 yield (z, n, "consistency", v)
 
 
-def _level_index(sc: Scaling, n: int, N: int, rem=None):
-    """ix_-style fine-grid indices of the Lambda_n points, each shifted by
-    rem fine cells (default none)."""
-    rem = rem or (0,) * sc.d
-    return np.ix_(
-        *[np.arange(2 ** (n * si)) * 2 ** ((N - n) * si) + r for si, r in zip(sc.s, rem)]
-    )
+def _level_index(sc: Scaling, n: int, N: int):
+    """ix_-style fine-grid indices of the Lambda_n points."""
+    return np.ix_(*[np.arange(2 ** (n * si)) * 2 ** ((N - n) * si) for si in sc.s])
 
 
-def _fine_cells(sc: Scaling, h, n: int, N: int) -> tuple[int, ...]:
-    """A Lambda_n offset h (in level-n cells) in fine-grid cells."""
-    return tuple(hi * 2 ** ((N - n) * si) for hi, si in zip(h, sc.s))
+def _shell_steps(sc: Scaling, n: int, N: int) -> np.ndarray:
+    """The offsets of E_n in fine-grid cells, shape (3^d - 1, d)."""
+    return np.array(translation_offsets(sc, n)) * 2 ** ((N - n) * np.array(sc.s))
 
 
-def _moved(model: Model, g: np.ndarray, m: int, N: int, x_index, step) -> np.ndarray:
-    """Gamma_{x,x+h} g(x+h) at the fine-grid targets x_index, where h is step
-    fine cells, g is a Lambda_m array and every x + h lies on Lambda_m."""
+def _moved(model: Model, g: np.ndarray, m: int, N: int, x_index, steps) -> np.ndarray:
+    """Gamma_{x,x+h} g(x+h) at the fine-grid targets x_index for every h in
+    the stack steps (shape (*B, d), in fine cells), where g is a Lambda_m
+    array and every x + h lies on Lambda_m; returns shape (*B, *P, dim)."""
+    if N != model.N:
+        raise ValueError(f"target level {N} differs from the model's level {model.N}")
     sc = model.scaling
+    steps = np.asarray(steps)
+    lead = steps.shape[:-1] + (1,) * sc.d
     src = tuple(
-        ((xi + st) % 2 ** (N * si)) // 2 ** ((N - m) * si)
-        for xi, st, si in zip(x_index, step, sc.s)
+        ((xi + steps[..., i].reshape(lead)) % 2 ** (N * si)) // 2 ** ((N - m) * si)
+        for i, (xi, si) in enumerate(zip(x_index, sc.s))
     )
-    delta = np.array([st * 2.0 ** (-N * si) for st, si in zip(step, sc.s)])
-    return model.gamma_apply_field(g[src], delta, x_index)
+    return model.gamma_apply_field(g[src], steps * 2.0 ** (-N * np.array(sc.s)), x_index)
 
 
 def _shell_lq(st: RegularityStructure, zetas, diffs, n: int, weight, p, q) -> dict[float, float]:
     """Per sector zeta: the l^q over a shell's offsets of the L^p_n norms of
-    its difference arrays, each divided by weight(zeta)."""
+    its difference arrays (stacked on the first axis), each divided by
+    weight(zeta)."""
     acc = {z: [] for z in zetas}
     for diff in diffs:
         for z in zetas:
@@ -180,8 +180,8 @@ def _level_table(zetas, levels, per_level) -> dict[float, np.ndarray]:
 
 def _fine_norm(f: ModelledDistribution, local_values: np.ndarray, difference, p, q) -> DNormReport:
     """Local L^p bounds of local_values plus the translation bound on Lambda_N,
-    where difference(step) is the difference translated by -h for an h in
-    E_n, given in fine-grid cells."""
+    where difference(steps) stacks the differences translated by -h for the
+    h in E_n, given in fine-grid cells."""
     st, sc = f.structure, f.structure.scaling
     N = f.N
     zetas = st.sectors_below(f.gamma)
@@ -191,10 +191,7 @@ def _fine_norm(f: ModelledDistribution, local_values: np.ndarray, difference, p,
     def shell(n):
         hnorm = 2.0 ** (-n)
         # D[y] = f(y) - Gamma_{y, y-h} f(y-h), same l^p as the x+h form
-        diffs = (
-            difference(_fine_cells(sc, [-hi for hi in h], n, N))
-            for h in translation_offsets(sc, n)
-        )
+        diffs = difference(-_shell_steps(sc, n, N))
         return _shell_lq(st, zetas, diffs, N, lambda z: hnorm ** (f.gamma - z), p, q)
 
     return DNormReport(f.gamma, p, q, local, _level_table(zetas, levels, shell), levels)
@@ -205,8 +202,8 @@ def d_norm(f: ModelledDistribution, model: Model, p, q) -> DNormReport:
     discretization of the translation bound."""
     fine = _level_index(f.structure.scaling, f.N, f.N)
 
-    def difference(step):
-        return f.values - _moved(model, f.values, f.N, f.N, fine, step)
+    def difference(steps):
+        return f.values - _moved(model, f.values, f.N, f.N, fine, steps)
 
     return _fine_norm(f, f.values, difference, p, q)
 
@@ -219,11 +216,8 @@ def dbar_norm(fbar: AveragedMD, model: Model, p, q) -> DNormReport:
     local = {z: lpn_norm(sector_abs(st, lv[0], z), 0, p, sc) for z in zetas}
 
     def translation(n):
-        x_index = _level_index(sc, n, N)
-        diffs = (
-            lv[n] - _moved(model, lv[n], n, N, x_index, _fine_cells(sc, [-hi for hi in h], n, N))
-            for h in translation_offsets(sc, n)
-        )
+        steps = -_shell_steps(sc, n, N)
+        diffs = lv[n] - _moved(model, lv[n], n, N, _level_index(sc, n, N), steps)
         return _shell_lq(st, zetas, diffs, n, lambda z: 2.0 ** (-n * (gamma - z)), p, q)
 
     def consistency(n):
@@ -236,11 +230,8 @@ def dbar_norm(fbar: AveragedMD, model: Model, p, q) -> DNormReport:
     def combined(n):
         # fbar^(n)(x) - Gamma_{x,x+h} fbar^(n+1)(x+h) with h over E_{n+1}
         # plus h = 0 (the consistency term itself)
-        x_index = _level_index(sc, n, N)
-        diffs = (
-            lv[n] - _moved(model, lv[n + 1], n + 1, N, x_index, _fine_cells(sc, h, n + 1, N))
-            for h in [(0,) * sc.d] + translation_offsets(sc, n + 1)
-        )
+        steps = np.concatenate([np.zeros((1, sc.d), int), _shell_steps(sc, n + 1, N)])
+        diffs = lv[n] - _moved(model, lv[n + 1], n + 1, N, _level_index(sc, n, N), steps)
         return _shell_lq(st, zetas, diffs, n, lambda z: 2.0 ** (-n * (gamma - z)), p, q)
 
     levels, cons_levels = np.arange(TRANSLATION_MIN_LEVEL, N + 1), np.arange(0, N)
@@ -261,14 +252,10 @@ def average(f: ModelledDistribution, model: Model) -> AveragedMD:
     levels: list[np.ndarray] = [None] * (N + 1)
     levels[N] = f.values.copy()
     for n in range(N):
-        radii = [2 ** ((N - n) * si) for si in sc.s]
-        x_index = _level_index(sc, n, N)
-        acc = np.zeros((*sc.grid_shape(n), st.dim))
-        count = 0
-        for off in product(*[range(-r, r + 1) for r in radii]):
-            acc += _moved(model, f.values, N, N, x_index, off)
-            count += 1
-        levels[n] = acc / count
+        radii = np.array([2 ** ((N - n) * si) for si in sc.s])
+        offsets = np.indices(2 * radii + 1).reshape(sc.d, -1).T - radii
+        moved = _moved(model, f.values, N, N, _level_index(sc, n, N), offsets)
+        levels[n] = moved.sum(axis=0) / len(offsets)
     return AveragedMD(st, f.gamma, N, levels)
 
 
@@ -318,15 +305,20 @@ def _transport_to_fine(fbar: AveragedMD, model: Model, n: int) -> np.ndarray:
     """f_n on Lambda_N: Gamma_{x, x_n} fbar^(n)(x_n), x_n nearest in Lambda_n."""
     st, sc = fbar.structure, fbar.structure.scaling
     N = fbar.N
-    out = np.zeros((*sc.grid_shape(N), st.dim))
     strides = [2 ** ((N - n) * si) for si in sc.s]
-    for rem in product(*[range(s) for s in strides]):
-        # step = x_n - x in fine cells (source minus target), half-up ties
-        step = [int(np.floor(r / s + 0.5)) * s - r for r, s in zip(rem, strides)]
-        x_index = _level_index(sc, n, N, rem)
-        sl = tuple(slice(r, None, s) for r, s in zip(rem, strides))
-        out[sl] = _moved(model, fbar.levels[n], n, N, x_index, step)
-    return out
+    # residue classes r of the fine points x = j * stride + r, shape (*strides, d)
+    rem = np.moveaxis(np.indices(strides), 0, -1)
+    # step = x_n - x in fine cells (source minus target), half-up ties
+    step = np.floor(rem / strides + 0.5).astype(int) * strides - rem
+    lead = (*strides, *(1,) * sc.d)
+    x_index = tuple(
+        xi + rem[..., i].reshape(lead) for i, xi in enumerate(_level_index(sc, n, N))
+    )
+    moved = _moved(model, fbar.levels[n], n, N, x_index, step)  # (*strides, *Lambda_n, dim)
+    # interleave: fine axis i is (level-n index, residue) with the residue fastest
+    d = sc.d
+    order = [ax for i in range(d) for ax in (d + i, i)] + [2 * d]
+    return moved.transpose(order).reshape(*sc.grid_shape(N), st.dim)
 
 
 def md_distance(
@@ -346,12 +338,12 @@ def md_distance(
 
     fine = _level_index(f.structure.scaling, f.N, f.N)
 
-    def difference(step):
+    def difference(steps):
         return (
             f.values
             - f2.values
-            - _moved(model, f.values, f.N, f.N, fine, step)
-            + _moved(model2, f2.values, f.N, f.N, fine, step)
+            - _moved(model, f.values, f.N, f.N, fine, steps)
+            + _moved(model2, f2.values, f.N, f.N, fine, steps)
         )
 
     return _fine_norm(f, f.values - f2.values, difference, p, q)

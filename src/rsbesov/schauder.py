@@ -31,6 +31,7 @@ from .util import multi_factorial
 _CDF = (bs.bspline_bump(8).antiderivative() * 4.0).dilated(0.125).shifted(0.375)
 _BUMP = bs.bspline_bump(10)  # corrector bump B on [-1, 1]
 _BUMP_DERIVS = tuple(_BUMP.derivative(k) for k in range(10))
+_CORRECTOR_SCALE = 0.5  # s in the 1-d corrector factors B(x / s) / s, support [-s, s]
 
 
 def _step(u: np.ndarray) -> np.ndarray:
@@ -104,7 +105,6 @@ class KernelDecomposition:
     r: int
     P: object  # full kernel, pointwise on (..., d) arrays
     correction_coeffs: dict = field(default_factory=dict)
-    corrector_scale: float = 0.5
     _mom_cache: dict = field(default_factory=dict, repr=False)
 
     # -- evaluation --------------------------------------------------------
@@ -113,7 +113,7 @@ class KernelDecomposition:
 
     def _corrector_1d(self, k: int, x: np.ndarray) -> np.ndarray:
         """D^k of the 1-d corrector factor B(x/s)/s (exact spline derivative)."""
-        return _BUMP_DERIVS[k](x / self.corrector_scale) / self.corrector_scale ** (1 + k)
+        return _BUMP_DERIVS[k](x / _CORRECTOR_SCALE) / _CORRECTOR_SCALE ** (1 + k)
 
     def _corrector(self, k: tuple[int, ...], axes: list) -> np.ndarray:
         """D^k of the tensor corrector bump: a product of 1-d factors, each
@@ -296,7 +296,6 @@ def decompose_kernel(
     K._mom_cache.update({("raw", m, _MESH_BITS): v for m, v in raw.items()})
     mx = max(max(k) for k in ks) if ks else 0
     mom1d = [an.kernel_moment_1d(_BUMP, j) for j in range(mx + 1)]
-    sc_ = K.corrector_scale
     A = np.zeros((len(ks), len(ks)))
     rhs = np.zeros(len(ks))
     for im, m in enumerate(ks):
@@ -311,7 +310,7 @@ def decompose_kernel(
                         (-1.0) ** k[i]
                         * math.factorial(m[i])
                         / math.factorial(j)
-                        * sc_**j
+                        * _CORRECTOR_SCALE**j
                         * mom1d[j]
                     )
                 A[im, ik] = val
@@ -374,7 +373,8 @@ class ExtendedModel(NoiseModel):
 
     # -- Gamma: the IXi column picks up the polynomial corrections c_k ------
     def _c_coeff(self, k, x_idx, y_idx, delta):
-        """Gamma_{x,y} IXi polynomial coefficient on X^k."""
+        """Gamma_{x,y} IXi polynomial coefficient on X^k, delta = x - y (the
+        coordinates on the last axis)."""
         acc = self.t_tables[k][x_idx] / multi_factorial(k)
         for ell in self.taylor_ks:
             if all(a <= b for a, b in zip(k, ell)):
@@ -382,7 +382,7 @@ class ExtendedModel(NoiseModel):
                 acc = acc - (
                     self.t_tables[ell][y_idx]
                     / (multi_factorial(diff) * multi_factorial(k))
-                ) * float(np.prod(np.asarray(delta) ** np.asarray(diff)))
+                ) * np.prod(delta ** np.asarray(diff), axis=-1)
         return acc
 
     def gamma_apply_field(self, vals, delta, x_index):
@@ -391,17 +391,15 @@ class ExtendedModel(NoiseModel):
         if not np.any(ix):
             return out
         sc = self.scaling
-        N = self.N
-        delta = np.asarray(delta, dtype=float)
-        steps = []
-        for i, si in enumerate(sc.s):
-            st = delta[i] * 2 ** (N * si)
-            sti = int(round(st))
-            if abs(st - sti) > 1e-9:
-                raise ValueError("transport displacement off the fine grid")
-            steps.append(sti)
+        # one displacement per leading index, broadcast over the target points
+        B = np.shape(delta)[:-1]
+        delta = np.reshape(delta, (*B, *(1,) * (ix.ndim - len(B)), sc.d)).astype(float)
+        cells = delta * 2.0 ** (self.N * np.array(sc.s))
+        steps = np.rint(cells).astype(int)
+        if np.any(np.abs(cells - steps) > 1e-9):
+            raise ValueError("transport displacement off the fine grid")
         y_index = tuple(
-            (x_index[i] + steps[i]) % (2 ** (N * sc.s[i])) for i in range(sc.d)
+            (x_index[i] + steps[..., i]) % (2 ** (self.N * sc.s[i])) for i in range(sc.d)
         )
         wdel = wrap_displacement(-delta)  # x - y
         for k in self.taylor_ks:

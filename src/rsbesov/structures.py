@@ -96,7 +96,6 @@ class Model:
         self.scaling = structure.scaling
         self.fam = fam
         self.N = N
-        self._gamma_cache: dict = {}
         self._profile_cache: dict = {}
 
     # -- Gamma ------------------------------------------------------------
@@ -111,30 +110,33 @@ class Model:
         return self.gamma_apply_field(np.eye(dim), np.asarray(y) - x, x_index).T
 
     def gamma_apply_field(self, vals: np.ndarray, delta, x_index) -> np.ndarray:
-        """Apply Gamma_{x, x+delta} to vals, where vals[idx] = f(x_idx + delta).
+        """Apply Gamma_{x, x+delta} to vals, where vals[b, idx] = f(x_idx + delta[b]).
 
-        idx runs over the target points; delta = source - target.  x_index
-        (per-axis fine-grid indices) only matters for position-dependent
-        models; translation-invariant models apply one matrix, cached by
-        the nearest-image displacement x - y.
+        delta has shape (*B, d), one displacement (source - target) per
+        leading index b of vals, shape (*B, *P, dim); idx runs over the
+        target points P.  x_index (per-axis fine-grid indices, broadcasting
+        against (*B, *P)) only matters for position-dependent models;
+        translation-invariant models apply one matrix per displacement.
         """
-        key = tuple(np.round(wrap_displacement(-np.asarray(delta, dtype=float)), 14))
-        if key not in self._gamma_cache:
-            self._gamma_cache[key] = self._gamma_matrix(np.asarray(key))
-        return vals @ self._gamma_cache[key].T
+        delta = np.asarray(delta, dtype=float)
+        M = self._gamma_matrix(wrap_displacement(-delta))
+        B, dim = delta.shape[:-1], self.structure.dim
+        return (vals.reshape(*B, -1, dim) @ np.swapaxes(M, -1, -2)).reshape(vals.shape)
 
     def _gamma_matrix(self, delta: np.ndarray) -> np.ndarray:
-        """Identity plus Gamma X^k = sum_{l<=k} binom(k,l) delta^{k-l} X^l."""
+        """Identity plus Gamma X^k = sum_{l<=k} binom(k,l) delta^{k-l} X^l,
+        one matrix per leading index of delta (shape (*B, d))."""
         st = self.structure
-        M = np.eye(st.dim)
+        delta = np.asarray(delta)
+        M = np.broadcast_to(np.eye(st.dim), (*delta.shape[:-1], st.dim, st.dim)).copy()
         for kidx in st.poly_indices():
             k = st.symbols[kidx].k
             for lidx in st.poly_indices():
                 l = st.symbols[lidx].k
                 if all(a <= b for a, b in zip(l, k)):
                     diff = tuple(b - a for a, b in zip(l, k))
-                    M[lidx, kidx] = multi_binom(k, l) * float(
-                        np.prod(np.asarray(delta) ** np.asarray(diff))
+                    M[..., lidx, kidx] = multi_binom(k, l) * np.prod(
+                        delta ** np.asarray(diff), axis=-1
                     )
         return M
 

@@ -1,3 +1,4 @@
+import math
 from functools import cache
 
 import numpy as np
@@ -49,6 +50,20 @@ def make_sin_lift(sc, fam, N, gamma=2.5):
     vals[..., st.index("X^1")] = TWO_PI * np.cos(TWO_PI * pts)
     if gamma > 2:
         vals[..., st.index("X^2")] = -(TWO_PI**2) * np.sin(TWO_PI * pts) / 2.0
+    return st, model, ModelledDistribution(st, gamma, N, vals)
+
+
+def make_sincos_jet(sc, fam, N, gamma=2.5):
+    """f_k = d^k [sin(2 pi u_0) cos(2 pi u_1)] / k! on the polynomial structure
+    of a two-axis scaling."""
+    st, model = polynomial_structure(gamma, sc, fam, N)
+    pts = sc.grid_points(N)
+    vals = np.zeros((*sc.grid_shape(N), st.dim))
+    for i, sym in enumerate(st.symbols):
+        k0, k1 = sym.k
+        d0 = TWO_PI**k0 * np.sin(TWO_PI * pts[..., 0] + k0 * np.pi / 2)
+        d1 = TWO_PI**k1 * np.cos(TWO_PI * pts[..., 1] + k1 * np.pi / 2)
+        vals[..., i] = d0 * d1 / (math.factorial(k0) * math.factorial(k1))
     return st, model, ModelledDistribution(st, gamma, N, vals)
 
 

@@ -15,7 +15,7 @@ from rsbesov import schauder as sch
 from rsbesov import structures as rs
 from rsbesov.scaling import Scaling
 from rsbesov.util import lq_aggregate
-from conftest import make_sin_lift
+from conftest import make_sin_lift, make_sincos_jet
 
 INF = math.inf
 
@@ -122,6 +122,27 @@ def test_criterion_4_reconstruction(sc, fam):
     outxi, _ = rc.reconstruct(fxi, nm, 2.0, INF)
     dev = outxi.max_abs_diff(xi)
     check(dev <= 1e-12, f"4e noise reconstruction exact: {dev:.2e} <= 1e-12")
+
+
+def test_criterion_3b_4_anisotropic(fam):
+    # criteria 3b and 4 at s=(2,1) on the jet of sin(2 pi u_0) cos(2 pi u_1)
+    sc2 = Scaling((2, 1))
+    sin_cos = [an.Fn1D(lambda x: np.sin(2 * np.pi * x)), an.Fn1D(lambda x: np.cos(2 * np.pi * x))]
+    kern = an.SeparableKernel([(1.0, sin_cos)])
+    errs, ratios = {}, []
+    for N in (3, 4, 5):
+        st, model, f = make_sincos_jet(sc2, fam, N)
+        fbar = md.average(f, model)
+        out, _ = rc.reconstruct(f, model, 2.0, INF, f_bar=fbar)
+        target = mra.analyze_v_coefficients(an.analyze_kernel(kern, fam, sc2, N), fam, sc2, N)
+        errs[N] = out.plus(target.scaled(-1.0)).l2() / target.l2()
+        dn = md.d_norm(f, model, INF, INF).total
+        ratios.append(md.dbar_norm(fbar, model, INF, INF).total / dn)
+    order = (math.log2(errs[3]) - math.log2(errs[5])) / 2.0
+    check(errs[5] <= 1e-2, f"4a' s=(2,1) sin*cos rel L2 {errs[5]:.2e} <= 1e-2 at N=5")
+    check(order >= 2.0, f"4b' s=(2,1) refinement order {order:.2f} >= 2")
+    drift = max(ratios) / min(ratios)
+    check(drift <= 1.2, f"3b' s=(2,1) norm-ratio drift {drift:.3f} <= 1.2 across N=3..5")
 
 
 def test_criterion_5_right_inverse(sc, fam):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -186,6 +187,69 @@ def test_transport_matches_gamma_matrix(kind):
         got = md._transport_to_fine(fbar, model, n)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     np.testing.assert_array_equal(md.unaverage(fbar, model)[0].values, got)
+
+
+def _average_by_offset(f, model):
+    """Oracle: the ball average with one transport per offset of the ball."""
+    sc, N = f.structure.scaling, f.N
+    levels = []
+    for n in range(N):
+        radii = [2 ** ((N - n) * si) for si in sc.s]
+        x_index = md._level_index(sc, n, N)
+        acc = np.zeros((*sc.grid_shape(n), f.structure.dim))
+        count = 0
+        for off in itertools.product(*[range(-r, r + 1) for r in radii]):
+            acc += md._moved(model, f.values, N, N, x_index, off)
+            count += 1
+        levels.append(acc / count)
+    return levels + [f.values]
+
+
+def _transport_by_residue(fbar, model, n):
+    """Oracle: f_n on Lambda_N with one transport per residue class mod the
+    level-n stride."""
+    sc, N = fbar.structure.scaling, fbar.N
+    out = np.zeros((*sc.grid_shape(N), fbar.structure.dim))
+    strides = [2 ** ((N - n) * si) for si in sc.s]
+    for rem in itertools.product(*[range(s) for s in strides]):
+        step = [int(np.floor(r / s + 0.5)) * s - r for r, s in zip(rem, strides)]
+        x_index = tuple(xi + r for xi, r in zip(md._level_index(sc, n, N), rem))
+        sl = tuple(slice(r, None, s) for r, s in zip(rem, strides))
+        out[sl] = md._moved(model, fbar.levels[n], n, N, x_index, step)
+    return out
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_batched_transport_matches_per_offset_loops(kind):
+    # one transport call per level over the stacked offsets (or residues)
+    # gives the same bits as one call per offset (or residue)
+    N = 3
+    model = make_model(kind, N)
+    st, sc = model.structure, model.scaling
+    gamma = 2.5 if kind.startswith("poly") else 1.25
+    vals = np.random.default_rng(2).standard_normal((*sc.grid_shape(N), st.dim))
+    vals[..., [s.zeta >= gamma for s in st.symbols]] = 0.0
+    f = md.ModelledDistribution(st, gamma, N, vals)
+    fbar = md.average(f, model)
+    for got, want in zip(fbar.levels, _average_by_offset(f, model)):
+        assert np.array_equal(got, want)
+    for n in range(N + 1):
+        got = md._transport_to_fine(fbar, model, n)
+        assert np.array_equal(got, _transport_by_residue(fbar, model, n))
+
+
+def test_transport_rejects_level_mismatch(sc1, fam6):
+    # a model built at N=8 reads its tables at level-8 indices: an N=6
+    # distribution under it is refused, not silently misread
+    model = make_model("extended-1", 8)
+    st = model.structure
+    vals = np.zeros((2**6, st.dim))
+    vals[..., st.index("IXi")] = 1.0
+    f = md.ModelledDistribution(st, 1.25, 6, vals)
+    with pytest.raises(ValueError, match="level"):
+        md.average(f, model)
+    with pytest.raises(ValueError, match="level"):
+        md.d_norm(f, model, 2.0, 2.0)
 
 
 def test_roundtrip_convergence_orders(sc1, fam6):

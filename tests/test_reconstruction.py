@@ -317,8 +317,10 @@ class _CocycleModel(rs.NoiseModel):
     def gamma_apply_field(self, vals, delta, x_index):
         out = super().gamma_apply_field(vals, delta, x_index)
         N = self.N
+        # one displacement per leading index of vals, broadcast over its points
+        cells = np.rint(np.asarray(delta)[..., 0] * 2**N).astype(int)
+        steps = cells.reshape(cells.shape + (1,) * (vals.ndim - 1 - cells.ndim))
         xs = np.asarray(x_index[0], dtype=float) / 2**N
-        steps = int(round(float(np.asarray(delta)[0]) * 2**N))
         ys = ((np.asarray(x_index[0]) + steps) % 2**N) / 2**N
         corr = self.eps * (np.sin(2 * np.pi * xs) - np.sin(2 * np.pi * ys))
         out[..., self.structure.index(self.row)] += corr * vals[..., self.structure.index(self.col)]

@@ -8,7 +8,7 @@ from rsbesov import analysis as an
 from rsbesov import besov, mra
 from rsbesov import schauder as sch
 from rsbesov import structures as rs
-from rsbesov.scaling import wrap_displacement
+from rsbesov.scaling import Scaling, wrap_displacement
 from rsbesov.util import fit_log2_slope, multi_factorial
 from conftest import MODEL_KINDS, make_model
 
@@ -219,6 +219,21 @@ def _reference_gamma(model, x, y):
                     ) * float(np.prod(delta ** np.asarray(diff)))
             M[model.structure.index(rs.poly_name(k)), model.ixi_index] = c
     return M
+
+
+@pytest.mark.parametrize("s, N", [((1,), 15), ((2, 1), 8)])
+def test_gamma_exact_on_fine_grids(fam4, s, N):
+    # a one-cell displacement reaches Gamma exactly, with no rounding of the
+    # displacement on the way (2^-15 has 15 decimals)
+    sc = Scaling(s)
+    _, model = rs.polynomial_structure(2.5, sc, fam4, N)
+    cells = 2.0 ** (-N * np.array(sc.s))
+    x = np.full(sc.d, 0.25)
+    for axis in range(sc.d):
+        step = np.zeros(sc.d)
+        step[axis] = cells[axis]
+        for y, delta in ((x + step, -step), (x - step, step)):
+            assert np.array_equal(model.gamma(x, y), rs.Model._gamma_matrix(model, delta))
 
 
 def _reference_center_weight(model, sym, n):
