@@ -73,9 +73,11 @@ class PiecewisePoly:
         return PiecewisePoly(self.start, self.rate, self.coeffs, self.scale * c)
 
     def derivative(self, n: int = 1) -> "PiecewisePoly":
+        """The n-th derivative on the same pieces: one zero column past the degree."""
         c = self.coeffs
         for _ in range(n):
-            c = c[:, 1:] * (np.arange(1, c.shape[1]) * self.rate)
+            k = np.arange(1, c.shape[1])
+            c = c[:, 1:] * (k * self.rate) if len(k) else np.zeros_like(c)
         return PiecewisePoly(self.start, self.rate, c, self.scale)
 
     def antiderivative(self) -> "PiecewisePoly":
@@ -210,7 +212,6 @@ def analyze_kernel(
     scaling: Scaling,
     N: int,
     margin: int = 8,
-    taylor: int = 3,
 ) -> np.ndarray:
     """V_N coefficient array of (the periodization of) a separable kernel."""
     out = np.zeros(scaling.grid_shape(N))
@@ -218,7 +219,7 @@ def analyze_kernel(
         if len(factors) != scaling.d:
             raise ValueError("kernel term arity does not match the dimension")
         arrs = [
-            smooth_coeffs_1d(fn, fam, N * si, margin=margin, taylor=taylor)
+            smooth_coeffs_1d(fn, fam, N * si, margin=margin)
             for fn, si in zip(factors, scaling.s)
         ]
         term = arrs[0]

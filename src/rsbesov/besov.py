@@ -252,7 +252,6 @@ def besov_norm_testfn(
 
 
 RHO = bspline_bump(8)  # the mollifier rho: C^6 even bump, knots at dyadic rationals
-RHO_DERIVS = tuple(RHO.derivative(j) for j in range(8))
 RHO_MASS = an.kernel_moment_1d(RHO, 0)
 
 

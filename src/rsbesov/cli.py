@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from . import analysis as an, besov, embeddings, mra, modelled, reconstruction as rc
 from . import schauder, structures
+from .filters import min_order_for
 from .pyramid import save_rsbf
 from .reports import write_rows
 from .scaling import Scaling
@@ -152,8 +153,6 @@ def _family(cfg: ExperimentConfig):
     r = max(2, int(math.ceil(abs(cfg.gamma))) + (0 if abs(cfg.gamma - round(cfg.gamma)) > 1e-9 else 1))
     r = min(r, 3)
     order = max(cfg.wavelet_order, 2)
-    from .filters import min_order_for
-
     r_eff = r
     while min_order_for(r_eff) > order:
         r_eff -= 1

@@ -11,7 +11,7 @@ import numpy as np
 from .besov import lpn_norm
 from .modelled import AveragedMD, dbar_norm
 from .scaling import Scaling
-from .structures import Model
+from .structures import Model, sector_abs
 from .util import check_exponent, weighted_lp
 
 
@@ -121,8 +121,6 @@ def embed_check(fbar: AveragedMD, model: Model, case: EmbeddingCase) -> EmbedRep
     tgt = dbar_norm(target_fbar, model, case.p_t, case.q_t).total
     ladder = []
     if case.case == 4:
-        from .structures import sector_abs
-
         for z in st.sectors_below(case.gamma):
             pz = case4_ladder_exponent(sc, case.gamma, case.p, z)
             sup = max(

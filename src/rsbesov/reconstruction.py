@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import product as iproduct
 
 import numpy as np
@@ -18,10 +19,10 @@ from . import analysis as an
 from . import besov
 from . import mra
 from .besov import BesovParams, TestDictionary, mollify
-from .modelled import AveragedMD, ModelledDistribution, average, unaverage
+from .modelled import AveragedMD, ModelledDistribution, average, d_norm, md_distance, unaverage
 from .pyramid import CoeffPyramid
 from .scaling import Scaling
-from .structures import Model, model_distance, model_norms
+from .structures import Model, model_distance, model_norms, polynomial_structure
 from .util import fit_log2_slope, lq_aggregate, multi_factorial
 
 
@@ -193,8 +194,6 @@ def reconstruct(
         cert.bound_normalized = normed
         cert.bound_aggregate = lq_aggregate(normed, q)
         if with_budget:
-            from .modelled import d_norm
-
             nrm = model_norms(model, gamma, dictionary)
             cert.budget = d_norm(f, model, p, q).total * nrm.pi * (1.0 + nrm.gamma)
     return xi, cert
@@ -280,33 +279,33 @@ def derivative_check(
 # the lift iota onto the polynomial structure
 
 
-def _deriv_of_weighted(a: int, ell: int):
-    """Terms (coef, deriv_order, power) of d^a/du^a [ sum_i C(l,i)(l!/i!) eta^(i) u^i ]."""
-    terms = []
+@cache
+def _weighted_rho(ell: int) -> an.PiecewisePoly:
+    """A_ell(rho) = sum_i C(ell, i) (ell!/i!) u^i rho^(i)(u) on rho's own pieces.
+
+    On piece p, u = left_p + t / rate with a dyadic left_p and rate, so each
+    product u^i rho^(i) has an exact table in powers of t: an integer one.
+    """
+    rho = besov.RHO
+    P, K = rho.coeffs.shape
+    left = rho.start + np.arange(P) / rho.rate
+    table = np.zeros((P, K))
     for i in range(ell + 1):
-        base = math.comb(ell, i) * math.factorial(ell) / math.factorial(i)
-        for m in range(min(a, i) + 1):
-            coef = base * math.comb(a, m) * math.factorial(i) / math.factorial(i - m)
-            terms.append((coef, i + a - m, i - m))
-    return terms
+        w = math.comb(ell, i) * math.factorial(ell) // math.factorial(i)
+        d = rho.derivative(i).coeffs  # degree K - 1 - i
+        for m in range(i + 1):
+            u_m = math.comb(i, m) * left ** (i - m) / rho.rate**m  # t^m in u^i
+            table[:, m : m + K - i] += w * u_m[:, None] * d
+    return an.PiecewisePoly(rho.start, rho.rate, table, rho.scale)
 
 
-def _lift_factor_1d(a: int, ell: int, scale: float) -> an.Fn1D:
-    """d^a/du^a A_ell(rho_scale)(u) with rho_scale(u) = rho(u/scale)/(mass*scale)."""
-    terms = _deriv_of_weighted(a, ell)
-    # terms share derivative orders: one scaled rho^(j) per order
-    rho = {
-        j: besov.RHO_DERIVS[j].dilated(scale) * (1.0 / (besov.RHO_MASS * scale ** (1 + j)))
-        for j in sorted({j for _, j, _ in terms})
-    }
+def _lift_factor_1d(a: int, ell: int, scale: float) -> an.PiecewisePoly:
+    """d^a/du^a A_ell(rho_scale)(u) with rho_scale(u) = rho(u/scale)/(mass*scale).
 
-    def f(u):
-        acc = np.zeros_like(u)
-        for j, rho_j in rho.items():
-            acc += rho_j(u) * sum(coef * u**pw for coef, jj, pw in terms if jj == j)
-        return acc
-
-    return an.Fn1D(f, (-scale, scale))
+    u^i d^i/du^i is dilation-invariant, so A_ell(rho_scale) is A_ell(rho)
+    dilated and renormalised like rho_scale.
+    """
+    return (_weighted_rho(ell).dilated(scale) * (1.0 / (besov.RHO_MASS * scale))).derivative(a)
 
 
 def p_kernel(
@@ -354,7 +353,6 @@ def lift(
     p,
     q,
     fam: mra.WaveletFamily,
-    structure_model: tuple | None = None,
     check_roundtrip: bool = False,
 ) -> tuple[ModelledDistribution, LiftReport]:
     """Continuous right inverse of reconstruction on the polynomial structure.
@@ -366,12 +364,7 @@ def lift(
         raise ValueError("gamma must not be an integer")
     sc = xi.scaling
     N = xi.N
-    from .structures import polynomial_structure
-
-    if structure_model is None:
-        st, model = polynomial_structure(gamma, sc, fam, N)
-    else:
-        st, model = structure_model
+    st, model = polynomial_structure(gamma, sc, fam, N)
     params = BesovParams(gamma, p, q, max(fam.r, int(abs(gamma)) + 1))
     besov_rep = besov.besov_norm_wavelet(xi, params)
     q_floor = int(np.floor(gamma))
@@ -408,8 +401,6 @@ def two_model_compare(
 ):
     """Left side of the two-model reconstruction bound per scale, plus the
     right-side budget built from the distance and model-difference norms."""
-    from .modelled import md_distance, d_norm
-
     gamma = f.gamma
     N = f.N
     xi1, _ = reconstruct(f, model, p, q)

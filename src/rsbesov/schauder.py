@@ -21,6 +21,7 @@ from . import besov as bs
 from . import mra
 from .modelled import ModelledDistribution, d_norm
 from .pyramid import CoeffPyramid
+from .reconstruction import reconstruct
 from .scaling import Scaling, wrap_displacement
 from .structures import Model, NoiseModel, RegularityStructure, Symbol
 from .structures import integer_homogeneities, poly_name, polynomial_symbols
@@ -558,8 +559,6 @@ def schauder_apply(
     # reconstruct f with the extended model (it restricts to the base symbols)
     f_ext = embed_md(f, st_out, gamma) if f.structure is not st_out else f
     if reconstruction is None:
-        from .reconstruction import reconstruct
-
         reconstruction, _ = reconstruct(f_ext, ext_model, p, q)
     cN_rec = mra.level_coefficients(reconstruction, ext_model.fam, N)
     vals = np.zeros((*sc.grid_shape(N), st_out.dim))
@@ -617,8 +616,6 @@ def convolution_identity_check(
 ):
     """Relative error between reconstruct(P+_gamma f) and the direct
     finest-grid convolution of reconstruct(f) with the truncated kernel."""
-    from .reconstruction import reconstruct
-
     sc = ext_model.scaling
     N = f.N
     f_ext = embed_md(f, ext_model.structure, f.gamma) if f.structure is not ext_model.structure else f

@@ -1,6 +1,7 @@
 """Support-windowed kernel analysis against the full-torus route, and the
 per-profile memo of analyzed kernels."""
 
+import math
 from functools import cache
 
 import numpy as np
@@ -211,11 +212,22 @@ def test_mollifier_factor_matches_bspline():
         _assert_oracle(got, ref, _points(_knots(rho) * lam))
 
 
+def _leibniz_terms(a, ell):
+    """Terms (coef, deriv_order, power) of d^a/du^a [ sum_i C(l,i)(l!/i!) rho^(i) u^i ]."""
+    terms = []
+    for i in range(ell + 1):
+        base = math.comb(ell, i) * math.factorial(ell) / math.factorial(i)
+        for m in range(min(a, i) + 1):
+            coef = base * math.comb(a, m) * math.factorial(i) / math.factorial(i - m)
+            terms.append((coef, i + a - m, i - m))
+    return terms
+
+
 def test_lift_factors_match_bspline():
     rho, mass = _ref_rho()
 
     def ref_lift(a, ell, scale):  # sums scipy's rho^(j) with the polynomial weights
-        terms = rc._deriv_of_weighted(a, ell)
+        terms = _leibniz_terms(a, ell)
 
         def f(u):
             acc = np.zeros_like(u)
@@ -235,6 +247,20 @@ def test_lift_factors_match_bspline():
             for ell in range(3):
                 u = _points(_knots(rho) * scale)
                 _assert_oracle(rc._lift_factor_1d(a, ell, scale), ref_lift(a, ell, scale), u)
+
+
+def test_lift_factors_are_exact_piecewise_polys():
+    """A_ell(rho) is an integer table on rho's pieces, so every lift factor is exact."""
+    assert np.array_equal(rc._weighted_rho(0).coeffs, besov.RHO.coeffs)
+    for ell in range(4):
+        table = rc._weighted_rho(ell).coeffs
+        assert table.shape == besov.RHO.coeffs.shape
+        assert np.array_equal(table, np.round(table))
+    sc = Scaling((2, 1))
+    for k in [(0, 0), (1, 0), (0, 1), (2, 0)]:
+        for n in range(4):
+            for _, factors in rc.lift_kernel(k, 2, sc, n).terms:
+                assert all(isinstance(fn, an.PiecewisePoly) for fn in factors)
 
 
 def test_corrector_bump_matches_bspline():
@@ -262,3 +288,13 @@ def test_piecewise_poly_knot_convention():
     u = np.array([np.nextafter(-1.0, -2.0), -1.0, -0.5, 0.0, 0.5, 1.0, np.nextafter(1.0, 2.0)])
     assert d3(u).tolist() == [0.0, 8.0, -24.0, 24.0, -8.0, -8.0, 0.0]
     assert besov.bspline_bump(4).support == (-1.0, 1.0)
+
+
+def test_piecewise_poly_derivative_past_degree():
+    """Differentiating past the degree gives the zero function, not an empty table."""
+    bump = besov.bspline_bump(4)
+    u = np.linspace(-1.5, 1.5, 31)
+    for n in (4, 6):
+        dn = bump.derivative(n)
+        assert dn.coeffs.shape == (4, 1) and dn.support == bump.support
+        assert np.array_equal(dn(u), np.zeros_like(u))
