@@ -30,6 +30,15 @@ class Fn1D:
         return self.f(np.asarray(x, dtype=float))
 
 
+def _horner(c: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sum_k c[k] t^k by Horner's rule, written into out."""
+    out[...] = c[-1]
+    for ck in c[-2::-1]:
+        out *= t
+        out += ck
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class PiecewisePoly:
     """A compactly supported piecewise polynomial on equally spaced breakpoints.
@@ -50,7 +59,8 @@ class PiecewisePoly:
         return self.start, self.start + len(self.coeffs) / self.rate
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Horner per piece on the points of that piece only."""
+        """Horner per piece on the points of that piece only, found by masks
+        (x may be in any order)."""
         x = np.asarray(x, dtype=float)
         lo, hi = self.support
         inside = (x >= lo) & (x <= hi)
@@ -60,13 +70,25 @@ class PiecewisePoly:
         for i, c in enumerate(self.coeffs):
             m = piece == i
             t = y[m] - i
-            acc = np.full_like(t, c[-1])
-            for ck in c[-2::-1]:
-                acc *= t
-                acc += ck
-            vals[m] = acc
+            vals[m] = _horner(c, t, np.empty_like(t))
         out = np.zeros_like(x)
         out[inside] = vals * self.scale
+        return out
+
+    def sorted_values(self, x: np.ndarray) -> np.ndarray:
+        """The values at non-decreasing points x inside the support, which
+        __call__ would give: each piece is one contiguous slice, found by
+        searchsorted.  x is overwritten."""
+        x -= self.start
+        x *= self.rate
+        ends = np.searchsorted(x, np.arange(1.0, len(self.coeffs)))
+        out = np.empty_like(x)
+        for i, (c, a, b) in enumerate(zip(self.coeffs, [0, *ends], [*ends, len(x)])):
+            if a < b:
+                t = x[a:b]
+                t -= i
+                _horner(c, t, out[a:b])
+        out *= self.scale
         return out
 
     def __mul__(self, c: float) -> "PiecewisePoly":
@@ -99,17 +121,44 @@ class PiecewisePoly:
 
 
 def periodic_samples(fn: Fn1D | PiecewisePoly, y: np.ndarray) -> np.ndarray:
-    """Samples of the 1-periodization of fn at points y in [0, 1)."""
+    """Samples of the 1-periodization of fn at points y in [0, 1).
+
+    y is walked by its non-decreasing runs (a window grid has one or two), so
+    the points of each periodic copy y + m inside the support are one slice
+    of a run, and each copy is added in increasing m.
+    """
     if fn.support is None:
         return fn(y)
     lo, hi = fn.support
+    values = fn.sorted_values if isinstance(fn, PiecewisePoly) else fn
     acc = np.zeros_like(y)
-    for m in range(int(np.floor(lo)) - 1, int(np.ceil(hi)) + 1):
-        u = y + m
-        mask = (u >= lo) & (u <= hi)
-        if np.any(mask):
-            acc[mask] += fn(u[mask])
+    cuts = [0, *(np.flatnonzero(~(y[1:] >= y[:-1])) + 1), len(y)]  # a NaN is a run of its own
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        run = y[a:b]
+        for m in range(int(np.floor(lo)) - 1, int(np.ceil(hi)) + 1):
+            u = run + m  # non-decreasing, so lo <= u <= hi is one slice
+            i, j = np.searchsorted(u, lo), np.searchsorted(u, hi, "right")
+            if i < j:
+                acc[a + i : a + j] += values(u[i:j])
     return acc
+
+
+def _stencil(S: np.ndarray, mu: np.ndarray, taylor: int) -> np.ndarray:
+    """S plus the periodic mu_2 and mu_3 central differences along each axis,
+    read as slices of one wrap-padded copy of S per axis (freed on return,
+    before the cascade allocates)."""
+    c = S
+    for ax in range(S.ndim if taylor >= 2 else 0):
+        n = S.shape[ax]
+        wrapped = np.take(S, np.arange(-2, n + 2), axis=ax, mode="wrap")
+
+        def at(k):  # S[i + k] along ax, wrapped
+            return wrapped[(slice(None),) * ax + (slice(2 + k, 2 + k + n),)]
+
+        c = c + (mu[2] / 2.0) * (at(1) - 2.0 * S + at(-1))
+        if taylor >= 3:
+            c = c + (mu[3] / 6.0) * 0.5 * (at(2) - 2.0 * at(1) + 2.0 * at(-1) - at(-2))
+    return c
 
 
 def corrected_coeffs(
@@ -128,21 +177,7 @@ def corrected_coeffs(
     steps along each axis.  S may be a window of that grid: the differences
     and the cascade then wrap within the window.
     """
-    c = S
-    mu = fam.centered_father_moments
-    for ax in range(S.ndim):
-        if taylor >= 2:
-            c = c + (mu[2] / 2.0) * (
-                np.roll(S, -1, axis=ax) - 2.0 * S + np.roll(S, 1, axis=ax)
-            )
-        if taylor >= 3:
-            c = c + (mu[3] / 6.0) * 0.5 * (
-                np.roll(S, -2, axis=ax)
-                - 2.0 * np.roll(S, -1, axis=ax)
-                + 2.0 * np.roll(S, 1, axis=ax)
-                - np.roll(S, 2, axis=ax)
-            )
-    c = c * 2.0 ** (-fine_bits / 2.0)
+    c = _stencil(S, fam.centered_father_moments, taylor) * 2.0 ** (-fine_bits / 2.0)
     for ax, k in enumerate(steps):
         for _ in range(k):
             c = filter_step(c, fam.h, ax, 2)
@@ -187,10 +222,12 @@ def smooth_coeffs_1d(
     """
     M = 2 ** (level_1d + margin)
     start, stop = sample_window(fn.support, fam, level_1d, margin)
-    y = (np.arange(start, stop) % M + fam.center) / M % 1.0
-    c = corrected_coeffs(
-        periodic_samples(fn, y), fam, level_1d + margin, (margin,), taylor
-    )
+    y = np.arange(start, stop) % M + fam.center
+    y /= M
+    y -= np.floor(y)  # exactly y % 1.0 for y >= 0 (Sterbenz), without fmod
+    S = periodic_samples(fn, y)
+    del y  # not held through the cascade
+    c = corrected_coeffs(S, fam, level_1d + margin, (margin,), taylor)
     out = np.zeros(2**level_1d)
     out[(start // 2**margin + np.arange(len(c))) % len(out)] = c
     return out

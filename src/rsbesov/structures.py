@@ -67,6 +67,8 @@ class RegularityStructure:
         return [i for i, s in enumerate(self.symbols) if s.kind == "poly"]
 
     def check_gamma(self, gamma: float) -> None:
+        if not math.isfinite(gamma):
+            raise ValueError(f"gamma={gamma} must be finite")
         if any(abs(gamma - z) < 1e-12 for z in self.ambient_homogeneities):
             raise ValueError(f"gamma={gamma} coincides with a homogeneity")
 

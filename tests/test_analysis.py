@@ -1,8 +1,9 @@
-"""Support-windowed kernel analysis against the full-torus route, and the
-per-profile memo of analyzed kernels."""
+"""Support-windowed kernel analysis against the full-torus route and the
+mask-based sampler, and the per-profile memo of analyzed kernels."""
 
 import math
-from functools import cache
+import operator
+from functools import cache, reduce
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from rsbesov import analysis as an
 from rsbesov import besov, build_wavelet
 from rsbesov import reconstruction as rc
 from rsbesov import schauder as sch
+from rsbesov.mra import filter_step
 from rsbesov.scaling import Scaling
 
 SC1 = Scaling((1,))
@@ -22,17 +24,76 @@ def _family(order):
     return build_wavelet(order, {1: 0, 4: 1, 6: 2, 9: 3}[order])
 
 
-# --- reference: sample and cascade the whole torus ---------------------------
+# --- reference: mask-based sampling of the whole torus -----------------------
+
+
+def _ref_values(fn, x):
+    """fn at points in any order; a PiecewisePoly by one mask per piece."""
+    if not isinstance(fn, an.PiecewisePoly):
+        return fn(x)
+    lo, hi = fn.support
+    inside = (x >= lo) & (x <= hi)
+    y = (x[inside] - fn.start) * fn.rate
+    piece = np.minimum(y.astype(np.intp), len(fn.coeffs) - 1)
+    vals = np.empty_like(y)
+    for i, c in enumerate(fn.coeffs):
+        m = piece == i
+        t = y[m] - i
+        acc = np.full_like(t, c[-1])
+        for ck in c[-2::-1]:
+            acc *= t
+            acc += ck
+        vals[m] = acc
+    out = np.zeros_like(x)
+    out[inside] = vals * fn.scale
+    return out
+
+
+def _ref_periodic_samples(fn, y):
+    """The 1-periodization of fn at y: one mask per periodic copy."""
+    if fn.support is None:
+        return fn(y)
+    lo, hi = fn.support
+    acc = np.zeros_like(y)
+    for m in range(int(np.floor(lo)) - 1, int(np.ceil(hi)) + 1):
+        u = y + m
+        mask = (u >= lo) & (u <= hi)
+        if np.any(mask):
+            acc[mask] += _ref_values(fn, u[mask])
+    return acc
+
+
+def _same_bits(got, ref):
+    return got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def _ref_stencil(S, mu, taylor):
+    """S plus the Taylor corrections along each axis, by np.roll copies."""
+    c = S
+    for ax in range(S.ndim):
+        if taylor >= 2:
+            c = c + (mu[2] / 2.0) * (np.roll(S, -1, axis=ax) - 2.0 * S + np.roll(S, 1, axis=ax))
+        if taylor >= 3:
+            c = c + (mu[3] / 6.0) * 0.5 * (
+                np.roll(S, -2, axis=ax)
+                - 2.0 * np.roll(S, -1, axis=ax)
+                + 2.0 * np.roll(S, 1, axis=ax)
+                - np.roll(S, 2, axis=ax)
+            )
+    return c
 
 
 def _ref_coeffs(S, fam, margin, taylor):
     """The full-torus route from the samples at every fine point."""
-    return an.corrected_coeffs(S, fam, N + margin, (margin,), taylor)
+    c = _ref_stencil(S, fam.centered_father_moments, taylor) * 2.0 ** (-(N + margin) / 2.0)
+    for _ in range(margin):
+        c = filter_step(c, fam.h, 0, 2)
+    return c
 
 
 def _full_samples(fn, fam, margin):
     M = 2 ** (N + margin)
-    return an.periodic_samples(fn, (np.arange(M) + fam.center) / M % 1.0)
+    return _ref_periodic_samples(fn, (np.arange(M) + fam.center) / M % 1.0)
 
 
 def _bump_on(lo, hi):
@@ -56,6 +117,17 @@ def _near_full_support(fam, margin):
     return 0.0, lo / M
 
 
+@cache
+def _schauder_pieces():
+    """The d=1 Schauder pieces, as _deriv_kernel_array builds them."""
+    K = sch.decompose_kernel("riesz", SC1, r=3, beta=0.6)
+    return [
+        an.Fn1D(lambda u, n=n, k=k: K.pn_deriv((k,), n, -u[..., None]), (-(2.0**-n), 2.0**-n))
+        for n in range(N + 1)
+        for k in (0, 1, 2)
+    ]
+
+
 def _factors(fam, margin):
     out = []
     for prof in besov.make_dictionary(2, range(N + 1)).profiles:
@@ -63,13 +135,7 @@ def _factors(fam, margin):
     for n in range(N + 1):  # the (derivative, weight) pairs of the gamma = 2.5 lift
         for a, ell in [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]:
             out.append(rc._lift_factor_1d(a, ell, 2.0 ** (-n)))
-    K = sch.decompose_kernel("riesz", SC1, r=3, beta=0.6)
-    for n in range(N + 1):  # the d=1 Schauder pieces, as _deriv_kernel_array builds them
-        for k in (0, 1, 2):
-            supp = 2.0 ** (-n)
-            out.append(
-                an.Fn1D(lambda u, n=n, k=k: K.pn_deriv((k,), n, -u[..., None]), (-supp, supp))
-            )
+    out += _schauder_pieces()
     out += [_bump_on(0.95, 1.2), _bump_on(-1.3, -1.1), _bump_on(-0.01, 0.003)]
     out.append(_bump_on(*_near_full_support(fam, margin)))
     out.append(an.Fn1D(lambda x: np.sin(2 * np.pi * x) + 0.3 * np.cos(6 * np.pi * x), None))
@@ -86,6 +152,91 @@ def test_windowed_analysis_matches_full_torus(order, margin):
             got = an.smooth_coeffs_1d(fn, fam, N, margin=margin, taylor=taylor)
             ref = _ref_coeffs(S, fam, margin, taylor)
             assert np.array_equal(got, ref), (fn.support, taylor)
+
+
+# --- the run-based sampler against the masks, bit for bit -------------------
+
+
+def _window_grid(support, fam, margin):
+    """The points smooth_coeffs_1d samples, built with fmod."""
+    M = 2 ** (N + margin)
+    start, stop = an.sample_window(support, fam, N, margin)
+    return start, stop, (np.arange(start, stop) % M + fam.center) / M % 1.0
+
+
+def _breakpoints(pp):
+    """Breakpoints of a PiecewisePoly, each with its two float neighbours."""
+    b = pp.start + np.arange(len(pp.coeffs) + 1) / pp.rate
+    return np.concatenate([b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf)])
+
+
+def test_sampler_on_breakpoints_and_support_ends():
+    # a piecewise constant on exact dyadic breakpoints, nonzero at both
+    # support ends (the last piece is closed), and a quintic on rounded ones
+    step = besov.bspline_bump(4).derivative(3).dilated(0.25).shifted(0.5)
+    for pp in (step, besov.bspline_bump(6).dilated(0.3).shifted(0.41)):
+        y = np.sort(np.concatenate([np.arange(1000) / 1000, _breakpoints(pp)]))
+        assert _same_bits(an.periodic_samples(pp, y), _ref_periodic_samples(pp, y))
+        lo, hi = pp.support
+        inside = y[(y >= lo) & (y <= hi)]
+        assert _same_bits(pp.sorted_values(inside.copy()), _ref_values(pp, inside))
+    ends = [np.nextafter(0.25, 0.0), 0.25, 0.375, 0.75, np.nextafter(0.75, 1.0)]
+    assert an.periodic_samples(step, np.array(ends)).tolist() == [0.0, 8.0, -24.0, -8.0, 0.0]
+
+
+def test_sampler_on_windows_that_wrap():
+    fam, margin = _family(6), 4
+    M = 2 ** (N + margin)
+    for fn, wraps in [(_bump_on(-0.01, 0.003), lambda a, b: a < 0), (_bump_on(0.95, 1.2), lambda a, b: b > M)]:
+        start, stop, y = _window_grid(fn.support, fam, margin)
+        assert wraps(start, stop) and stop - start < M
+        assert np.count_nonzero(np.diff(y) < 0) == 1  # two runs
+        assert _same_bits(an.periodic_samples(fn, y), _ref_periodic_samples(fn, y))
+
+
+def test_sampler_adds_three_copies_of_a_wide_factor():
+    y = np.arange(4096) / 4096
+    # support width 2, nonzero at both ends: three copies meet at y = 0;
+    # support width 2.4: three copies meet on [0, 0.2] and [0.8, 1)
+    for pp, where in [
+        (besov.bspline_bump(4).derivative(3), (0,)),
+        (besov.bspline_bump(6).dilated(1.2), (0, 409, 3686)),
+    ]:
+        got = an.periodic_samples(pp, y)
+        assert _same_bits(got, _ref_periodic_samples(pp, y))
+        for i in where:
+            copies = [pp(np.array([y[i] + m]))[0] for m in range(-2, 3)]
+            assert np.count_nonzero(copies) == 3
+            assert got[i] == reduce(operator.add, copies, 0.0)  # in m order
+
+
+def test_sampler_on_schauder_pieces():
+    fam = _family(6)
+    for fn in _schauder_pieces():
+        for margin in (2, 8):
+            y = _window_grid(fn.support, fam, margin)[2]
+            assert _same_bits(an.periodic_samples(fn, y), _ref_periodic_samples(fn, y))
+
+
+def test_unsorted_and_nan_points():
+    """__call__ keeps its masks; the sampler walks any order as runs."""
+    rng = np.random.default_rng(5)
+    for pp in (besov.RHO, besov.bspline_bump(4).derivative(3), rc._lift_factor_1d(1, 2, 0.25)):
+        lo, hi = pp.support
+        x = np.concatenate([rng.uniform(lo - 0.2, hi + 0.2, 2000), [np.nan, np.inf, -np.inf, lo, hi]])
+        rng.shuffle(x)
+        assert _same_bits(pp(x), _ref_values(pp, x))
+        y = np.concatenate([rng.uniform(0.0, 1.0, 500), [np.nan, 0.0, np.nan, np.nan]])
+        rng.shuffle(y)
+        assert _same_bits(an.periodic_samples(pp, y), _ref_periodic_samples(pp, y))
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (3,), (64,), (8, 3), (2, 16), (4, 1, 5)])
+def test_taylor_stencil_matches_roll(shape):
+    S = np.random.default_rng(1).standard_normal(shape)
+    mu = _family(6).centered_father_moments
+    for taylor in (1, 2, 3):
+        assert _same_bits(an._stencil(S, mu, taylor), _ref_stencil(S, mu, taylor))
 
 
 def test_windows_stay_small_and_cover_the_torus_when_needed():

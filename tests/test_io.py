@@ -29,6 +29,20 @@ def test_kernel_profile_roundtrip(tmp_path, sc1):
     np.testing.assert_allclose(vals, K.p0(pts), atol=0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_md_file_with_non_finite_gamma_rejected(tmp_path, sc1, fam6, bad):
+    st, model, f = make_sin_lift(sc1, fam6, 4)
+    path = tmp_path / "f.rsmd"
+    io.save_md(path, f)
+    raw = bytearray(path.read_bytes())
+    at = 4 + 4 * (2 + sc1.d) + 8  # magic, version, d, s, N, nsym, then gamma
+    assert raw[at : at + 8] == struct.pack("<d", f.gamma)
+    raw[at : at + 8] = struct.pack("<d", bad)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="finite"):
+        io.load_md(path, st)
+
+
 @pytest.fixture(scope="module")
 def binary_files(tmp_path_factory, sc1, fam6):
     """One valid file per binary format, with the loader that reads it."""

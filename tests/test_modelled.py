@@ -52,6 +52,15 @@ def test_md_rejects_non_finite_values(sin_setup_n8, bad):
         md.ModelledDistribution(st, f.gamma, f.N, vals)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_md_rejects_non_finite_gamma(sc1, fam6, bad):
+    # with gamma = NaN no coefficient counts as above gamma, and d_norm read 0
+    st, model = rs.polynomial_structure(2.5, sc1, fam6, 6)
+    vals = np.random.default_rng(0).standard_normal((*sc1.grid_shape(6), st.dim))
+    with pytest.raises(ValueError, match="finite"):
+        md.ModelledDistribution(st, bad, 6, vals)
+
+
 def test_sin_lift_translation_bounded_with_slope(sin_setup_n8):
     st, model, f = sin_setup_n8
     rep = md.d_norm(f, model, INF, INF)
