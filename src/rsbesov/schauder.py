@@ -45,7 +45,7 @@ def _step(u: np.ndarray) -> np.ndarray:
 
 
 _MESH_BITS = 11  # box-mesh points per axis (log2) for the P0 moments
-_MAX_ND_POINTS = 2**24  # largest n-d kernel sampling mesh (the N=2 mesh at s=(2,1))
+_MAX_ND_POINTS = 2**24  # largest n-d kernel or P0 moment mesh (the N=2 mesh at s=(2,1))
 
 
 def s_gauge(scaling: Scaling, pts: np.ndarray) -> np.ndarray:
@@ -228,15 +228,43 @@ def _box_axis(mesh_bits: int) -> tuple[np.ndarray, float]:
     return np.linspace(-1.0, 1.0, n, endpoint=False) + 1.0 / n, 2.0 / n
 
 
+def _support_box(scaling: Scaling, x: np.ndarray, w: float) -> tuple:
+    """Per axis, the slice of the sorted mesh axis x with |x_i| <= 2^-s_i + w.
+
+    Off it some |x_i|^{1/s_i} > 1/2, so the gauge g >= 1/2 and the annular
+    cutoff is exactly 0 - 0 there; one cell w of slack keeps rounding out.
+    """
+    return tuple(
+        slice(*np.searchsorted(x, [-(2.0**-si) - w, 2.0**-si + w])) for si in scaling.s
+    )
+
+
 def _box_moments(f, scaling: Scaling, ms, mesh_bits: int) -> dict:
     """Midpoint-rule moments x^m of f on the box [-1, 1]^d for every m in ms,
-    from a single evaluation of f on the mesh."""
+    from a single evaluation of f on the mesh.
+
+    f is a multiple P * chi of the annular cutoff, so it is evaluated on the
+    support box only and is 0 on the rest of the mesh.  The sums still run
+    over the full mesh: the added zeros keep numpy's pairwise summation order,
+    so every moment has the bits of a full-mesh evaluation.
+    """
+    if mesh_bits < 1:
+        raise ValueError(f"mesh_bits must be at least 1, got {mesh_bits}")
+    points = (2**mesh_bits) ** scaling.d
+    if points > _MAX_ND_POINTS:
+        raise ValueError(
+            f"the P0 moment mesh at s={scaling.s}, mesh_bits={mesh_bits} has "
+            f"{points} points (at most {_MAX_ND_POINTS} supported)"
+        )
     x, w = _box_axis(mesh_bits)
+    box = _support_box(scaling, x, w)
+    sub = np.meshgrid(*[x[b] for b in box], indexing="ij", sparse=True)
+    vals = np.zeros((x.size,) * scaling.d)
+    vals[box] = f(np.stack(np.broadcast_arrays(*sub), axis=-1))
     axes = np.meshgrid(*[x] * scaling.d, indexing="ij", sparse=True)
-    vals = f(np.stack(np.broadcast_arrays(*axes), axis=-1))
     out = {}
     for m in ms:
-        mono = np.ones(vals.shape)
+        mono = 1.0
         for i, mi in enumerate(m):
             if mi:
                 mono = mono * axes[i] ** mi

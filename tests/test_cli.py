@@ -165,6 +165,16 @@ def test_schauder_subcommand(tmp_path):
     assert abs(float(vals["besov_gain"]) - float(vals["beta"])) < 0.25
 
 
+def test_schauder_mesh_past_the_size_limit_exits_2(tmp_path, capsys):
+    # the heat kernel's P0 moment mesh at s=(2,1,1) would hold 2^33 points
+    cfg = tmp_path / "heat211.ini"
+    cfg.write_text("[experiment]\ns = 2,1,1\nlevels = 4\n")
+    assert main(["schauder", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "8589934592 points" in err
+    assert not (tmp_path / "schauder.csv").exists()
+
+
 GOLDEN = Path(__file__).parent / "golden" / "report_l6_s7"
 
 

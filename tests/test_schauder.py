@@ -80,21 +80,137 @@ def test_p0_moment_matches_full_mesh_sum(which, heat_setup, riesz_kernel):
         assert abs(K.p0_moment(m, mesh_bits=7) - _full_mesh_moment(K, m, 7)) <= 1e-15
 
 
-def test_decompose_evaluates_kernel_once_on_mesh(sc1):
-    P, beta = sch.riesz_kernel(sc1, 0.4)
+def _support_box_shape(sc):
+    """Points per axis of the default mesh with |x_i| <= 2^-s_i + one cell."""
+    x, w = sch._box_axis(sch._MESH_BITS)
+    return tuple(int(np.count_nonzero(np.abs(x) <= 2.0**-si + w)) for si in sc.s)
+
+
+def _assert_one_mesh_pass(sc, beta, r, n_coeffs):
+    P, beta = sch.riesz_kernel(sc, beta)
+    box = _support_box_shape(sc)
     mesh_calls = []
 
     def counted(pts):
-        if pts.shape[:-1] == (2**sch._MESH_BITS,) * sc1.d:
+        if pts.shape[:-1] == box:
             mesh_calls.append(1)
         return P(pts)
 
-    K = sch.decompose_kernel("custom", sc1, r=2, beta=beta, custom=counted)
-    assert len(K.correction_coeffs) == 3
+    K = sch.decompose_kernel("custom", sc, r=r, beta=beta, custom=counted)
+    assert len(K.correction_coeffs) == n_coeffs
     assert len(mesh_calls) == 1
-    for m in range(3):  # raw moments come from that one pass
-        assert abs(K.p0_moment((m,))) <= 1e-8
+    for m in K.correction_coeffs:  # raw moments come from that one pass
+        assert abs(K.p0_moment(m)) <= 1e-8
     assert len(mesh_calls) == 1
+
+
+def test_decompose_evaluates_kernel_once_on_mesh(sc1):
+    _assert_one_mesh_pass(sc1, 0.4, 2, 3)
+
+
+def test_decompose_evaluates_kernel_once_on_mesh_2d(sc21):
+    _assert_one_mesh_pass(sc21, 1.5, 2, 4)
+
+
+# --- the support box of the P0 moments -----------------------------------------
+
+
+def _ref_box_moments(f, scaling, ms, mesh_bits):
+    """Oracle: the moments from one evaluation of f on the whole box mesh."""
+    x, w = sch._box_axis(mesh_bits)
+    axes = np.meshgrid(*[x] * scaling.d, indexing="ij", sparse=True)
+    vals = f(np.stack(np.broadcast_arrays(*axes), axis=-1))
+    out = {}
+    for m in ms:
+        mono = np.ones(vals.shape)
+        for i, mi in enumerate(m):
+            if mi:
+                mono = mono * axes[i] ** mi
+        out[m] = float(np.sum(vals * mono) * w**scaling.d)
+    return out
+
+
+def _skewed_kernel(sc, beta):
+    """Self-similar and not even in time: g^(beta-|s|) (3/2 + x_0 / g^s_0)."""
+
+    def P(pts):
+        g = sch.s_gauge(sc, pts)
+        return g ** (beta - sc.total) * (1.5 + pts[..., 0] / g ** sc.s[0])
+
+    return P
+
+
+def _oracle_kernel(which):
+    """An undecomposed kernel: p0_raw needs only P and the scaling."""
+    s, beta, r = {
+        "heat": ((2, 1), 2.0, 2),
+        "riesz-d1": ((1,), 0.7, 3),
+        "riesz-21": ((2, 1), 1.5, 2),
+        "custom": ((2, 1), 1.2, 2),
+    }[which]
+    sc = Scaling(s)
+    if which == "heat":
+        P = sch.heat_kernel(sc)[0]
+    elif which == "custom":
+        P = _skewed_kernel(sc, beta)
+        assert sch.self_similarity_defect(P, sc, beta) <= 1e-9
+    else:
+        P = sch.riesz_kernel(sc, beta)[0]
+    return sch.KernelDecomposition(sc, beta, r, P)
+
+
+@pytest.mark.parametrize("mesh_bits", [7, 9])
+@pytest.mark.parametrize("which", ["heat", "riesz-d1", "riesz-21", "custom"])
+def test_box_moments_match_full_mesh_oracle(which, mesh_bits):
+    K = _oracle_kernel(which)
+    sc = K.scaling
+    # every moment up to one scaled degree past the corrected ones
+    ms = [tuple(m) for m in sc.multi_indices_below(K.r + 1.5)]
+    got = sch._box_moments(K.p0_raw, sc, ms, mesh_bits)
+    want = _ref_box_moments(K.p0_raw, sc, ms, mesh_bits)
+    assert got.keys() == want.keys()
+    for m in ms:
+        assert got[m] == want[m], m
+
+
+def test_decompose_moments_match_full_mesh_oracle(heat_setup, sc21):
+    # the module fixture's raw moments at the default mesh
+    K = heat_setup
+    ks = list(K.correction_coeffs)
+    want = _ref_box_moments(K.p0_raw, sc21, ks, sch._MESH_BITS)
+    for m in ks:
+        assert K._mom_cache[("raw", m, sch._MESH_BITS)] == want[m], m
+
+
+@pytest.mark.parametrize("mesh_bits", [1, 2, 3, 7, 9])
+@pytest.mark.parametrize("s", [(1,), (2, 1), (1, 1), (3, 1)])
+def test_annular_cutoff_vanishes_off_the_support_box(s, mesh_bits):
+    sc = Scaling(s)
+    x, w = sch._box_axis(mesh_bits)
+    box = sch._support_box(sc, x, w)
+    mesh = np.meshgrid(*[x] * sc.d, indexing="ij")
+    chi = sch.annular_cutoff(sc, np.stack(mesh, axis=-1))
+    off = np.ones(chi.shape, dtype=bool)
+    off[box] = False
+    assert np.all(chi[off] == 0.0)
+    if mesh_bits == 1:  # one cell of slack reaches past both ends of the axis
+        assert all(b == slice(0, 2) for b in box)
+    if mesh_bits >= 7:  # and only one cell past the support
+        for b, si in zip(box, s):
+            assert np.max(np.abs(x[b])) <= 2.0**-si + w < np.min(np.abs(np.delete(x, b)))
+
+
+def test_p0_mesh_past_the_size_limit_rejected(heat_setup):
+    with pytest.raises(ValueError, match=r"s=\(2, 1\), mesh_bits=13 has 67108864 points"):
+        heat_setup.p0_moment((0, 0), mesh_bits=13)
+    with pytest.raises(ValueError, match=r"s=\(2, 1, 1\), mesh_bits=11 has 8589934592 points"):
+        sch.decompose_kernel("heat", Scaling((2, 1, 1)), r=2)
+
+
+@pytest.mark.parametrize("mesh_bits", [0, -1])
+def test_p0_mesh_needs_one_bit(heat_setup, mesh_bits):
+    with pytest.raises(ValueError, match="mesh_bits must be at least 1"):
+        heat_setup.p0_moment((0, 0), mesh_bits=mesh_bits)
 
 
 def test_scaling_identity_exact(riesz_kernel):
