@@ -2,9 +2,11 @@
 
 Every distribution in this library lives in V_N, so any pairing <xi, G>
 equals the dot product of V_N coefficient arrays.  Kernels G are analyzed
-once into V_N coefficients by a moment-corrected one-point quadrature at a
-fine dyadic level followed by exact filter cascades; tables over shifted
-kernels <xi, G(. - x)> are circular FFT cross-correlations of the arrays.
+once into V_N coefficients: a piecewise polynomial on a small rational grid
+exactly, from cell moments of the father; any other factor by a
+moment-corrected one-point quadrature at a fine dyadic level followed by
+exact filter cascades.  Tables over shifted kernels <xi, G(. - x)> are
+circular FFT cross-correlations of the arrays.
 """
 
 from __future__ import annotations
@@ -187,7 +189,7 @@ def corrected_coeffs(
 def sample_window(
     support: tuple[float, float] | None, fam: WaveletFamily, level_1d: int, margin: int
 ) -> tuple[int, int]:
-    """Fine-grid index range [start, stop) that smooth_coeffs_1d samples.
+    """Fine-grid index range [start, stop) that quadrature_coeffs_1d samples.
 
     It covers the support, two samples of Taylor stencil on each side (one
     more for rounding) and (len(h) - 1)(2^margin - 1) samples of filter
@@ -206,7 +208,7 @@ def sample_window(
     return (0, M) if stop - start >= M else (start, stop)
 
 
-def smooth_coeffs_1d(
+def quadrature_coeffs_1d(
     fn: Fn1D | PiecewisePoly,
     fam: WaveletFamily,
     level_1d: int,
@@ -231,6 +233,95 @@ def smooth_coeffs_1d(
     out = np.zeros(2**level_1d)
     out[(start // 2**margin + np.arange(len(c))) % len(out)] = c
     return out
+
+
+MAX_CELL_DENOMINATOR = 63  # largest odd q of the exact route's cell grid
+
+
+def _check_finite(pp: PiecewisePoly) -> None:
+    finite = np.isfinite([pp.start, pp.rate, pp.scale]).all() and np.isfinite(pp.coeffs).all()
+    if not (finite and pp.rate > 0):
+        raise ValueError(
+            f"piecewise polynomial with start={pp.start}, rate={pp.rate}, "
+            f"scale={pp.scale} or its coefficients not finite (rate must be > 0)"
+        )
+
+
+def _cell_grid(pp: PiecewisePoly, level_1d: int, margin: int) -> tuple[int, int] | None:
+    """(j, q) with the fewest cells 2^j q per grid step on which the breakpoints
+    of pp lie at level_1d, q odd <= MAX_CELL_DENOMINATOR and j <= margin; None
+    if there is none.  x lies on the grid when it is the float nearest to a
+    multiple of 1 / (2^j q)."""
+    x = np.array([pp.start * 2.0**level_1d, 2.0**level_1d / pp.rate])
+    dens = np.outer(2 ** np.arange(margin + 1), np.arange(1, MAX_CELL_DENOMINATOR + 1, 2))
+    on = np.all(np.round(x * dens[..., None]) / dens[..., None] == x, axis=-1)
+    if not on.any():
+        return None
+    den = int(dens[on].min())
+    j = (den & -den).bit_length() - 1
+    return j, den >> j
+
+
+def exact_coeffs_1d(
+    pp: PiecewisePoly, fam: WaveletFamily, level_1d: int, j: int, q: int
+) -> np.ndarray:
+    """<P_per, phi^J_t> for all t, exactly, for breakpoints on the cells of
+    width 2^-(J + j) / q.
+
+    In u = 2^(J+j) x, cell K = [K/q, (K+1)/q] lies in piece p at offset o
+    (W cells per piece), where P re-expands in s = qu - K in [0, 1] as
+    g[K, i] s^i.  Then c_t = 2^-(J+j)/2 scale sum_k sum_i g[tq + k, i] C_i(k)
+    with the father's cell moments C, contracted as len(h) - 1 products over
+    blocks of q cells, placed periodically, and taken j exact low-pass steps
+    back to level J.
+    """
+    level = level_1d + j
+    den = 2**j * q
+    u0 = round(pp.start * 2.0**level_1d * den)
+    W = round(2.0**level_1d / pp.rate * den)
+    P, D = pp.coeffs.shape
+    L = len(fam.h)
+    # (y - p)^k = ((o + s) / W)^k = sum_i C(k, i) (o / W)^(k-i) W^-i s^i
+    e = np.arange(D)[:, None] - np.arange(D)
+    comb = np.array([[math.comb(k, i) for i in range(D)] for k in range(D)], dtype=float)
+    shift = np.where(e >= 0, comb * (np.arange(W) / W)[:, None, None] ** np.maximum(e, 0), 0.0)
+    shift *= float(W) ** -np.arange(D)
+    g = pp.coeffs @ shift.transpose(1, 0, 2).reshape(D, W * D)
+    t0 = u0 // q - L + 2  # the first t whose support meets cell u0
+    T = (u0 + P * W - 1) // q - t0 + 1
+    G = np.zeros(((T + L - 2) * q, D))
+    G[u0 - t0 * q : u0 - t0 * q + P * W] = g.reshape(P * W, D)
+    G = G.reshape(T + L - 2, q * D)
+    C = fam.cell_moments(q, D - 1).T.reshape(L - 1, q * D)
+    c = G[:T] @ C[0]
+    for b in range(1, L - 1):
+        c += G[b : b + T] @ C[b]
+    c *= 2.0 ** (-level / 2.0) * pp.scale
+    out = np.bincount((t0 + np.arange(T)) % 2**level, weights=c, minlength=2**level)
+    for _ in range(j):
+        out = filter_step(out, fam.h, 0, 2)
+    return out
+
+
+def smooth_coeffs_1d(
+    fn: Fn1D | PiecewisePoly,
+    fam: WaveletFamily,
+    level_1d: int,
+    margin: int = 8,
+    taylor: int = 3,
+) -> np.ndarray:
+    """<G_per, phi^J_t> for all t at the 1-d level.
+
+    A PiecewisePoly whose breakpoints lie on a _cell_grid takes the exact
+    route; every other factor the quadrature (margin and taylor are its
+    parameters; margin also bounds j).
+    """
+    if isinstance(fn, PiecewisePoly):
+        _check_finite(fn)
+        grid = _cell_grid(fn, level_1d, margin)
+        if grid is not None:
+            return exact_coeffs_1d(fn, fam, level_1d, *grid)
+    return quadrature_coeffs_1d(fn, fam, level_1d, margin, taylor)
 
 
 @dataclass

@@ -137,6 +137,41 @@ def mother_moments(h: np.ndarray, jmax: int) -> np.ndarray:
     return N
 
 
+def cell_moments(h: np.ndarray, q: int, degree: int) -> np.ndarray:
+    """C[l, k] = int_{k/q}^{(k+1)/q} s^l phi(y) dy, s = q y - k, for l <= degree
+    and the (len(h) - 1) q cells of phi's support (q odd).
+
+    Doubling maps cell k onto cells 2k - mq and 2k - mq + 1, so the
+    refinement equation gives C_l = 2^-l (A C_l + sum_{i<l} C(l, i) B C_i),
+    where B takes the right cell and A both.  C_0 is A's eigenvector at 1
+    with sum 1; each l >= 1 is one solve of I - 2^-l A.  Every s lies in
+    [0, 1], measured from its own cell, so no large argument is raised to a
+    power.
+    """
+    n = (len(h) - 1) * q
+    rows, m = np.meshgrid(np.arange(n), np.arange(len(h)), indexing="ij")
+    left = 2 * rows - m * q
+
+    def spread(shift):  # M[k, left + shift] = sum of h_m / sqrt2 over m
+        M = np.zeros((n, n))
+        ok = (left + shift >= 0) & (left + shift < n)
+        np.add.at(M, (rows[ok], left[ok] + shift), h[m[ok]] / SQRT2)
+        return M
+
+    B = spread(1)
+    A = spread(0) + B
+    C = np.zeros((degree + 1, n))
+    # every column of A sums to sum(h) / sqrt2 = 1, so the rows of I - A add up
+    # to 0: the last one gives way to the normalisation sum_k C_0 = 1
+    M = np.eye(n) - A
+    M[-1] = 1.0
+    C[0] = np.linalg.solve(M, np.eye(n)[-1])
+    for l in range(1, degree + 1):
+        src = sum(binom(l, i) * C[i] for i in range(l))
+        C[l] = np.linalg.solve(np.eye(n) - 2.0**-l * A, 2.0**-l * (B @ src))
+    return C
+
+
 def centered_scaling_moments(h: np.ndarray, jmax: int) -> tuple[float, np.ndarray]:
     """First moment c and centered moments int (x-c)^j phi(x) dx."""
     M = scaling_moments(h, jmax)

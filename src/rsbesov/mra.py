@@ -35,6 +35,7 @@ class WaveletFamily:
     centered_father_moments: np.ndarray
     regularity: float
     _component_moments: dict = field(default_factory=dict, repr=False)
+    _cell_moments: dict = field(default_factory=dict, repr=False)
 
     @property
     def support_len(self) -> int:
@@ -82,6 +83,28 @@ class WaveletFamily:
             val = 2.0 ** (-j * (a + 1) + j * 0.5) * acc
         self._component_moments[key] = val
         return val
+
+    def cell_moments(self, q: int, degree: int) -> np.ndarray:
+        """filters.cell_moments of the father for l <= degree, read-only.
+
+        Built once per q (again, longer, if a higher degree is asked for: the
+        rows already given do not change).  The build is checked against the
+        exact moments: sum_k C_0 = 1 and sum_k (C_1 + k C_0) / q = M_1.
+        """
+        table = self._cell_moments.get(q)
+        if table is None or len(table) <= degree:
+            table = filters.cell_moments(self.h, q, max(degree, 1))
+            k = np.arange(table.shape[1])
+            if abs(table[0].sum() - 1.0) > 1e-12 or abs(
+                (table[1] + k * table[0]).sum() / q - self.father_moments[1]
+            ) > 1e-12:
+                raise ValueError(
+                    f"cell moments of the order-{self.order} father at q={q} "
+                    "do not match its exact moments"
+                )
+            table.flags.writeable = False
+            self._cell_moments[q] = table
+        return table[: degree + 1]
 
     def component_values(self, code: int, u: np.ndarray) -> np.ndarray:
         """Point values of a per-dimension factor at dyadic arguments."""

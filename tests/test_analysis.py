@@ -1,15 +1,18 @@
 """Support-windowed kernel analysis against the full-torus route and the
 mask-based sampler, and the per-profile memo of analyzed kernels."""
 
+import dataclasses
 import math
 import operator
 from functools import cache, reduce
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from rsbesov import analysis as an
-from rsbesov import besov, build_wavelet
+from rsbesov import besov, build_wavelet, filters
 from rsbesov import reconstruction as rc
 from rsbesov import schauder as sch
 from rsbesov.mra import filter_step
@@ -149,7 +152,7 @@ def test_windowed_analysis_matches_full_torus(order, margin):
     for fn in _factors(fam, margin):
         S = _full_samples(fn, fam, margin)
         for taylor in (1, 2, 3):
-            got = an.smooth_coeffs_1d(fn, fam, N, margin=margin, taylor=taylor)
+            got = an.quadrature_coeffs_1d(fn, fam, N, margin=margin, taylor=taylor)
             ref = _ref_coeffs(S, fam, margin, taylor)
             assert np.array_equal(got, ref), (fn.support, taylor)
 
@@ -449,3 +452,213 @@ def test_piecewise_poly_derivative_past_degree():
         dn = bump.derivative(n)
         assert dn.coeffs.shape == (4, 1) and dn.support == bump.support
         assert np.array_equal(dn(u), np.zeros_like(u))
+
+
+# --- exact coefficients of piecewise polynomials ------------------------------
+#
+# The margin-13 quadrature is the independent oracle.  Its own error grows as
+# a factor narrows against the grid (it depends on level - scale only): 1e-13
+# of the sup at level = scale, 5e-15 at level = scale + 4.  So the 1e-14
+# comparison analyses each factor of scale 2^-n at level n + 4; the narrower
+# factors, which take the dyadic steps j > 0, are checked against Haar's exact
+# box integrals, the integral identity and the shift property.
+
+ORDERS = [1, 4, 6, 9]
+LIFT_PAIRS = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+
+
+def _derivative_order(prof):
+    return int(prof.name[1]) if prof.name.startswith("d") else 0
+
+
+def _dictionary_factors(n, smooth):
+    """(name, factor) of make_dictionary(r) at scale 2^-n, r = 2 and 3: the C^1
+    ones if smooth, else the d2/d3/d4 bumps."""
+    out = []
+    for r in (2, 3):
+        order = max(r + 2, 4)  # C^(order - 2) before b derivatives
+        for prof in besov.make_dictionary(r, [n]).profiles:
+            b = _derivative_order(prof)
+            if (order - 2 - b >= 1) if smooth else b >= 2:
+                factor = besov.profile_kernel(prof, SC1, n).terms[0][1][0]
+                out.append((f"{prof.name} r={r}", factor))
+    return out
+
+
+def _lift_factors(n):
+    return [(f"lift a={a} l={ell}", rc._lift_factor_1d(a, ell, 2.0**-n)) for a, ell in LIFT_PAIRS]
+
+
+def _grid_factors():
+    """(name, factor, level): an order-6 bump (q = 3), supports that wrap at
+    either end, and one wider than the torus."""
+    b6 = besov.bspline_bump(6)
+    return [
+        ("order-6 bump", b6, 4),
+        ("wraps past 1", b6.dilated(0.125).shifted(0.95), 5),
+        ("wraps below 0", b6.dilated(0.25).shifted(0.0625), 5),
+        ("wider than the torus", b6.dilated(1.2), 3),
+    ]
+
+
+@cache
+def _all_factors():
+    """(name, factor, level) for every factor of the exact-route tests, the
+    narrow ones (n = N, j up to 2) included."""
+    out = [(name, fn, N) for n in range(N + 1) for name, fn in _dictionary_factors(n, True)]
+    out += [(name, fn, N) for n in range(N + 1) for name, fn in _dictionary_factors(n, False)]
+    out += [(name, fn, N) for n in range(N + 1) for name, fn in _lift_factors(n)]
+    return out + _grid_factors()
+
+
+def _max_rel(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+def _scale(c, fn, level):
+    """sum |c_t|, floored at the size 2^(-J/2) sup|P| of one coefficient: Haar
+    coefficients of a derivative bump cancel to round-off."""
+    lo, hi = fn.support
+    height = np.max(np.abs(fn(np.linspace(lo, hi, 4001))))
+    return max(np.sum(np.abs(c)), 2.0 ** (-level / 2) * height)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_exact_route_matches_quadrature_on_smooth_factors(order):
+    fam = _family(order)
+    # J - n alone sets the geometry, so two scales do: one wider than the torus
+    cases = [(name, fn, n + 4) for n in (0, 3) for name, fn in _dictionary_factors(n, True)]
+    cases += [(name, fn, n + 4) for n in (0, 3) for name, fn in _lift_factors(n)]
+    assert {"bump_offset r=2", "d1_bump r=2", "d2_bump r=3"} <= {name for name, _, _ in cases}
+    for name, fn, level in cases + _grid_factors():
+        assert an._cell_grid(fn, level, 8) is not None, name
+        got = an.smooth_coeffs_1d(fn, fam, level)
+        ref = an.quadrature_coeffs_1d(fn, fam, level, margin=13)
+        assert _max_rel(got, ref) <= 1e-14, (name, level)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_exact_route_inside_quadrature_error_at_kinks_and_jumps(order):
+    """d2/d3/d4 bumps: the quadrature errs by O(2^-margin) at a jump, and the
+    exact route sits well inside margin 13's error."""
+    fam = _family(order)
+    for n in range(N + 1):
+        for name, fn in _dictionary_factors(n, False):
+            got = an.smooth_coeffs_1d(fn, fam, N)
+            q13 = an.quadrature_coeffs_1d(fn, fam, N, margin=13)
+            q8 = an.quadrature_coeffs_1d(fn, fam, N, margin=8)
+            assert np.max(np.abs(got - q13)) <= np.max(np.abs(q8 - q13)) / 8, (name, n)
+
+
+def test_exact_route_matches_haar_box_integrals():
+    """Haar's coefficients are 2^(J/2) (F((t+1)/2^J) - F(t/2^J)) with F the
+    exact antiderivative: an oracle at every grid, j > 0 included."""
+    fam = _family(1)
+    grids = set()
+    for name, fn, level in _all_factors():
+        grids.add(an._cell_grid(fn, level, 8))
+        lo, hi = fn.support
+        F = lambda x: fn.antiderivative()(np.clip(x, lo, hi))  # noqa: E731  (0 past hi)
+        t = np.arange(math.floor(lo * 2**level) - 1, math.ceil(hi * 2**level) + 1)
+        ref = np.zeros(2**level)
+        np.add.at(ref, t % 2**level, 2.0 ** (level / 2) * (F((t + 1) / 2**level) - F(t / 2**level)))
+        got = an.smooth_coeffs_1d(fn, fam, level)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * _scale(ref, fn, level), name
+    assert {(0, 1), (0, 5), (1, 1), (2, 1), (0, 3), (0, 15)} <= grids
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_exact_coefficients_sum_to_the_integral(order):
+    """sum_t <P_per, phi^J_t> = 2^(J/2) int P, since sum_t phi^J_t = 2^(J/2)."""
+    fam = _family(order)
+    for name, fn, level in _all_factors():
+        c = an.smooth_coeffs_1d(fn, fam, level)
+        integral = fn.antiderivative()(np.array([fn.support[1]]))[0]
+        assert abs(c.sum() - 2.0 ** (level / 2) * integral) <= 1e-13 * _scale(c, fn, level), name
+
+
+@given(
+    st.sampled_from(range(len(_all_factors()))),
+    st.sampled_from(ORDERS),
+    st.integers(-70, 70),
+)
+def test_shift_by_a_grid_step_rolls_the_coefficients(i, order, k):
+    name, fn, level = _all_factors()[i]
+    moved = fn.shifted(k * 2.0**-level)
+    assume(an._cell_grid(moved, level, 8) == an._cell_grid(fn, level, 8))
+    fam = _family(order)
+    got = an.smooth_coeffs_1d(moved, fam, level)
+    assert _same_bits(got, np.roll(an.smooth_coeffs_1d(fn, fam, level), k)), name
+
+
+def test_factors_off_every_grid_take_the_quadrature():
+    fam = _family(6)
+    b4 = besov.bspline_bump(4)
+    narrow = rc._lift_factor_1d(0, 1, 2.0 ** -(N + 3))  # breakpoints need j = 5
+    cases = [
+        (b4.shifted(0.1234567), 8),
+        (b4.dilated(1.0 / 65.0), 8),  # q = 65 is past the cap
+        (narrow, 2),
+    ]
+    assert an._cell_grid(narrow, N, 8) == (5, 1)
+    for fn, margin in cases:
+        assert an._cell_grid(fn, N, margin) is None
+        got = an.smooth_coeffs_1d(fn, fam, N, margin=margin)
+        assert _same_bits(got, an.quadrature_coeffs_1d(fn, fam, N, margin=margin))
+
+
+@pytest.mark.parametrize("field", ["start", "rate", "scale", "coeffs"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_factor_rejected(field, bad):
+    """Without the check the quadrature returns NaN coefficients silently."""
+    b4 = besov.bspline_bump(4)
+    if field == "coeffs":
+        coeffs = b4.coeffs.copy()
+        coeffs[1, 2] = bad
+        fn = an.PiecewisePoly(b4.start, b4.rate, coeffs, b4.scale)
+    else:
+        fn = dataclasses.replace(b4, **{field: bad})
+    with pytest.raises(ValueError, match="not finite"):
+        an.smooth_coeffs_1d(fn, _family(6), N)
+    with pytest.raises(ValueError, match="not finite"):
+        an.analyze_kernel(an.SeparableKernel([(1.0, [fn])]), _family(6), SC1, N)
+
+
+def _fresh(fam, **changes):
+    return dataclasses.replace(fam, _component_moments={}, _cell_moments={}, **changes)
+
+
+def test_cell_moments_checked_against_the_exact_moments(monkeypatch):
+    fam = _family(6)
+    b5 = besov.bspline_bump(5)  # q = 5
+    # a first moment that is not the father's
+    wrong = fam.father_moments.copy()
+    wrong[1] += 1e-9
+    with pytest.raises(ValueError, match="order-6 father at q=5"):
+        an.smooth_coeffs_1d(b5, _fresh(fam, father_moments=wrong), N)
+    # taps that do not refine the father
+    h = fam.h.copy()
+    h[[0, 1]] = h[[1, 0]]
+    with pytest.raises(ValueError, match="order-6 father at q=5"):
+        an.smooth_coeffs_1d(b5, _fresh(fam, h=h), N)
+    # a table whose cells do not sum to 1 (its first moment is unchanged:
+    # cell 0 has k C_0 = 0)
+    build = filters.cell_moments
+
+    def off_by_one_cell(*args):
+        table = build(*args)
+        table[0, 0] += 1e-9
+        return table
+
+    monkeypatch.setattr(filters, "cell_moments", off_by_one_cell)
+    with pytest.raises(ValueError, match="order-6 father at q=1"):
+        an.smooth_coeffs_1d(besov.bspline_bump(4), _fresh(fam), N)
+
+
+def test_cell_moment_table_cached_per_q():
+    fam = _fresh(_family(4))
+    for deg in (3, 1, 7, 2):
+        table = fam.cell_moments(5, deg)
+        assert table.shape == (deg + 1, 7 * 5) and not table.flags.writeable
+    assert list(fam._cell_moments) == [5] and len(fam._cell_moments[5]) == 8
+    assert _same_bits(fam.cell_moments(5, 3), filters.cell_moments(fam.h, 5, 7)[:4])
