@@ -208,19 +208,20 @@ def sample_window(
     return (0, M) if stop - start >= M else (start, stop)
 
 
-def quadrature_coeffs_1d(
+def quadrature_window_1d(
     fn: Fn1D | PiecewisePoly,
     fam: WaveletFamily,
     level_1d: int,
     margin: int = 8,
     taylor: int = 3,
-) -> np.ndarray:
-    """<G_per, phi^J_t> for all t at the 1-d level, G smooth at coarser scales:
-    corrected quadrature of the periodic samples at level_1d + margin.
+) -> tuple[int, np.ndarray]:
+    """(t0, c) with c[i] = <G_per, phi^J_{t0 + i}>: the corrected quadrature of
+    the periodic samples at level_1d + margin, on the sample_window only.
 
-    Only the sample_window of the fine grid is sampled and cascaded.  Every
-    sample outside it is an exact zero, so the window, taken as a torus,
-    gives the same coefficients, which are then placed periodically.
+    Every sample outside the window is an exact zero, so the window, taken
+    as a torus, gives the same coefficients.  When the window is shorter
+    than the torus, the support and all filter spread fit inside it, and c
+    are also the coefficients <G, phi^J_t> of G on R.
     """
     M = 2 ** (level_1d + margin)
     start, stop = sample_window(fn.support, fam, level_1d, margin)
@@ -229,9 +230,21 @@ def quadrature_coeffs_1d(
     y -= np.floor(y)  # exactly y % 1.0 for y >= 0 (Sterbenz), without fmod
     S = periodic_samples(fn, y)
     del y  # not held through the cascade
-    c = corrected_coeffs(S, fam, level_1d + margin, (margin,), taylor)
+    return start // 2**margin, corrected_coeffs(S, fam, level_1d + margin, (margin,), taylor)
+
+
+def quadrature_coeffs_1d(
+    fn: Fn1D | PiecewisePoly,
+    fam: WaveletFamily,
+    level_1d: int,
+    margin: int = 8,
+    taylor: int = 3,
+) -> np.ndarray:
+    """<G_per, phi^J_t> for all t at the 1-d level, G smooth at coarser scales:
+    the quadrature_window_1d coefficients, placed periodically."""
+    t0, c = quadrature_window_1d(fn, fam, level_1d, margin, taylor)
     out = np.zeros(2**level_1d)
-    out[(start // 2**margin + np.arange(len(c))) % len(out)] = c
+    out[(t0 + np.arange(len(c))) % len(out)] = c
     return out
 
 

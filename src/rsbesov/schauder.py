@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product as iproduct
+from numbers import Integral
 
 import numpy as np
 
@@ -33,6 +34,9 @@ _CDF = (bs.bspline_bump(8).antiderivative() * 4.0).dilated(0.125).shifted(0.375)
 _BUMP = bs.bspline_bump(10)  # corrector bump B on [-1, 1]
 _BUMP_DERIVS = tuple(_BUMP.derivative(k) for k in range(10))
 _CORRECTOR_SCALE = 0.5  # s in the 1-d corrector factors B(x / s) / s, support [-s, s]
+_CUTOFF_END = 0.5  # S(u) = 0 for u >= 1/2, so the annular cutoff vanishes for g >= 1/2
+_FD_STEP = 1e-3  # step of the central differences in p0_deriv, in p0 coordinates
+_BLOCK = 2**14  # points per p0_deriv call in the d=1 kernel quadrature (128 KiB temporaries)
 
 
 def _step(u: np.ndarray) -> np.ndarray:
@@ -40,7 +44,7 @@ def _step(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     out = _CDF(u)
     np.subtract(1.0, out, out=out)
-    out[u >= 0.5] = 0.0
+    out[u >= _CUTOFF_END] = 0.0
     return out
 
 
@@ -138,8 +142,8 @@ class KernelDecomposition:
 
     def p0_deriv(self, k: tuple[int, ...], pts: np.ndarray) -> np.ndarray:
         """d^k P0: the annular part by nested central differences of step
-        1e-3, the corrector part by exact spline derivatives."""
-        out = _fd_partial(self.p0_raw, k, pts, 1e-3)
+        _FD_STEP, the corrector part by exact spline derivatives."""
+        out = _fd_partial(self.p0_raw, k, pts, _FD_STEP)
         axes = _axis_coords(pts)
         for kc, c in self.correction_coeffs.items():
             kk = tuple(a + b for a, b in zip(kc, k))
@@ -370,6 +374,8 @@ class ExtendedModel(NoiseModel):
         conv_levels: int,
         margin: int = 8,
     ):
+        _check_count("conv_levels", conv_levels, 1)
+        _check_count("margin", margin, 0)
         super().__init__(structure, fam, xi, alpha)
         self.kernel = kernel
         self.gamma_max = gamma_max
@@ -462,6 +468,11 @@ class ExtendedModel(NoiseModel):
         return out
 
 
+def _check_count(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def _deriv_kernel_array(
     kernel: KernelDecomposition,
     k: tuple[int, ...],
@@ -471,27 +482,84 @@ def _deriv_kernel_array(
     levels: int,
     margin: int = 8,
 ) -> np.ndarray:
-    """V_N coefficients of u -> d^k P+_{<levels}(-u) (summed over levels)."""
-    d = scaling.d
+    """V_N coefficients of u -> d^k P+_{<levels}(-u) (summed over levels).
 
-    def make_eval(n):
-        def f(pts):
-            return kernel.pn_deriv(k, n, -pts)
-
-        return f
-
+    d = 1: the pieces are exactly self-similar, d^k P_n(-u) = 2^{ne} F(2^n u)
+    with F = d^k P0(-.) and e = |s| - beta + |k|_s; the difference step of
+    p0_deriv is taken in p0 coordinates, so this holds for it too.  Hence
+    <d^k P_n(-.), phi^N_t> = 2^{n(e - |s|/2)} <F, phi^{N-n}_t> on R: n exact
+    low-pass steps from F's level-N coefficients (_self_similar_pieces),
+    placed periodically.  F vanishes off |x| <= max(1/2 + |k| h,
+    _CORRECTOR_SCALE): the cutoff ends at g = |x| = 1/2, each difference of
+    step h = _FD_STEP widens that, and the correctors end at their scale.
+    margin is the margin of F's one quadrature.  d >= 2: one tensor
+    quadrature per level (_analyze_kernel_nd).
+    """
     out = np.zeros(scaling.grid_shape(N))
+    if scaling.d == 1:
+        for t0, c in _self_similar_pieces(kernel, k, fam, N, levels, margin):
+            out += np.bincount((t0 + np.arange(len(c))) % 2**N, c, 2**N)
+        return out
     for n in range(levels):
-        fn = make_eval(n)
-        if d == 1:
-            supp = 2.0 ** (-n)
-            fac = an.Fn1D(lambda u, fn=fn: fn(u[..., None]), (-supp, supp))
-            out = out + an.analyze_kernel(
-                an.SeparableKernel([(1.0, [fac])]), fam, scaling, N, margin=margin
-            )
-        else:
-            out = out + _analyze_kernel_nd(fn, n, fam, scaling, N)
+        out = out + _analyze_kernel_nd(
+            lambda pts, n=n: kernel.pn_deriv(k, n, -pts), n, fam, scaling, N
+        )
     return out
+
+
+def _self_similar_pieces(
+    kernel: KernelDecomposition,
+    k: tuple[int, ...],
+    fam: mra.WaveletFamily,
+    N: int,
+    levels: int,
+    margin: int,
+) -> list:
+    """Per level n < levels, (t0, c) with c[i] = <d^k P_n(-.), phi^N_{t0+i}> on
+    R, at d = 1 (see _deriv_kernel_array).
+
+    F's level-N coefficients on R are 2^{b/2} those of F(2^b .) at level
+    N + b, from the least b >= 1 whose sample window does not cover the
+    torus (F's support has length about 1).
+    """
+    radius = max(_CUTOFF_END + sum(k) * _FD_STEP, _CORRECTOR_SCALE)
+    b = 1
+    while True:
+        support = (-radius * 2.0**-b, radius * 2.0**-b)
+        start, stop = an.sample_window(support, fam, N + b, margin)
+        if stop - start < 2 ** (N + b + margin):
+            break
+        b += 1
+
+    def dilated(u):  # in blocks, so p0_deriv's temporaries stay small
+        out = np.empty_like(u)
+        for a in range(0, len(u), _BLOCK):
+            out[a : a + _BLOCK] = kernel.p0_deriv(k, -(2.0**b) * u[a : a + _BLOCK, None])
+        return out
+
+    factor = an.Fn1D(dilated, support)
+    t0, c = an.quadrature_window_1d(factor, fam, N + b, margin)
+    c = c * 2.0 ** (b / 2.0)
+    sc = kernel.scaling
+    e = sc.total - kernel.beta + sc.scaled_degree(k) - sc.total / 2.0
+    out = []
+    for n in range(levels):
+        if n:
+            t0, c = _low_pass_on_line(t0, c, fam.h)
+        out.append((t0, c * 2.0 ** (n * e)))
+    return out
+
+
+def _low_pass_on_line(t0: int, c: np.ndarray, h: np.ndarray) -> tuple[int, np.ndarray]:
+    """One exact low-pass step on R: c'[s] = sum_m h[m] c[2s + m] for every s
+    the support of c reaches, with c zero off its indices t0 .. t0 + len(c) - 1;
+    one mra.filter_step on a zero-padded copy that it never wraps."""
+    L = len(h)
+    s0 = (t0 - L + 2) // 2  # the first s with 2s + L - 1 >= t0
+    n = (t0 + len(c) - 1) // 2 - s0 + 1
+    pad = np.zeros(2 * n + L - 2)
+    pad[t0 - 2 * s0 : t0 - 2 * s0 + len(c)] = c
+    return s0, mra.filter_step(pad, h, 0, 2)[:n]
 
 
 def _analyze_kernel_nd(fn, n, fam, scaling: Scaling, N: int, taylor: int = 2) -> np.ndarray:

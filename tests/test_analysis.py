@@ -122,7 +122,8 @@ def _near_full_support(fam, margin):
 
 @cache
 def _schauder_pieces():
-    """The d=1 Schauder pieces, as _deriv_kernel_array builds them."""
+    """Fn1D factors u -> d^k P_n(-u) of the d=1 Schauder pieces, n <= N and
+    k <= 2: smooth factors with supports of every width from 2 down to 2^(1-N)."""
     K = sch.decompose_kernel("riesz", SC1, r=3, beta=0.6)
     return [
         an.Fn1D(lambda u, n=n, k=k: K.pn_deriv((k,), n, -u[..., None]), (-(2.0**-n), 2.0**-n))
@@ -575,6 +576,47 @@ def test_exact_coefficients_sum_to_the_integral(order):
         c = an.smooth_coeffs_1d(fn, fam, level)
         integral = fn.antiderivative()(np.array([fn.support[1]]))[0]
         assert abs(c.sum() - 2.0 ** (level / 2) * integral) <= 1e-13 * _scale(c, fn, level), name
+
+
+def _father_pairings(fam, level, m):
+    """<x^m, phi^J_t> for t = 0 .. 2^J - 1 from the father moments M_i:
+    2^(-J(m + 1/2)) sum_i C(m, i) t^(m-i) M_i."""
+    t = np.arange(2**level, dtype=float)
+    acc = sum(math.comb(m, i) * t ** (m - i) * fam.father_moments[i] for i in range(m + 1))
+    return 2.0 ** (-level * (m + 0.5)) * acc
+
+
+def _gauss_moment(pp, m):
+    """int x^m P, by 10-point Gauss-Legendre on each piece: exact to rounding
+    for degree + m <= 19."""
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    width = 1.0 / pp.rate
+    acc = 0.0
+    for i in range(len(pp.coeffs)):
+        x = pp.start + width * (i + (nodes + 1.0) / 2.0)
+        acc += width / 2.0 * float(np.sum(weights * x**m * pp(x)))
+    return acc
+
+
+@pytest.mark.parametrize("order", [4, 6, 9])
+def test_exact_coefficients_keep_the_polynomial_moments(order):
+    """sum_t <P, phi^J_t> <x^m, phi^J_t> = int x^m P for m below the order:
+    V_J reproduces those monomials.  The supports and every coefficient's
+    index stay inside [0, 1), so no term wraps."""
+    fam = _family(order)
+    level = 6
+    for bump_order, q in [(4, 1), (6, 3), (5, 5)]:
+        for centre in (0.5, 0.75):
+            fn = besov.bspline_bump(bump_order).dilated(0.125).shifted(centre)
+            lo, hi = fn.support
+            assert lo * 2**level >= len(fam.h) - 1 and hi < 1.0
+            j, got_q = an._cell_grid(fn, level, 8)
+            assert got_q == q
+            c = an.exact_coeffs_1d(fn, fam, level, j, q)
+            for m in range(order):
+                want = _gauss_moment(fn, m)
+                got = float(np.sum(c * _father_pairings(fam, level, m)))
+                assert abs(got - want) <= 1e-13 * abs(want), (bump_order, centre, m)
 
 
 @given(

@@ -1,10 +1,11 @@
 import math
+from functools import cache
 
 import numpy as np
 import pytest
 
 from rsbesov import analysis as an
-from rsbesov import besov, mra, modelled as md, schauder as sch, structures as rs
+from rsbesov import besov, build_wavelet, mra, modelled as md, schauder as sch, structures as rs
 from rsbesov.scaling import Scaling
 from rsbesov.util import fit_log2_slope
 
@@ -452,6 +453,126 @@ def test_nd_route_integrates_to_p0_moment(sc21, fam6, heat_setup):
     arr = sch._deriv_kernel_array(heat_setup, (0, 0), fam6, sc21, N, 1)
     total = float(np.sum(arr)) * 2.0 ** (-N * sc21.total / 2.0)
     assert abs(total - heat_setup.pplus_moment((0, 0), 1)) < 1e-8
+
+
+# --- the d=1 self-similar route ------------------------------------------------
+
+
+def _uncorrected_skewed_kernel(sc1):
+    """A d=1 decomposition with no moment correction, not even in x: its P+
+    moments of every order are nonzero, so an integration check sees them."""
+    beta = 0.6
+
+    def P(pts):
+        x = pts[..., 0]
+        g = np.maximum(np.abs(x), 1e-300)
+        return g ** (beta - 1.0) * (1.5 + x / g)
+
+    assert sch.self_similarity_defect(P, sc1, beta) <= 1e-9
+    return sch.KernelDecomposition(sc1, beta, 1, P)
+
+
+def _p_plus_pairing(K, m, k, levels):
+    """<u^m, d^k P+(-u)> = (-1)^(m+k) m!/(m-k)! int x^(m-k) P+, by parts."""
+    if k > m:
+        return 0.0
+    return (-1.0) ** (m + k) * math.perm(m, k) * K.pplus_moment((m - k,), levels)
+
+
+@pytest.mark.parametrize("N, levels", [(6, 3), (6, 6), (6, 8), (2, 1), (2, 2), (2, 4)])
+@pytest.mark.parametrize("which", ["riesz", "skewed"])
+def test_d1_route_integrates_to_p0_moments(sc1, fam6, riesz_kernel, which, N, levels):
+    # the d=1 analogue of test_nd_route_integrates_to_p0_moment, with pieces
+    # coarser than, as fine as and finer than the grid; at N = 2 the base
+    # quadrature takes F(2^3 .), the first dilation whose window is shorter
+    # than the torus (at N = 6 it takes F(2 .))
+    K = riesz_kernel if which == "riesz" else _uncorrected_skewed_kernel(sc1)
+    for k in (0, 1):
+        arr = sch._deriv_kernel_array(K, (k,), fam6, sc1, N, levels)
+        total = float(np.sum(arr)) * 2.0 ** (-N / 2.0)
+        assert abs(total - _p_plus_pairing(K, 0, k, levels)) < 1e-8
+        # the first moment needs the pieces on R, before they wrap
+        first = 0.0
+        for t0, c in sch._self_similar_pieces(K, (k,), fam6, N, levels, 8):
+            t = t0 + np.arange(len(c))
+            first += float(np.sum(c * (t + fam6.father_moments[1]))) * 2.0 ** (-1.5 * N)
+        assert abs(first - _p_plus_pairing(K, 1, k, levels)) < 1e-8
+    if which == "skewed":  # the check is not vacuous
+        assert abs(K.pplus_moment((0,), levels)) > 0.1
+        assert abs(K.pplus_moment((1,), levels)) > 0.01
+
+
+@cache
+def _per_level_pieces(N, k, margin):
+    """The per-level route: one margin-`margin` quadrature of every piece
+    u -> d^k P_n(-u), n < N + 2, on its own support |u| <= 2^-n (criterion 8's
+    Riesz decomposition, order-6 family)."""
+    sc = Scaling((1,))
+    K = sch.decompose_kernel("riesz", sc, r=3, beta=BETA)
+    fam = build_wavelet(6, 2)
+    return [
+        an.quadrature_coeffs_1d(
+            an.Fn1D(lambda u, n=n: K.pn_deriv((k,), n, -u[..., None]), (-(2.0**-n), 2.0**-n)),
+            fam,
+            N,
+            margin,
+        )
+        for n in range(N + 2)
+    ]
+
+
+@pytest.mark.parametrize("N", [6, 8])
+def test_self_similar_route_matches_the_fine_per_level_route(sc1, fam6, riesz_kernel, N):
+    # the per-level route at margin 12 is the reference; at margin 8 it misses
+    # it by up to 1.3e-11 of the sup, the finer pieces being sampled coarsely
+    for k in (0, 1):
+        pieces = _per_level_pieces(N, k, 12)
+        for levels in (3, N, N + 2):
+            want = np.sum(pieces[:levels], axis=0)
+            got = sch._deriv_kernel_array(riesz_kernel, (k,), fam6, sc1, N, levels)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (k, levels)
+
+
+def test_low_pass_on_line_matches_the_periodic_step(fam6):
+    # on a torus long enough not to wrap, one filter_step is the same sum
+    rng = np.random.default_rng(3)
+    h = fam6.h
+    for t0 in (-13, -12, 0, 5):
+        c = rng.standard_normal(9)
+        s0, got = sch._low_pass_on_line(t0, c, h)
+        line = np.zeros(128)
+        line[t0 + 64 : t0 + 64 + len(c)] = c
+        full = mra.filter_step(line, h, 0, 2)
+        assert 2 * s0 + len(h) - 1 >= t0 > 2 * (s0 - 1) + len(h) - 1  # the first s reached
+        np.testing.assert_allclose(got, full[s0 + 32 : s0 + 32 + len(got)], rtol=0, atol=1e-15)
+        rest = np.delete(full, np.arange(s0 + 32, s0 + 32 + len(got)))
+        assert np.all(rest == 0.0)
+
+
+def _small_noise_model(sc1, fam6):
+    xi = besov.synthesize("random_besov", sc1, 4, fam6, alpha=ALPHA, seed=3)
+    return rs.noise_structure(ALPHA, xi, GAMMA, fam6)
+
+
+@pytest.mark.parametrize("conv_levels", [0, -2, 2.5, True])
+def test_extension_rejects_bad_conv_levels(sc1, fam6, riesz_kernel, conv_levels):
+    # conv_levels 0 or -2 used to give an all-zero convolution
+    stn, nm = _small_noise_model(sc1, fam6)
+    with pytest.raises(ValueError, match="conv_levels must be an integer >= 1"):
+        sch.extend_structure(stn, nm, riesz_kernel, GAMMA, conv_levels=conv_levels)
+
+
+@pytest.mark.parametrize("margin", [-1, 2.5, "8", None])
+def test_extension_rejects_bad_margin(sc1, fam6, riesz_kernel, margin):
+    stn, nm = _small_noise_model(sc1, fam6)
+    with pytest.raises(ValueError, match="margin must be an integer >= 0"):
+        sch.extend_structure(stn, nm, riesz_kernel, GAMMA, margin=margin)
+
+
+def test_extension_accepts_one_level_and_margin_zero(sc1, fam6, riesz_kernel):
+    stn, nm = _small_noise_model(sc1, fam6)
+    _, em = sch.extend_structure(stn, nm, riesz_kernel, GAMMA, conv_levels=np.int64(1), margin=0)
+    assert em.conv_levels == 1 and np.max(np.abs(em.conv_values)) > 0.0
 
 
 def test_oversized_nd_mesh_rejected(sc21, fam6, heat_setup):
