@@ -77,22 +77,6 @@ class PiecewisePoly:
         out[inside] = vals * self.scale
         return out
 
-    def sorted_values(self, x: np.ndarray) -> np.ndarray:
-        """The values at non-decreasing points x inside the support, which
-        __call__ would give: each piece is one contiguous slice, found by
-        searchsorted.  x is overwritten."""
-        x -= self.start
-        x *= self.rate
-        ends = np.searchsorted(x, np.arange(1.0, len(self.coeffs)))
-        out = np.empty_like(x)
-        for i, (c, a, b) in enumerate(zip(self.coeffs, [0, *ends], [*ends, len(x)])):
-            if a < b:
-                t = x[a:b]
-                t -= i
-                _horner(c, t, out[a:b])
-        out *= self.scale
-        return out
-
     def __mul__(self, c: float) -> "PiecewisePoly":
         return PiecewisePoly(self.start, self.rate, self.coeffs, self.scale * c)
 
@@ -132,7 +116,6 @@ def periodic_samples(fn: Fn1D | PiecewisePoly, y: np.ndarray) -> np.ndarray:
     if fn.support is None:
         return fn(y)
     lo, hi = fn.support
-    values = fn.sorted_values if isinstance(fn, PiecewisePoly) else fn
     acc = np.zeros_like(y)
     cuts = [0, *(np.flatnonzero(~(y[1:] >= y[:-1])) + 1), len(y)]  # a NaN is a run of its own
     for a, b in zip(cuts[:-1], cuts[1:]):
@@ -141,16 +124,16 @@ def periodic_samples(fn: Fn1D | PiecewisePoly, y: np.ndarray) -> np.ndarray:
             u = run + m  # non-decreasing, so lo <= u <= hi is one slice
             i, j = np.searchsorted(u, lo), np.searchsorted(u, hi, "right")
             if i < j:
-                acc[a + i : a + j] += values(u[i:j])
+                acc[a + i : a + j] += fn(u[i:j])
     return acc
 
 
-def _stencil(S: np.ndarray, mu: np.ndarray, taylor: int) -> np.ndarray:
+def _stencil(S: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """S plus the periodic mu_2 and mu_3 central differences along each axis,
     read as slices of one wrap-padded copy of S per axis (freed on return,
     before the cascade allocates)."""
     c = S
-    for ax in range(S.ndim if taylor >= 2 else 0):
+    for ax in range(S.ndim):
         n = S.shape[ax]
         wrapped = np.take(S, np.arange(-2, n + 2), axis=ax, mode="wrap")
 
@@ -158,31 +141,7 @@ def _stencil(S: np.ndarray, mu: np.ndarray, taylor: int) -> np.ndarray:
             return wrapped[(slice(None),) * ax + (slice(2 + k, 2 + k + n),)]
 
         c = c + (mu[2] / 2.0) * (at(1) - 2.0 * S + at(-1))
-        if taylor >= 3:
-            c = c + (mu[3] / 6.0) * 0.5 * (at(2) - 2.0 * at(1) + 2.0 * at(-1) - at(-2))
-    return c
-
-
-def corrected_coeffs(
-    S: np.ndarray,
-    fam: WaveletFamily,
-    fine_bits: int,
-    steps: tuple[int, ...],
-    taylor: int,
-) -> np.ndarray:
-    """Father coefficients from fine samples S of a smooth periodic function.
-
-    One-point quadrature with centered-moment Taylor corrections on each
-    axis, realised as periodic central differences (mu_2 for taylor >= 2,
-    mu_3 for taylor >= 3), scaled to the L^2 normalisation of a sample grid
-    of 2^fine_bits points in all, then steps[ax] exact low-pass cascade
-    steps along each axis.  S may be a window of that grid: the differences
-    and the cascade then wrap within the window.
-    """
-    c = _stencil(S, fam.centered_father_moments, taylor) * 2.0 ** (-fine_bits / 2.0)
-    for ax, k in enumerate(steps):
-        for _ in range(k):
-            c = filter_step(c, fam.h, ax, 2)
+        c = c + (mu[3] / 6.0) * 0.5 * (at(2) - 2.0 * at(1) + 2.0 * at(-1) - at(-2))
     return c
 
 
@@ -208,20 +167,19 @@ def sample_window(
     return (0, M) if stop - start >= M else (start, stop)
 
 
-def quadrature_window_1d(
+def quadrature_coeffs_1d(
     fn: Fn1D | PiecewisePoly,
     fam: WaveletFamily,
     level_1d: int,
     margin: int = 8,
-    taylor: int = 3,
-) -> tuple[int, np.ndarray]:
-    """(t0, c) with c[i] = <G_per, phi^J_{t0 + i}>: the corrected quadrature of
-    the periodic samples at level_1d + margin, on the sample_window only.
+) -> np.ndarray:
+    """<G_per, phi^J_t> for all t at the 1-d level, G smooth at coarser scales.
 
-    Every sample outside the window is an exact zero, so the window, taken
-    as a torus, gives the same coefficients.  When the window is shorter
-    than the torus, the support and all filter spread fit inside it, and c
-    are also the coefficients <G, phi^J_t> of G on R.
+    One-point quadrature of the periodic samples at level_1d + margin with
+    centered-moment Taylor corrections (_stencil), in the L^2 normalisation
+    of that grid, then margin exact low-pass steps, all on the sample_window
+    only and placed periodically.  Every sample outside the window is an
+    exact zero, so the window, taken as a torus, gives the same coefficients.
     """
     M = 2 ** (level_1d + margin)
     start, stop = sample_window(fn.support, fam, level_1d, margin)
@@ -230,21 +188,11 @@ def quadrature_window_1d(
     y -= np.floor(y)  # exactly y % 1.0 for y >= 0 (Sterbenz), without fmod
     S = periodic_samples(fn, y)
     del y  # not held through the cascade
-    return start // 2**margin, corrected_coeffs(S, fam, level_1d + margin, (margin,), taylor)
-
-
-def quadrature_coeffs_1d(
-    fn: Fn1D | PiecewisePoly,
-    fam: WaveletFamily,
-    level_1d: int,
-    margin: int = 8,
-    taylor: int = 3,
-) -> np.ndarray:
-    """<G_per, phi^J_t> for all t at the 1-d level, G smooth at coarser scales:
-    the quadrature_window_1d coefficients, placed periodically."""
-    t0, c = quadrature_window_1d(fn, fam, level_1d, margin, taylor)
+    c = _stencil(S, fam.centered_father_moments) * 2.0 ** (-(level_1d + margin) / 2.0)
+    for _ in range(margin):
+        c = filter_step(c, fam.h, 0, 2)
     out = np.zeros(2**level_1d)
-    out[(t0 + np.arange(len(c))) % len(out)] = c
+    out[(start // 2**margin + np.arange(len(c))) % len(out)] = c
     return out
 
 
@@ -321,20 +269,19 @@ def smooth_coeffs_1d(
     fam: WaveletFamily,
     level_1d: int,
     margin: int = 8,
-    taylor: int = 3,
 ) -> np.ndarray:
     """<G_per, phi^J_t> for all t at the 1-d level.
 
     A PiecewisePoly whose breakpoints lie on a _cell_grid takes the exact
-    route; every other factor the quadrature (margin and taylor are its
-    parameters; margin also bounds j).
+    route; every other factor the quadrature (margin is its parameter and
+    also bounds j).
     """
     if isinstance(fn, PiecewisePoly):
         _check_finite(fn)
         grid = _cell_grid(fn, level_1d, margin)
         if grid is not None:
             return exact_coeffs_1d(fn, fam, level_1d, *grid)
-    return quadrature_coeffs_1d(fn, fam, level_1d, margin, taylor)
+    return quadrature_coeffs_1d(fn, fam, level_1d, margin)
 
 
 @dataclass

@@ -36,7 +36,7 @@ _BUMP_DERIVS = tuple(_BUMP.derivative(k) for k in range(10))
 _CORRECTOR_SCALE = 0.5  # s in the 1-d corrector factors B(x / s) / s, support [-s, s]
 _CUTOFF_END = 0.5  # S(u) = 0 for u >= 1/2, so the annular cutoff vanishes for g >= 1/2
 _FD_STEP = 1e-3  # step of the central differences in p0_deriv, in p0 coordinates
-_BLOCK = 2**14  # points per p0_deriv call in the d=1 kernel quadrature (128 KiB temporaries)
+_BLOCK = 2**14  # points per p0_deriv call in the kernel sampling (128 KiB per temporary)
 
 
 def _step(u: np.ndarray) -> np.ndarray:
@@ -49,7 +49,9 @@ def _step(u: np.ndarray) -> np.ndarray:
 
 
 _MESH_BITS = 11  # box-mesh points per axis (log2) for the P0 moments
-_MAX_ND_POINTS = 2**24  # largest n-d kernel or P0 moment mesh (the N=2 mesh at s=(2,1))
+# largest kernel or P0 moment mesh: the kernel mesh binds at N=3 for s=(2,1)
+# and at N=16 for d=1 (margin 8), the P0 mesh at mesh_bits 13 for s=(2,1)
+_MAX_ND_POINTS = 2**24
 
 
 def s_gauge(scaling: Scaling, pts: np.ndarray) -> np.ndarray:
@@ -484,26 +486,18 @@ def _deriv_kernel_array(
 ) -> np.ndarray:
     """V_N coefficients of u -> d^k P+_{<levels}(-u) (summed over levels).
 
-    d = 1: the pieces are exactly self-similar, d^k P_n(-u) = 2^{ne} F(2^n u)
+    The pieces are exactly self-similar, d^k P_n(-u) = 2^{ne} F(2^{ns} u)
     with F = d^k P0(-.) and e = |s| - beta + |k|_s; the difference step of
     p0_deriv is taken in p0 coordinates, so this holds for it too.  Hence
-    <d^k P_n(-.), phi^N_t> = 2^{n(e - |s|/2)} <F, phi^{N-n}_t> on R: n exact
-    low-pass steps from F's level-N coefficients (_self_similar_pieces),
-    placed periodically.  F vanishes off |x| <= max(1/2 + |k| h,
-    _CORRECTOR_SCALE): the cutoff ends at g = |x| = 1/2, each difference of
-    step h = _FD_STEP widens that, and the correctors end at their scale.
-    margin is the margin of F's one quadrature.  d >= 2: one tensor
-    quadrature per level (_analyze_kernel_nd).
+    <d^k P_n(-.), phi^N_t> = 2^{n(e - |s|/2)} <F, phi^{N-n}_t> on R^d: n s_i
+    exact low-pass steps along each axis i from F's level-N coefficients
+    (_self_similar_pieces), each level added to the torus periodically.
     """
     out = np.zeros(scaling.grid_shape(N))
-    if scaling.d == 1:
-        for t0, c in _self_similar_pieces(kernel, k, fam, N, levels, margin):
-            out += np.bincount((t0 + np.arange(len(c))) % 2**N, c, 2**N)
-        return out
-    for n in range(levels):
-        out = out + _analyze_kernel_nd(
-            lambda pts, n=n: kernel.pn_deriv(k, n, -pts), n, fam, scaling, N
-        )
+    for t0, c in _self_similar_pieces(kernel, k, fam, N, levels, margin):
+        idx = np.ix_(*[(a + np.arange(m)) % M for a, m, M in zip(t0, c.shape, out.shape)])
+        flat = np.ravel_multi_index(idx, out.shape).ravel()
+        out += np.bincount(flat, c.ravel(), out.size).reshape(out.shape)
     return out
 
 
@@ -516,70 +510,65 @@ def _self_similar_pieces(
     margin: int,
 ) -> list:
     """Per level n < levels, (t0, c) with c[i] = <d^k P_n(-.), phi^N_{t0+i}> on
-    R, at d = 1 (see _deriv_kernel_array).
+    R^d, t0 and i per axis (see _deriv_kernel_array).
 
-    F's level-N coefficients on R are 2^{b/2} those of F(2^b .) at level
-    N + b, from the least b >= 1 whose sample window does not cover the
-    torus (F's support has length about 1).
+    F = d^k P0(-.) is sampled once on R, at level N s_i + m_i on axis i with
+    m_i = margin + s_i - 1, on its support box plus 3 samples of stencil pad:
+    F vanishes off |x_i| <= max(2^-s_i + k_i h, _CORRECTOR_SCALE), since
+    g >= |x_i|^{1/s_i} and the cutoff ends at g = 1/2, each difference of
+    step h = _FD_STEP widens that, and the correctors end at their scale.
+    The stencil's wrap then meets only zeros, and m_i exact low-pass steps
+    per axis give F's level-N coefficients on R.
     """
-    radius = max(_CUTOFF_END + sum(k) * _FD_STEP, _CORRECTOR_SCALE)
-    b = 1
-    while True:
-        support = (-radius * 2.0**-b, radius * 2.0**-b)
-        start, stop = an.sample_window(support, fam, N + b, margin)
-        if stop - start < 2 ** (N + b + margin):
-            break
-        b += 1
-
-    def dilated(u):  # in blocks, so p0_deriv's temporaries stay small
-        out = np.empty_like(u)
-        for a in range(0, len(u), _BLOCK):
-            out[a : a + _BLOCK] = kernel.p0_deriv(k, -(2.0**b) * u[a : a + _BLOCK, None])
-        return out
-
-    factor = an.Fn1D(dilated, support)
-    t0, c = an.quadrature_window_1d(factor, fam, N + b, margin)
-    c = c * 2.0 ** (b / 2.0)
     sc = kernel.scaling
+    steps = [margin + si - 1 for si in sc.s]
+    bits = [N * si + m for si, m in zip(sc.s, steps)]
+    windows = []  # sample indices [lo, hi) per axis, point (j + center) 2^-bits
+    for si, ki, bi in zip(sc.s, k, bits):
+        r = max(_CUTOFF_END**si + ki * _FD_STEP, _CORRECTOR_SCALE) * 2.0**bi
+        windows.append((math.floor(-r - fam.center) - 3, math.ceil(r - fam.center) + 4))
+    shape = tuple(hi - lo for lo, hi in windows)
+    points = math.prod(shape)
+    if points > _MAX_ND_POINTS:
+        raise ValueError(
+            f"the kernel mesh of d^{k} P0 at s={sc.s}, N={N}, margin={margin} has "
+            f"{points} points (at most {_MAX_ND_POINTS} supported)"
+        )
+    S = np.empty(shape)
+    flat = S.reshape(-1)
+    for a in range(0, points, _BLOCK):  # in blocks, so p0_deriv's temporaries stay small
+        idx = np.unravel_index(np.arange(a, min(a + _BLOCK, points)), shape)
+        x = [(lo + i + fam.center) / 2.0**bi for (lo, _), i, bi in zip(windows, idx, bits)]
+        flat[a : a + _BLOCK] = kernel.p0_deriv(k, -np.stack(x, -1))
+    c = an._stencil(S, fam.centered_father_moments)
+    del S, flat  # not held through the cascade
+    c *= 2.0 ** (-sum(bits) / 2.0)
+    t0 = [lo for lo, _ in windows]
     e = sc.total - kernel.beta + sc.scaled_degree(k) - sc.total / 2.0
     out = []
-    for n in range(levels):
-        if n:
-            t0, c = _low_pass_on_line(t0, c, fam.h)
-        out.append((t0, c * 2.0 ** (n * e)))
+    # level 0 is m_i steps below the samples, each further level s_i steps
+    for n, counts in enumerate([steps] + [sc.s] * (levels - 1)):
+        for ax, m in enumerate(counts):
+            for _ in range(m):
+                t0[ax], c = _low_pass_on_line(t0[ax], c, fam.h, ax)
+        out.append((tuple(t0), c * 2.0 ** (n * e)))
     return out
 
 
-def _low_pass_on_line(t0: int, c: np.ndarray, h: np.ndarray) -> tuple[int, np.ndarray]:
-    """One exact low-pass step on R: c'[s] = sum_m h[m] c[2s + m] for every s
-    the support of c reaches, with c zero off its indices t0 .. t0 + len(c) - 1;
-    one mra.filter_step on a zero-padded copy that it never wraps."""
-    L = len(h)
+def _low_pass_on_line(
+    t0: int, c: np.ndarray, h: np.ndarray, axis: int = 0
+) -> tuple[int, np.ndarray]:
+    """One exact low-pass step on R along axis: c'[s] = sum_m h[m] c[2s + m]
+    for every s the support of c reaches, with c zero off its indices t0 ..
+    t0 + len(c) - 1 on that axis; one mra.filter_step on a zero-padded copy
+    that it never wraps."""
+    L, size = len(h), c.shape[axis]
     s0 = (t0 - L + 2) // 2  # the first s with 2s + L - 1 >= t0
-    n = (t0 + len(c) - 1) // 2 - s0 + 1
-    pad = np.zeros(2 * n + L - 2)
-    pad[t0 - 2 * s0 : t0 - 2 * s0 + len(c)] = c
-    return s0, mra.filter_step(pad, h, 0, 2)[:n]
-
-
-def _analyze_kernel_nd(fn, n, fam, scaling: Scaling, N: int, taylor: int = 2) -> np.ndarray:
-    """Direct tensor quadrature for non-separable kernels: one-point corrected
-    sampling on a moderately refined grid, then exact cascades per axis."""
-    margin = max(2, 6 - n)  # finest sampling (margin 6) for the smoothest piece n = 0
-    shapes = [2 ** ((N + margin) * si) for si in scaling.s]
-    points = math.prod(shapes)
-    if points > _MAX_ND_POINTS:
-        raise ValueError(
-            f"the n-d kernel mesh at s={scaling.s}, N={N}, level {n} has "
-            f"{points} points (at most {_MAX_ND_POINTS} supported)"
-        )
-    axes = [(np.arange(m) + fam.center) / m for m in shapes]
-    # wrap sample points into [-1/2, 1/2) so compact kernels see their support
-    mesh = np.meshgrid(*[((a + 0.5) % 1.0) - 0.5 for a in axes], indexing="ij")
-    S = fn(np.stack(mesh, axis=-1))
-    return an.corrected_coeffs(
-        S, fam, (N + margin) * scaling.total, tuple(margin * si for si in scaling.s), taylor
-    )
+    n = (t0 + size - 1) // 2 - s0 + 1
+    pad = np.zeros(c.shape[:axis] + (2 * n + L - 2,) + c.shape[axis + 1 :])
+    at = (slice(None),) * axis
+    pad[at + (slice(t0 - 2 * s0, t0 - 2 * s0 + size),)] = c
+    return s0, mra.filter_step(pad, h, axis, 2)[at + (slice(n),)]
 
 
 def extend_structure(

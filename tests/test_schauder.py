@@ -447,12 +447,79 @@ def test_output_norm_within_budget(extended):
     assert rep.total <= SCHAUDER_NORM_C * budget * norms.pi * (1.0 + norms.gamma)
 
 
-def test_nd_route_integrates_to_p0_moment(sc21, fam6, heat_setup):
-    # sum_t <G, phi^N_t> = 2^(N|s|/2) int G for the non-separable heat piece
-    N = 1
-    arr = sch._deriv_kernel_array(heat_setup, (0, 0), fam6, sc21, N, 1)
-    total = float(np.sum(arr)) * 2.0 ** (-N * sc21.total / 2.0)
-    assert abs(total - heat_setup.pplus_moment((0, 0), 1)) < 1e-8
+# --- the self-similar route at s=(2,1) -------------------------------------------
+# Tolerances from the route's convergence table (heat kernel, order 6, N=1,
+# against the route at (12, 10) sample bits per axis): each is the next power
+# of ten above twice the table's figure for the same check at the default
+# (9, 8) bits.
+
+KS21 = [(0, 0), (1, 0), (0, 1)]
+
+
+@pytest.fixture(scope="module")
+def heat_n1_pieces(fam6, heat_setup):
+    """The heat kernel's pieces on R at N=1, levels 2, default margin."""
+    return {k: sch._self_similar_pieces(heat_setup, k, fam6, 1, 2, 8) for k in KS21}
+
+
+def _uncorrected_heat_kernel(sc21):
+    """The heat decomposition with no moment correction: its P+ moments of
+    degree 0 and 1 in time are nonzero, so an integration check sees them."""
+    P, beta = sch.heat_kernel(sc21)
+    return sch.KernelDecomposition(sc21, beta, 2, P)
+
+
+def _p_plus_pairing_nd(K, m, k, levels):
+    """<u^m, d^k P+(-u)> = (-1)^(|m|+|k|) m!/(m-k)! int x^(m-k) P+, by parts."""
+    if any(a > b for a, b in zip(k, m)):
+        return 0.0
+    fac = math.prod(math.perm(a, b) for a, b in zip(m, k))
+    diff = tuple(a - b for a, b in zip(m, k))
+    return (-1.0) ** (sum(m) + sum(k)) * fac * K.pplus_moment(diff, levels)
+
+
+def _assert_nd_moments(K, pieces_of, fam6, sc21):
+    # the s=(2,1) form of test_d1_route_integrates_to_p0_moments at N=1:
+    # sum_t w_t 2^(-N|s|/2) and the first moment per axis of the R-line pieces
+    # against the P+ pairing.  Table: the P0 mesh-moment gap of pplus_moment
+    # is 6.1e-9 and the route's k=(1,0) integral misses 0 by 2.2e-8.
+    N, tol = 1, 1e-7
+    for k in KS21:
+        pieces = pieces_of(k)
+        for levels in (1, 2):
+            total, first = 0.0, [0.0, 0.0]
+            for t0, c in pieces[:levels]:
+                total += float(np.sum(c)) * 2.0 ** (-N * sc21.total / 2.0)
+                for ax in (0, 1):
+                    t = t0[ax] + np.arange(c.shape[ax]) + fam6.father_moments[1]
+                    w = np.sum(c, axis=1 - ax) * 2.0 ** (-N * (sc21.total / 2.0 + sc21.s[ax]))
+                    first[ax] += float(np.sum(w * t))
+            assert abs(total - _p_plus_pairing_nd(K, (0, 0), k, levels)) < tol, (k, levels)
+            for ax, m in enumerate([(1, 0), (0, 1)]):
+                assert abs(first[ax] - _p_plus_pairing_nd(K, m, k, levels)) < tol, (k, levels, m)
+
+
+def test_nd_route_integrates_to_p0_moment(sc21, fam6, heat_setup, heat_n1_pieces):
+    _assert_nd_moments(heat_setup, heat_n1_pieces.__getitem__, fam6, sc21)
+
+
+def test_nd_route_integrates_uncorrected_moments(sc21, fam6):
+    K = _uncorrected_heat_kernel(sc21)
+    _assert_nd_moments(K, lambda k: sch._self_similar_pieces(K, k, fam6, 1, 2, 8), fam6, sc21)
+    assert abs(K.pplus_moment((0, 0), 1)) > 0.05  # the check is not vacuous
+    assert abs(K.pplus_moment((1, 0), 1)) > 0.005
+
+
+@pytest.mark.parametrize("k, tol", [((0, 0), 1e-8), ((1, 0), 1e-6), ((0, 1), 1e-8)], ids=["00", "10", "01"])
+def test_nd_route_converges_in_the_sample_bits(sc21, fam6, heat_setup, heat_n1_pieces, k, tol):
+    # one more sample bit per axis, (10, 9) against (9, 8); in the table the
+    # (9, 8) arrays miss the reference by 3.3e-9 / 2.5e-7 / 2.9e-9 of the sup.
+    # The (9, 8) pieces are put on the torus here, by np.add.at.
+    fine = sch._deriv_kernel_array(heat_setup, k, fam6, sc21, 1, 2, margin=9)
+    want = np.zeros_like(fine)
+    for t0, c in heat_n1_pieces[k]:
+        np.add.at(want, np.ix_(*[(a + np.arange(m)) % M for a, m, M in zip(t0, c.shape, want.shape)]), c)
+    assert np.max(np.abs(want - fine)) <= tol * np.max(np.abs(fine))
 
 
 # --- the d=1 self-similar route ------------------------------------------------
@@ -482,10 +549,7 @@ def _p_plus_pairing(K, m, k, levels):
 @pytest.mark.parametrize("N, levels", [(6, 3), (6, 6), (6, 8), (2, 1), (2, 2), (2, 4)])
 @pytest.mark.parametrize("which", ["riesz", "skewed"])
 def test_d1_route_integrates_to_p0_moments(sc1, fam6, riesz_kernel, which, N, levels):
-    # the d=1 analogue of test_nd_route_integrates_to_p0_moment, with pieces
-    # coarser than, as fine as and finer than the grid; at N = 2 the base
-    # quadrature takes F(2^3 .), the first dilation whose window is shorter
-    # than the torus (at N = 6 it takes F(2 .))
+    # pieces coarser than, as fine as and finer than the grid
     K = riesz_kernel if which == "riesz" else _uncorrected_skewed_kernel(sc1)
     for k in (0, 1):
         arr = sch._deriv_kernel_array(K, (k,), fam6, sc1, N, levels)
@@ -493,7 +557,7 @@ def test_d1_route_integrates_to_p0_moments(sc1, fam6, riesz_kernel, which, N, le
         assert abs(total - _p_plus_pairing(K, 0, k, levels)) < 1e-8
         # the first moment needs the pieces on R, before they wrap
         first = 0.0
-        for t0, c in sch._self_similar_pieces(K, (k,), fam6, N, levels, 8):
+        for (t0,), c in sch._self_similar_pieces(K, (k,), fam6, N, levels, 8):
             t = t0 + np.arange(len(c))
             first += float(np.sum(c * (t + fam6.father_moments[1]))) * 2.0 ** (-1.5 * N)
         assert abs(first - _p_plus_pairing(K, 1, k, levels)) < 1e-8
@@ -534,7 +598,8 @@ def test_self_similar_route_matches_the_fine_per_level_route(sc1, fam6, riesz_ke
 
 
 def test_low_pass_on_line_matches_the_periodic_step(fam6):
-    # on a torus long enough not to wrap, one filter_step is the same sum
+    # on a torus long enough not to wrap, one filter_step is the same sum,
+    # along the line and along axis 1 of a 2-d array
     rng = np.random.default_rng(3)
     h = fam6.h
     for t0 in (-13, -12, 0, 5):
@@ -547,6 +612,14 @@ def test_low_pass_on_line_matches_the_periodic_step(fam6):
         np.testing.assert_allclose(got, full[s0 + 32 : s0 + 32 + len(got)], rtol=0, atol=1e-15)
         rest = np.delete(full, np.arange(s0 + 32, s0 + 32 + len(got)))
         assert np.all(rest == 0.0)
+        rows = rng.standard_normal((3, 9))
+        s0_2d, got = sch._low_pass_on_line(t0, rows, h, 1)
+        plane = np.zeros((3, 128))
+        plane[:, t0 + 64 : t0 + 64 + rows.shape[1]] = rows
+        full = mra.filter_step(plane, h, 1, 2)
+        assert s0_2d == s0
+        np.testing.assert_allclose(got, full[:, s0 + 32 : s0 + 32 + got.shape[1]], rtol=0, atol=1e-15)
+        assert np.all(np.delete(full, np.arange(s0 + 32, s0 + 32 + got.shape[1]), axis=1) == 0.0)
 
 
 def _small_noise_model(sc1, fam6):
@@ -576,8 +649,8 @@ def test_extension_accepts_one_level_and_margin_zero(sc1, fam6, riesz_kernel):
 
 
 def test_oversized_nd_mesh_rejected(sc21, fam6, heat_setup):
-    # N=6 at s=(2,1) would sample the level-0 piece on a (2^24, 2^12) mesh
+    # N=6 at s=(2,1) would sample d^(0,0) P0 on a (2^21 + 8, 2^14 + 8) mesh
     xi = besov.synthesize("random_besov", sc21, 6, fam6, alpha=-1.5, seed=1)
     stn, nm = rs.noise_structure(-1.5, xi, 1.25, fam6)
-    with pytest.raises(ValueError, match=r"s=\(2, 1\), N=6, level 0 has 68719476736 points"):
+    with pytest.raises(ValueError, match=r"s=\(2, 1\), N=6, margin=8 has 34376646720 points"):
         sch.extend_structure(stn, nm, heat_setup, 1.25)
