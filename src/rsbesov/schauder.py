@@ -50,7 +50,8 @@ def _step(u: np.ndarray) -> np.ndarray:
 
 _MESH_BITS = 11  # box-mesh points per axis (log2) for the P0 moments
 # largest kernel or P0 moment mesh: the kernel mesh binds at N=3 for s=(2,1)
-# and at N=16 for d=1 (margin 8), the P0 mesh at mesh_bits 13 for s=(2,1)
+# and at N + margin = 24 for d=1 (N=16 at margin 8), the P0 mesh at
+# mesh_bits 13 for s=(2,1)
 _MAX_ND_POINTS = 2**24
 
 
@@ -495,9 +496,7 @@ def _deriv_kernel_array(
     """
     out = np.zeros(scaling.grid_shape(N))
     for t0, c in _self_similar_pieces(kernel, k, fam, N, levels, margin):
-        idx = np.ix_(*[(a + np.arange(m)) % M for a, m, M in zip(t0, c.shape, out.shape)])
-        flat = np.ravel_multi_index(idx, out.shape).ravel()
-        out += np.bincount(flat, c.ravel(), out.size).reshape(out.shape)
+        np.add.at(out, np.ix_(*[(a + np.arange(m)) % M for a, m, M in zip(t0, c.shape, out.shape)]), c)
     return out
 
 
@@ -532,7 +531,9 @@ def _self_similar_pieces(
     if points > _MAX_ND_POINTS:
         raise ValueError(
             f"the kernel mesh of d^{k} P0 at s={sc.s}, N={N}, margin={margin} has "
-            f"{points} points (at most {_MAX_ND_POINTS} supported)"
+            f"{points} points (at most {_MAX_ND_POINTS} supported): axis i is sampled "
+            f"at level N s_i + margin + s_i - 1 = {tuple(bits)}, so lower N or margin "
+            "(at d=1, N + margin <= 23)"
         )
     S = np.empty(shape)
     flat = S.reshape(-1)
