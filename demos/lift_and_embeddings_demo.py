@@ -12,7 +12,7 @@ Run:  python demos/lift_and_embeddings_demo.py
 import numpy as np
 
 from rsbesov import Scaling, build_wavelet, synthesize
-from rsbesov.embeddings import EmbeddingCase, ell_embed, embed_check
+from rsbesov.embeddings import EmbeddingCase, ell_embed, embed_sweep
 from rsbesov.modelled import AveragedMD
 from rsbesov.reconstruction import lift
 from rsbesov.structures import polynomial_structure
@@ -62,8 +62,7 @@ cases = [
     EmbeddingCase(3, gamma, 2.0, 2.0, gamma, 1.0, 2.0),
     EmbeddingCase(4, gamma, 2.0, np.inf, gamma - 0.51, np.inf, np.inf),
 ]
-for case in cases:
-    r = embed_check(fbar, model, case)
+for case, r in zip(cases, embed_sweep(fbar, model, cases)):
     print(
         f"  case {case.case}: ({case.gamma}, {case.p}, {case.q}) -> "
         f"({case.gamma_t:.2f}, {case.p_t}, {case.q_t})  ratio {r.ratio:.3f}"

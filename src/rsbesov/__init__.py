@@ -62,7 +62,7 @@ from .reconstruction import (  # noqa: F401
     two_model_compare,
     uniqueness_probe,
 )
-from .embeddings import EmbeddingCase, ell_embed, embed_check  # noqa: F401
+from .embeddings import EmbeddingCase, ell_embed, embed_check, embed_sweep  # noqa: F401
 from .schauder import (  # noqa: F401
     KernelDecomposition,
     convolution_identity_check,

@@ -13,7 +13,7 @@ from . import analysis as an
 from . import mra
 from .pyramid import CoeffPyramid
 from .scaling import Scaling
-from .util import check_exponent, fit_log2_slope, lq_aggregate, weighted_lp
+from .util import check_exponent, fit_log2_slope, lq_aggregate
 
 
 @dataclass(frozen=True)
@@ -30,12 +30,25 @@ class BesovParams:
             raise ValueError("need r > |alpha|")
 
 
-def lpn_norm(u: np.ndarray, n: int, p, scaling: Scaling) -> float:
-    """(sum_x 2^(-n|s|) |u(x)|^p)^(1/p); sup over the grid when p = inf."""
+def lpn_norm(u: np.ndarray, n: int, p, scaling: Scaling):
+    """(sum_x 2^(-n|s|) |u(x)|^p)^(1/p); sup over the grid when p = inf.
+
+    Leading axes before the grid axes stack grids; then the result is an
+    array over them, each entry the bits of the norm of its own grid."""
     u = np.asarray(u, dtype=float)
-    if u.shape != scaling.grid_shape(n):
+    k = u.ndim - scaling.d
+    if k < 0 or u.shape[k:] != scaling.grid_shape(n):
         raise ValueError("sequence not defined on the whole level-n grid")
-    return weighted_lp(u, 2.0 ** (-n * scaling.total), p)
+    p = check_exponent(p)
+    # one row per grid, so each row sums in the pairwise order of a flat sum
+    rows = np.abs(u.reshape(-1, math.prod(u.shape[k:])))
+    if math.isinf(p):
+        norms = rows.max(axis=1)
+    else:
+        sums = 2.0 ** (-n * scaling.total) * np.sum(rows**p, axis=1)
+        # the root on scalars: numpy's vector pow may round differently
+        norms = np.array([s ** (1.0 / p) for s in sums])
+    return float(norms[0]) if k == 0 else norms.reshape(u.shape[:k])
 
 
 @dataclass

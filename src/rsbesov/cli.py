@@ -314,8 +314,7 @@ def cmd_embed(run: Run) -> int:
                 4, gamma, 2.0, math.inf, gamma - sc.total / 2.0 - 0.01, math.inf, math.inf
             ),
         ]
-        for case in cases:
-            rep = embeddings.embed_check(fbar, model, case)
+        for case, rep in zip(cases, embeddings.embed_sweep(fbar, model, cases)):
             rows.append(
                 (case.case, case.gamma, case.p, case.q, case.gamma_t, case.p_t, case.q_t, N, rep.ratio)
             )

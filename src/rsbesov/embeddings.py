@@ -9,10 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .besov import lpn_norm
-from .modelled import AveragedMD, dbar_norm
+from .modelled import AveragedMD, _dbar_norms
+from .modelled import dbar_norm  # noqa: F401  (perfbench/spans.py traces it here)
 from .scaling import Scaling
 from .structures import Model, sector_abs
-from .util import check_exponent, weighted_lp
+from .util import check_exponent
 
 
 def ell_embed(
@@ -36,9 +37,8 @@ def ell_embed(
     inv = 1.0 / p - 1.0 / p_tilde
     if delta_tilde > delta - scaling.total * inv + 1e-12:
         raise ValueError("exponent hypothesis violated")
-    w = 2.0 ** (-n * scaling.total)
-    lhs = weighted_lp(np.asarray(u) / 2.0 ** (-n * delta_tilde), w, p_tilde)
-    rhs = weighted_lp(np.asarray(u) / 2.0 ** (-n * delta), w, p)
+    lhs = lpn_norm(np.asarray(u) / 2.0 ** (-n * delta_tilde), n, p_tilde, scaling)
+    rhs = lpn_norm(np.asarray(u) / 2.0 ** (-n * delta), n, p, scaling)
     return lhs, rhs
 
 
@@ -110,22 +110,46 @@ def case4_ladder_exponent(scaling: Scaling, gamma: float, p: float, zeta: float)
 def embed_check(fbar: AveragedMD, model: Model, case: EmbeddingCase) -> EmbedReport:
     """Source vs target averaged-space norms; the target restricts to
     T_{<gamma'} and, for case 4, the homogeneity ladder is reported."""
+    return embed_sweep(fbar, model, [case])[0]
+
+
+def embed_sweep(fbar: AveragedMD, model: Model, cases) -> list[EmbedReport]:
+    """embed_check for every case, with one Gamma transport per level of fbar
+    and of each restriction that zeroes a symbol; every source and target
+    norm is read from those difference stacks.  All cases are checked before
+    the first transport."""
     st, sc = fbar.structure, fbar.structure.scaling
-    case.check_gap(sc, st.homogeneities)
-    if fbar.gamma != case.gamma:
-        raise ValueError("averaged distribution order does not match the case")
-    src = dbar_norm(fbar, model, case.p, case.q).total
-    target_fbar = fbar.restrict(case.gamma_t) if case.gamma_t < case.gamma else fbar
-    if case.gamma_t < case.gamma:
-        st.check_gamma(case.gamma_t)
-    tgt = dbar_norm(target_fbar, model, case.p_t, case.q_t).total
-    ladder = []
-    if case.case == 4:
-        for z in st.sectors_below(case.gamma):
-            pz = case4_ladder_exponent(sc, case.gamma, case.p, z)
-            sup = max(
-                lpn_norm(sector_abs(st, fbar.levels[n], z), n, pz, sc)
-                for n in range(fbar.N + 1)
-            )
-            ladder.append((z, pz, sup))
-    return EmbedReport(case, src, tgt, ladder)
+    # one field per set of symbols its restriction zeroes: Gamma mixes the
+    # sectors, so such a restriction is transported on its own; sides holds
+    # each case's source and target as (field key, (gamma, p, q))
+    fields, sides = {}, []
+    for case in cases:
+        case.check_gap(sc, st.homogeneities)
+        if fbar.gamma != case.gamma:
+            raise ValueError("averaged distribution order does not match the case")
+        zeroed = ()
+        if case.gamma_t < case.gamma:
+            st.check_gamma(case.gamma_t)
+            zeroed = tuple(i for i, s in enumerate(st.symbols) if s.zeta >= case.gamma_t)
+        fields[()] = fbar
+        if zeroed not in fields:
+            fields[zeroed] = fbar.restrict(case.gamma_t)
+        sides += [((), (case.gamma, case.p, case.q)), (zeroed, (case.gamma_t, case.p_t, case.q_t))]
+    total = {}
+    for key, field in fields.items():
+        norms = list(dict.fromkeys(norm for k, norm in sides if k == key))
+        for norm, rep in zip(norms, _dbar_norms(field, model, norms)):
+            total[key, norm] = rep.total
+    reports = []
+    for case, src, tgt in zip(cases, sides[::2], sides[1::2]):
+        ladder = []
+        if case.case == 4:
+            for z in st.sectors_below(case.gamma):
+                pz = case4_ladder_exponent(sc, case.gamma, case.p, z)
+                sup = max(
+                    lpn_norm(sector_abs(st, fbar.levels[n], z), n, pz, sc)
+                    for n in range(fbar.N + 1)
+                )
+                ladder.append((z, pz, sup))
+        reports.append(EmbedReport(case, total[src], total[tgt], ladder))
+    return reports

@@ -99,7 +99,6 @@ class DNormReport:
     translation: dict[float, np.ndarray]
     trans_levels: np.ndarray
     consistency: dict[float, np.ndarray] = field(default_factory=dict)
-    combined: dict[float, np.ndarray] = field(default_factory=dict)
 
     @property
     def total(self) -> float:
@@ -161,20 +160,20 @@ def _moved(model: Model, g: np.ndarray, m: int, N: int, x_index, steps) -> np.nd
     return model.gamma_apply_field(g[src], steps * 2.0 ** (-N * np.array(sc.s)), x_index)
 
 
-def _shell_lq(st: RegularityStructure, zetas, diffs, n: int, weight, p, q) -> dict[float, float]:
+def _moduli(st: RegularityStructure, zetas, a: np.ndarray) -> dict[float, np.ndarray]:
+    """Per sector zeta: |a|_zeta, taken once for every reader of a."""
+    return {z: sector_abs(st, a, z) for z in zetas}
+
+
+def _shell_lq(sc: Scaling, moduli, n: int, weight, p, q) -> dict[float, float]:
     """Per sector zeta: the l^q over a shell's offsets of the L^p_n norms of
-    its difference arrays (stacked on the first axis), each divided by
-    weight(zeta)."""
-    acc = {z: [] for z in zetas}
-    for diff in diffs:
-        for z in zetas:
-            acc[z].append(lpn_norm(sector_abs(st, diff, z), n, p, st.scaling) / weight(z))
-    return {z: lq_aggregate(acc[z], q) for z in zetas}
+    the difference moduli[zeta] (offsets on the first axis, one row-wise
+    reduction), each divided by weight(zeta)."""
+    return {z: lq_aggregate(lpn_norm(m, n, p, sc) / weight(z), q) for z, m in moduli.items()}
 
 
-def _level_table(zetas, levels, per_level) -> dict[float, np.ndarray]:
-    """Per sector: the values of per_level(n) stacked over the levels."""
-    rows = [per_level(n) for n in levels]
+def _level_table(zetas, rows) -> dict[float, np.ndarray]:
+    """Per sector: the per-level values of rows (one dict per level) stacked."""
     return {z: np.array([r[z] for r in rows], dtype=float) for z in zetas}
 
 
@@ -192,9 +191,9 @@ def _fine_norm(f: ModelledDistribution, local_values: np.ndarray, difference, p,
         hnorm = 2.0 ** (-n)
         # D[y] = f(y) - Gamma_{y, y-h} f(y-h), same l^p as the x+h form
         diffs = difference(-_shell_steps(sc, n, N))
-        return _shell_lq(st, zetas, diffs, N, lambda z: hnorm ** (f.gamma - z), p, q)
+        return _shell_lq(sc, _moduli(st, zetas, diffs), N, lambda z: hnorm ** (f.gamma - z), p, q)
 
-    return DNormReport(f.gamma, p, q, local, _level_table(zetas, levels, shell), levels)
+    return DNormReport(f.gamma, p, q, local, _level_table(zetas, [shell(n) for n in levels]), levels)
 
 
 def d_norm(f: ModelledDistribution, model: Model, p, q) -> DNormReport:
@@ -209,36 +208,45 @@ def d_norm(f: ModelledDistribution, model: Model, p, q) -> DNormReport:
 
 
 def dbar_norm(fbar: AveragedMD, model: Model, p, q) -> DNormReport:
-    """The three bounds of the averaged space plus the combined-shell term."""
+    """The three bounds of the averaged space: the level-0 local bound, the
+    translation terms and the consistency terms."""
+    return _dbar_norms(fbar, model, [(fbar.gamma, p, q)])[0]
+
+
+def _dbar_norms(fbar: AveragedMD, model: Model, norms) -> list[DNormReport]:
+    """dbar_norm of fbar's levels read at every order and exponents (gamma,
+    p, q) of norms: one Gamma transport per level, every norm's shell sums
+    taken from the same difference stack."""
     st, sc = fbar.structure, fbar.structure.scaling
-    N, gamma, lv = fbar.N, fbar.gamma, fbar.levels
-    zetas = st.sectors_below(gamma)
-    local = {z: lpn_norm(sector_abs(st, lv[0], z), 0, p, sc) for z in zetas}
-
-    def translation(n):
-        steps = -_shell_steps(sc, n, N)
-        diffs = lv[n] - _moved(model, lv[n], n, N, _level_index(sc, n, N), steps)
-        return _shell_lq(st, zetas, diffs, n, lambda z: 2.0 ** (-n * (gamma - z)), p, q)
-
-    def consistency(n):
-        diff = lv[n] - subsample(lv[n + 1], sc, n + 1, n)
-        return {
-            z: lpn_norm(sector_abs(st, diff, z), n, p, sc) / 2.0 ** (-n * (gamma - z))
-            for z in zetas
-        }
-
-    def combined(n):
-        # fbar^(n)(x) - Gamma_{x,x+h} fbar^(n+1)(x+h) with h over E_{n+1}
-        # plus h = 0 (the consistency term itself)
-        steps = np.concatenate([np.zeros((1, sc.d), int), _shell_steps(sc, n + 1, N)])
-        diffs = lv[n] - _moved(model, lv[n + 1], n + 1, N, _level_index(sc, n, N), steps)
-        return _shell_lq(st, zetas, diffs, n, lambda z: 2.0 ** (-n * (gamma - z)), p, q)
-
-    levels, cons_levels = np.arange(TRANSLATION_MIN_LEVEL, N + 1), np.arange(0, N)
-    trans = _level_table(zetas, levels, translation)
-    cons = _level_table(zetas, cons_levels, consistency)
-    comb = _level_table(zetas, cons_levels, combined)
-    return DNormReport(gamma, p, q, local, trans, levels, cons, comb)
+    N, lv = fbar.N, fbar.levels
+    specs = [(st.sectors_below(g), g, p, q) for g, p, q in norms]
+    sectors = sorted({z for zetas, *_ in specs for z in zetas})
+    trans, cons = [[] for _ in specs], [[] for _ in specs]
+    for n in np.arange(N + 1):
+        if n < N:
+            mod = _moduli(st, sectors, lv[n] - subsample(lv[n + 1], sc, n + 1, n))
+            for rows, (zetas, g, p, _) in zip(cons, specs):
+                rows.append({z: lpn_norm(mod[z], n, p, sc) / 2.0 ** (-n * (g - z)) for z in zetas})
+        if n >= TRANSLATION_MIN_LEVEL:
+            steps = -_shell_steps(sc, n, N)
+            diffs = lv[n] - _moved(model, lv[n], n, N, _level_index(sc, n, N), steps)
+            mod = _moduli(st, sectors, diffs)
+            for rows, (zetas, g, p, q) in zip(trans, specs):
+                shells = {z: mod[z] for z in zetas}
+                rows.append(_shell_lq(sc, shells, n, lambda z: 2.0 ** (-n * (g - z)), p, q))
+    levels = np.arange(TRANSLATION_MIN_LEVEL, N + 1)
+    return [
+        DNormReport(
+            g,
+            p,
+            q,
+            {z: lpn_norm(sector_abs(st, lv[0], z), 0, p, sc) for z in zetas},
+            _level_table(zetas, t),
+            levels,
+            _level_table(zetas, c),
+        )
+        for (zetas, g, p, q), t, c in zip(specs, trans, cons)
+    ]
 
 
 def average(f: ModelledDistribution, model: Model) -> AveragedMD:
@@ -361,10 +369,13 @@ class PropagationReport:
 
 
 def check_local_propagation(fbar: AveragedMD, model: Model, p, q) -> PropagationReport:
-    """Verify sup_n ||fbar^(n)|_zeta||_{l^p_n} <= level-0 bound + K * combined."""
+    """Verify sup_n ||fbar^(n)|_zeta||_{l^p_n} <= level-0 bound + K * combined,
+    where the combined-shell term compares fbar^(n)(x) with Gamma_{x,x+h}
+    fbar^(n+1)(x+h) for h = 0 and h over E_{n+1}."""
     st, sc = fbar.structure, fbar.structure.scaling
-    rep = dbar_norm(fbar, model, p, q)
-    zetas = st.sectors_below(fbar.gamma)
+    N, gamma, lv = fbar.N, fbar.gamma, fbar.levels
+    zetas = st.sectors_below(gamma)
+    local = {z: lpn_norm(sector_abs(st, lv[0], z), 0, p, sc) for z in zetas}
     sup_lv = {
         z: max(
             lpn_norm(sector_abs(st, fbar.levels[n], z), n, p, sc)
@@ -372,12 +383,19 @@ def check_local_propagation(fbar: AveragedMD, model: Model, p, q) -> Propagation
         )
         for z in zetas
     }
-    combined = {z: lq_aggregate(rep.combined[z], q) for z in zetas}
+
+    def shell(n):
+        steps = np.concatenate([np.zeros((1, sc.d), int), _shell_steps(sc, n + 1, N)])
+        diffs = lv[n] - _moved(model, lv[n + 1], n + 1, N, _level_index(sc, n, N), steps)
+        return _shell_lq(sc, _moduli(st, zetas, diffs), n, lambda z: 2.0 ** (-n * (gamma - z)), p, q)
+
+    table = _level_table(zetas, [shell(n) for n in np.arange(N)])
+    combined = {z: lq_aggregate(table[z], q) for z in zetas}
     K = {}
     for z in zetas:
-        excess = sup_lv[z] - rep.local[z]
+        excess = sup_lv[z] - local[z]
         if excess <= 0:
             K[z] = 0.0
         else:
             K[z] = np.inf if combined[z] == 0 else excess / combined[z]
-    return PropagationReport(sup_lv, rep.local, combined, K)
+    return PropagationReport(sup_lv, local, combined, K)

@@ -28,15 +28,6 @@ def lq_aggregate(values, q) -> float:
     return float(np.sum(np.abs(v) ** q) ** (1.0 / q))
 
 
-def weighted_lp(values, weight: float, p) -> float:
-    """(sum_x weight*|v_x|^p)^(1/p); sup over x when p = inf."""
-    v = np.asarray(values, dtype=float)
-    p = check_exponent(p)
-    if math.isinf(p):
-        return float(np.max(np.abs(v))) if v.size else 0.0
-    return float((weight * np.sum(np.abs(v) ** p)) ** (1.0 / p))
-
-
 def fit_log2_slope(levels, values) -> float:
     """Least-squares slope of log2(values) against the level index.
 

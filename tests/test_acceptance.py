@@ -224,8 +224,8 @@ def test_criterion_7_embeddings(sc, fam):
             3: em.EmbeddingCase(3, gamma, 2.0, 2.0, gamma, 1.0, 2.0),
             4: em.EmbeddingCase(4, gamma, 2.0, INF, gamma - 0.51, INF, INF),
         }
-        for c, case in cases.items():
-            ratios[c][N] = em.embed_check(fbar, model, case).ratio
+        for c, rep in zip(cases, em.embed_sweep(fbar, model, list(cases.values()))):
+            ratios[c][N] = rep.ratio
     for c in (1, 3):
         mx = max(ratios[c].values())
         check(mx <= 1.0, f"7c case-{c} ratio {mx:.3f} <= 1 exactly")

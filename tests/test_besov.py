@@ -36,6 +36,28 @@ def test_lpn_matches_direct_sum(sc1):
         assert abs(besov.lpn_norm(u, 7, p, sc1) - direct) <= 1e-12 * direct
 
 
+@pytest.mark.parametrize("s, n, lead", [((1,), 2, (2,)), ((1,), 9, (3, 2)), ((2, 1), 5, (8,))])
+def test_lpn_stack_matches_per_row_bits(s, n, lead):
+    # leading axes stack grids: each entry has the bits of its own grid's
+    # norm, across p = 1, the exact-square p = 2, a generic p and the sup
+    from rsbesov.scaling import Scaling
+
+    sc = Scaling(s)
+    rng = np.random.default_rng(1)
+    u = rng.standard_normal((*lead, *sc.grid_shape(n))) * 10.0 ** rng.uniform(-3, 3, lead + (1,) * sc.d)
+    w = 2.0 ** (-n * sc.total)
+    for p in (1.0, 2.0, 2.7, INF):
+        got = besov.lpn_norm(u, n, p, sc)
+        assert got.shape == lead
+        for idx in np.ndindex(*lead):
+            one = besov.lpn_norm(u[idx], n, p, sc)
+            # the flat whole-grid sum, root taken on the numpy scalar
+            flat = np.max(np.abs(u[idx])) if p == INF else (w * np.sum(np.abs(u[idx]) ** p)) ** (1.0 / p)
+            assert type(one) is float and got[idx] == one == flat
+    with pytest.raises(ValueError, match="level-n grid"):
+        besov.lpn_norm(u, n + 1, 2.0, sc)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         besov.BesovParams(2.5, 2.0, 2.0, 2)

@@ -325,3 +325,19 @@ def test_report_walks_the_traced_subcommands(monkeypatch):
         monkeypatch.setattr(cli, f"cmd_{sub}", lambda run, sub=sub: walked.append(sub) or 0)
     assert cli.cmd_report(None) == 0
     assert tuple(walked) == spans.CLI_SUBCOMMANDS
+
+
+def test_embed_transports_each_field_once_per_level(tmp_path, monkeypatch):
+    # per sweep level N: one Gamma transport per translation level 2..N of
+    # fbar and of the case-4 restriction, none per norm
+    from rsbesov import cli, modelled
+
+    levels = []
+    moved = modelled._moved
+    monkeypatch.setattr(
+        modelled, "_moved", lambda model, *a: levels.append(model.N) or moved(model, *a)
+    )
+    assert main(["embed", "--levels", "6", "--seed", "7", "--out", str(tmp_path)]) == 0
+    sweep = range(cli.MIN_SWEEP_LEVEL, 7)
+    assert {N: levels.count(N) for N in sweep} == {N: 2 * (N - 1) for N in sweep}
+    assert len(levels) == sum(2 * (N - 1) for N in sweep)

@@ -84,6 +84,8 @@ def test_hypothesis_violation_rejected(sc1):
         em.ell_embed(np.ones(4), 2, sc1, 2.0, 1.0, 4.0, 0.9)
     with pytest.raises(ValueError):
         em.ell_embed(np.ones(4), 2, sc1, 4.0, 1.0, 2.0, 0.1)  # p~ < p
+    with pytest.raises(ValueError, match="level-n grid"):
+        em.ell_embed(np.ones(5), 2, sc1, 2.0, 1.0, 4.0, 0.2)  # not a level-2 sequence
 
 
 @given(data=hst.data())
@@ -177,3 +179,51 @@ def test_restriction_never_increases_local_terms(sc1, fam6):
     restr = md.dbar_norm(fbar.restrict(0.9), model, 2.0, 2.0)
     for z, v in restr.local.items():
         assert v <= full.local[z] + 1e-14
+
+
+def _sweep_cases(gamma, sc):
+    return [
+        em.EmbeddingCase(1, gamma, 2.0, 2.0, gamma, 2.0, INF),
+        em.EmbeddingCase(2, gamma, 2.0, 2.0, gamma - 0.45, 2.0, 2.0),
+        em.EmbeddingCase(3, gamma, 2.0, 2.0, gamma, 1.0, 2.0),
+        em.EmbeddingCase(4, gamma, 2.0, INF, gamma - sc.total / 2.0 - 0.01, INF, INF),
+    ]
+
+
+@pytest.mark.parametrize("s, gamma, N", [((1,), GAMMA, 6), ((1,), 2.5, 6), ((2, 1), 2.5, 3)])
+def test_sweep_matches_per_case_checks(fam6, s, gamma, N):
+    # at gamma 1.3 the case-2 and case-4 targets zero the same symbol and
+    # share one transport; at 2.5 case 2 zeroes nothing and reads fbar's
+    # own difference stacks
+    sc = Scaling(s)
+    st, model = rs.polynomial_structure(gamma, sc, fam6, N)
+    fbar = random_fbar(st, gamma, N, 3)
+    cases = _sweep_cases(gamma, sc)
+    for case, rep in zip(cases, em.embed_sweep(fbar, model, cases)):
+        one = em.embed_check(fbar, model, case)
+        assert (rep.case, rep.source_norm, rep.target_norm) == (case, one.source_norm, one.target_norm)
+        assert rep.ladder == one.ladder
+        target = fbar.restrict(case.gamma_t) if case.gamma_t < gamma else fbar
+        assert rep.source_norm == md.dbar_norm(fbar, model, case.p, case.q).total
+        assert rep.target_norm == md.dbar_norm(target, model, case.p_t, case.q_t).total
+
+
+def test_sweep_checks_every_case_before_transporting(sc1, fam6, monkeypatch):
+    # a target order on a homogeneity is refused before any Gamma transport,
+    # even when it comes after a valid case
+    st, model = rs.polynomial_structure(2.5, sc1, fam6, 5)
+    fbar = random_fbar(st, 2.5, 5, 3)
+    calls = []
+    apply = type(model).gamma_apply_field
+    monkeypatch.setattr(
+        type(model), "gamma_apply_field", lambda self, *a: calls.append(a) or apply(self, *a)
+    )
+    good = em.EmbeddingCase(1, 2.5, 2.0, 2.0, 2.5, 2.0, INF)
+    on_homogeneity = em.EmbeddingCase(2, 2.5, 2.0, 2.0, 2.0, 2.0, 2.0)
+    with pytest.raises(ValueError, match="coincides with a homogeneity"):
+        em.embed_sweep(fbar, model, [good, on_homogeneity])
+    with pytest.raises(ValueError, match="coincides with a homogeneity"):
+        em.embed_check(fbar, model, on_homogeneity)
+    assert calls == []
+    em.embed_sweep(fbar, model, [good])
+    assert len(calls) == len(range(md.TRANSLATION_MIN_LEVEL, 5 + 1))

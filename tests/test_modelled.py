@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from rsbesov import besov, modelled as md, structures as rs
+from rsbesov.analysis import subsample
+from rsbesov.util import lq_aggregate
 from conftest import MODEL_KINDS, make_model, make_sin_lift
 
 INF = math.inf
@@ -245,6 +247,117 @@ def test_batched_transport_matches_per_offset_loops(kind):
     for n in range(N + 1):
         got = md._transport_to_fine(fbar, model, n)
         assert np.array_equal(got, _transport_by_residue(fbar, model, n))
+
+
+def _ref_shell_lq(st, zetas, diffs, n, weight, p, q):
+    """Oracle: the shell l^q with one sector modulus and one L^p_n reduction
+    per offset of the stack."""
+    acc = {z: [] for z in zetas}
+    for diff in diffs:
+        for z in zetas:
+            acc[z].append(besov.lpn_norm(rs.sector_abs(st, diff, z), n, p, st.scaling) / weight(z))
+    return {z: lq_aggregate(acc[z], q) for z in zetas}
+
+
+def _ref_table(zetas, rows):
+    return {z: np.array([r[z] for r in rows], dtype=float) for z in zetas}
+
+
+def _ref_fine_translation(f, difference, p, q):
+    """Oracle: the translation table of d_norm / md_distance, where
+    difference(steps) stacks the differences translated by the steps."""
+    st, sc, N = f.structure, f.structure.scaling, f.N
+    zetas = st.sectors_below(f.gamma)
+    rows = []
+    for n in np.arange(md.TRANSLATION_MIN_LEVEL, N + 1):
+        hnorm = 2.0 ** (-n)
+        diffs = difference(-md._shell_steps(sc, n, N))
+        rows.append(_ref_shell_lq(st, zetas, diffs, N, lambda z: hnorm ** (f.gamma - z), p, q))
+    return _ref_table(zetas, rows)
+
+
+def _ref_dbar_norm(fbar, model, p, q):
+    """Oracle: dbar_norm as it was when it also computed the combined-shell
+    term; returns (local, translation, consistency, combined)."""
+    st, sc = fbar.structure, fbar.structure.scaling
+    N, gamma, lv = fbar.N, fbar.gamma, fbar.levels
+    zetas = st.sectors_below(gamma)
+    local = {z: besov.lpn_norm(rs.sector_abs(st, lv[0], z), 0, p, sc) for z in zetas}
+    trans, cons, comb = [], [], []
+    for n in np.arange(md.TRANSLATION_MIN_LEVEL, N + 1):
+        steps = -md._shell_steps(sc, n, N)
+        diffs = lv[n] - md._moved(model, lv[n], n, N, md._level_index(sc, n, N), steps)
+        trans.append(
+            _ref_shell_lq(st, zetas, diffs, n, lambda z: 2.0 ** (-n * (gamma - z)), p, q)
+        )
+    for n in np.arange(0, N):
+        diff = lv[n] - subsample(lv[n + 1], sc, n + 1, n)
+        cons.append({
+            z: besov.lpn_norm(rs.sector_abs(st, diff, z), n, p, sc) / 2.0 ** (-n * (gamma - z))
+            for z in zetas
+        })
+        # h = 0 (the consistency term) plus h over E_{n+1}
+        steps = np.concatenate([np.zeros((1, sc.d), int), md._shell_steps(sc, n + 1, N)])
+        diffs = lv[n] - md._moved(model, lv[n + 1], n + 1, N, md._level_index(sc, n, N), steps)
+        comb.append(
+            _ref_shell_lq(st, zetas, diffs, n, lambda z: 2.0 ** (-n * (gamma - z)), p, q)
+        )
+    return local, _ref_table(zetas, trans), _ref_table(zetas, cons), _ref_table(zetas, comb)
+
+
+@pytest.mark.parametrize("kind", ["poly-1", "poly-21", "noise-1", "noise-21"])
+def test_norm_tables_match_per_offset_reductions(kind):
+    # one sector modulus and one row-wise L^p reduction per shell stack give
+    # the same bits as one reduction per offset, in every norm table
+    N = 5 if kind.endswith("-1") else 4
+    model = make_model(kind, N)
+    st, sc = model.structure, model.scaling
+    gamma = 2.5 if kind.startswith("poly") else 1.25
+    rng = np.random.default_rng(4)
+    fs = []
+    for _ in range(2):
+        vals = rng.standard_normal((*sc.grid_shape(N), st.dim))
+        vals[..., [s.zeta >= gamma for s in st.symbols]] = 0.0
+        fs.append(md.ModelledDistribution(st, gamma, N, vals))
+    f, f2 = fs
+    fine = md._level_index(sc, N, N)
+    fbar = md.average(f, model)
+    for p, q in [(2.0, 2.0), (1.0, INF), (INF, 2.0), (3.0, 1.5)]:
+        local, trans, cons, comb = _ref_dbar_norm(fbar, model, p, q)
+        rep = md.dbar_norm(fbar, model, p, q)
+        assert rep.local == local
+        for z in local:
+            assert np.array_equal(rep.translation[z], trans[z])
+            assert np.array_equal(rep.consistency[z], cons[z])
+        prop = md.check_local_propagation(fbar, model, p, q)
+        assert prop.local0 == local
+        combined = {z: lq_aggregate(comb[z], q) for z in local}
+        assert prop.combined == combined
+        for z in local:
+            excess = prop.sup_levels[z] - local[z]
+            if excess <= 0:
+                assert prop.required_K[z] == 0.0
+            else:
+                assert prop.required_K[z] == excess / combined[z]
+        rep = md.d_norm(f, model, p, q)
+        want = _ref_fine_translation(
+            f, lambda steps: f.values - md._moved(model, f.values, N, N, fine, steps), p, q
+        )
+        assert rep.translation.keys() == want.keys()
+        for z in want:
+            assert np.array_equal(rep.translation[z], want[z])
+        rep = md.md_distance(f, model, f2, model, p, q)
+        want = _ref_fine_translation(
+            f,
+            lambda steps: f.values
+            - f2.values
+            - md._moved(model, f.values, N, N, fine, steps)
+            + md._moved(model, f2.values, N, N, fine, steps),
+            p,
+            q,
+        )
+        for z in want:
+            assert np.array_equal(rep.translation[z], want[z])
 
 
 def test_transport_rejects_level_mismatch(sc1, fam6):
