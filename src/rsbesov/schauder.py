@@ -36,7 +36,7 @@ _BUMP_DERIVS = tuple(_BUMP.derivative(k) for k in range(10))
 _CORRECTOR_SCALE = 0.5  # s in the 1-d corrector factors B(x / s) / s, support [-s, s]
 _CUTOFF_END = 0.5  # S(u) = 0 for u >= 1/2, so the annular cutoff vanishes for g >= 1/2
 _FD_STEP = 1e-3  # step of the central differences in p0_deriv, in p0 coordinates
-_BLOCK = 2**14  # points per p0_deriv call in the kernel sampling (128 KiB per temporary)
+_BLOCK = 2**14  # points per kernel call in _sample_box (128 KiB per temporary)
 
 
 def _step(u: np.ndarray) -> np.ndarray:
@@ -174,12 +174,19 @@ class KernelDecomposition:
     def p0_moment(self, m: tuple[int, ...], mesh_bits: int = _MESH_BITS) -> float:
         """Midpoint-rule moment of P0 on the 2^mesh_bits-per-axis box mesh.
 
-        The raw mesh moment of p0_raw (shared with `decompose_kernel`) minus,
-        per tensor corrector, c_k times the product of its 1-d midpoint sums
-        on the same mesh axis: the full-mesh sum of p0, summed in another
-        order.  It is deliberately independent of the 1-d moment system that
-        produced c_k, so a vanishing result checks that solve.
+        The raw mesh moment of p0_raw (shared with `decompose_kernel`, a sum
+        over the support box) minus, per tensor corrector, c_k times the
+        product of its 1-d midpoint sums on the whole mesh axis: the same
+        midpoint rule as a mesh sum of p0, not its bits.  It is deliberately
+        independent of the 1-d moment system that produced c_k, so a
+        vanishing result checks that solve.  m is a tuple of d integers >= 0.
         """
+        if not isinstance(m, tuple) or len(m) != self.scaling.d:
+            raise ValueError(
+                f"moment index must be a tuple of {self.scaling.d} integers >= 0, got {m!r}"
+            )
+        for i, mi in enumerate(m):
+            _check_count(f"moment index entry m[{i}]", mi, 0)
         key = ("m", m, mesh_bits)
         if key not in self._mom_cache:
             raw_key = ("raw", m, mesh_bits)
@@ -200,6 +207,8 @@ class KernelDecomposition:
     def pplus_moment(self, m: tuple[int, ...], levels: int | None = None) -> float:
         """Moments of the (possibly truncated) singular part: geometric sums
         of the exactly scaled level moments."""
+        if levels is not None:
+            _check_count("levels", levels, 0)
         base = self.p0_moment(m)
         rho = 2.0 ** (-(self.beta + self.scaling.scaled_degree(m)))
         if levels is None:
@@ -246,14 +255,25 @@ def _support_box(scaling: Scaling, x: np.ndarray, w: float) -> tuple:
     )
 
 
+def _sample_box(f, shape: tuple, coord) -> np.ndarray:
+    """f on the box mesh of the given shape, _BLOCK points per call (so f's
+    temporaries stay small): the point with index tuple i lies at
+    coord(axis, i[axis]) on each axis, worked out per block."""
+    out = np.empty(shape)
+    flat = out.reshape(-1)
+    for a in range(0, flat.size, _BLOCK):
+        idx = np.unravel_index(np.arange(a, min(a + _BLOCK, flat.size)), shape)
+        flat[a : a + _BLOCK] = f(np.stack([coord(ax, i) for ax, i in enumerate(idx)], -1))
+    return out
+
+
 def _box_moments(f, scaling: Scaling, ms, mesh_bits: int) -> dict:
     """Midpoint-rule moments x^m of f on the box [-1, 1]^d for every m in ms,
     from a single evaluation of f on the mesh.
 
-    f is a multiple P * chi of the annular cutoff, so it is evaluated on the
-    support box only and is 0 on the rest of the mesh.  The sums still run
-    over the full mesh: the added zeros keep numpy's pairwise summation order,
-    so every moment has the bits of a full-mesh evaluation.
+    f is a multiple P * chi of the annular cutoff, so it is 0 off the support
+    box (_support_box): f is sampled there only, in blocks (_sample_box), and
+    each moment is numpy's sum of f x^m over the box alone.
     """
     if mesh_bits < 1:
         raise ValueError(f"mesh_bits must be at least 1, got {mesh_bits}")
@@ -264,11 +284,9 @@ def _box_moments(f, scaling: Scaling, ms, mesh_bits: int) -> dict:
             f"{points} points (at most {_MAX_ND_POINTS} supported)"
         )
     x, w = _box_axis(mesh_bits)
-    box = _support_box(scaling, x, w)
-    sub = np.meshgrid(*[x[b] for b in box], indexing="ij", sparse=True)
-    vals = np.zeros((x.size,) * scaling.d)
-    vals[box] = f(np.stack(np.broadcast_arrays(*sub), axis=-1))
-    axes = np.meshgrid(*[x] * scaling.d, indexing="ij", sparse=True)
+    sub = [x[b] for b in _support_box(scaling, x, w)]
+    vals = _sample_box(f, tuple(u.size for u in sub), lambda ax, i: sub[ax][i])
+    axes = np.meshgrid(*sub, indexing="ij", sparse=True)
     out = {}
     for m in ms:
         mono = 1.0
@@ -535,14 +553,13 @@ def _self_similar_pieces(
             f"at level N s_i + margin + s_i - 1 = {tuple(bits)}, so lower N or margin "
             "(at d=1, N + margin <= 23)"
         )
-    S = np.empty(shape)
-    flat = S.reshape(-1)
-    for a in range(0, points, _BLOCK):  # in blocks, so p0_deriv's temporaries stay small
-        idx = np.unravel_index(np.arange(a, min(a + _BLOCK, points)), shape)
-        x = [(lo + i + fam.center) / 2.0**bi for (lo, _), i, bi in zip(windows, idx, bits)]
-        flat[a : a + _BLOCK] = kernel.p0_deriv(k, -np.stack(x, -1))
+    S = _sample_box(
+        lambda p: kernel.p0_deriv(k, p),
+        shape,
+        lambda ax, i: -((windows[ax][0] + i + fam.center) / 2.0 ** bits[ax]),
+    )
     c = an._stencil(S, fam.centered_father_moments)
-    del S, flat  # not held through the cascade
+    del S  # not held through the cascade
     c *= 2.0 ** (-sum(bits) / 2.0)
     t0 = [lo for lo, _ in windows]
     e = sc.total - kernel.beta + sc.scaled_degree(k) - sc.total / 2.0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import cache
 
 import numpy as np
@@ -81,54 +82,150 @@ def test_p0_moment_matches_full_mesh_sum(which, heat_setup, riesz_kernel):
         assert abs(K.p0_moment(m, mesh_bits=7) - _full_mesh_moment(K, m, 7)) <= 1e-15
 
 
-def _support_box_shape(sc):
-    """Points per axis of the default mesh with |x_i| <= 2^-s_i + one cell."""
+def _support_box_points(sc):
+    """The default-mesh points with |x_i| <= 2^-s_i + one cell, in index order."""
     x, w = sch._box_axis(sch._MESH_BITS)
-    return tuple(int(np.count_nonzero(np.abs(x) <= 2.0**-si + w)) for si in sc.s)
+    axes = [x[np.abs(x) <= 2.0**-si + w] for si in sc.s]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, sc.d)
 
 
-def _assert_one_mesh_pass(sc, beta, r, n_coeffs):
+def _assert_one_mesh_pass(sc, beta, r, n_coeffs, monkeypatch):
     P, beta = sch.riesz_kernel(sc, beta)
-    box = _support_box_shape(sc)
-    mesh_calls = []
+    calls = []  # the points of every kernel call after the self-similarity check
+    armed = False
+    defect = sch.self_similarity_defect
 
     def counted(pts):
-        if pts.shape[:-1] == box:
-            mesh_calls.append(1)
+        if armed:
+            calls.append(pts.reshape(-1, sc.d).copy())
         return P(pts)
 
+    def defect_then_arm(*args):
+        nonlocal armed
+        out = defect(*args)
+        armed = True
+        return out
+
+    monkeypatch.setattr(sch, "self_similarity_defect", defect_then_arm)
     K = sch.decompose_kernel("custom", sc, r=r, beta=beta, custom=counted)
     assert len(K.correction_coeffs) == n_coeffs
-    assert len(mesh_calls) == 1
+    assert max(len(c) for c in calls) <= sch._BLOCK
+    got = np.concatenate(calls)
+    got = got[np.lexsort(got.T[::-1])]  # index order of the box mesh
+    np.testing.assert_array_equal(got, _support_box_points(sc))  # each point once
+    calls.clear()
     for m in K.correction_coeffs:  # raw moments come from that one pass
         assert abs(K.p0_moment(m)) <= 1e-8
-    assert len(mesh_calls) == 1
+    assert calls == []
 
 
-def test_decompose_evaluates_kernel_once_on_mesh(sc1):
-    _assert_one_mesh_pass(sc1, 0.4, 2, 3)
+def test_decompose_evaluates_kernel_once_on_mesh(sc1, monkeypatch):
+    _assert_one_mesh_pass(sc1, 0.4, 2, 3, monkeypatch)
 
 
-def test_decompose_evaluates_kernel_once_on_mesh_2d(sc21):
-    _assert_one_mesh_pass(sc21, 1.5, 2, 4)
+def test_decompose_evaluates_kernel_once_on_mesh_2d(sc21, monkeypatch):
+    _assert_one_mesh_pass(sc21, 1.5, 2, 4, monkeypatch)
+
+
+def test_decompose_peak_memory_follows_the_sample_blocks():
+    tracemalloc.start()
+    try:
+        sch.decompose_kernel("heat", Scaling((2, 1)), r=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, peak
+
+
+@pytest.mark.parametrize("which", ["riesz", "heat"])
+@pytest.mark.parametrize("deriv", [False, True])
+def test_sample_box_matches_one_shot_evaluation(which, deriv, riesz_kernel, heat_setup):
+    K = riesz_kernel if which == "riesz" else heat_setup
+    d = K.scaling.d
+    # a box not a multiple of _BLOCK: about [-0.6, 0.6] at d=1, [-0.5, 0.5] x [-0.4, 0.4] at s=(2,1)
+    shape, bits = ((sch._BLOCK + 4099,), (14,)) if d == 1 else ((131, 197), (7, 8))
+    assert math.prod(shape) % sch._BLOCK
+    k = (1,) + (0,) * (d - 1)
+    f = (lambda p: K.p0_deriv(k, p)) if deriv else K.p0_raw
+    coord = lambda ax, i: -((i - shape[ax] // 2 + 0.25) / 2.0 ** bits[ax])  # noqa: E731
+    mesh = np.meshgrid(*[coord(ax, np.arange(n)) for ax, n in enumerate(shape)], indexing="ij")
+    want = f(np.stack(mesh, axis=-1))
+    assert np.count_nonzero(want) > 0.1 * want.size
+    got = sch._sample_box(f, shape, coord)
+    assert got.shape == shape
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [(1,), (0, 0, 0), (-1, 0), (0, -1), (0.5, 0), (1.0, 0), (True, 0), [0, 0], 0, "00"],
+)
+def test_p0_moment_rejects_bad_indices(heat_setup, m):
+    K = heat_setup
+    cached = dict(K._mom_cache)
+    with pytest.raises(ValueError, match="moment index"):
+        K.p0_moment(m)
+    with pytest.raises(ValueError, match="moment index"):
+        K.pplus_moment(m)
+    assert K._mom_cache == cached
+
+
+def test_p0_moment_checks_before_evaluating(monkeypatch):
+    K = _oracle_kernel("heat")
+    monkeypatch.setattr(K, "P", None)  # any kernel evaluation would raise TypeError
+    with pytest.raises(ValueError, match="moment index"):
+        K.p0_moment((1,), mesh_bits=3)
+    assert K._mom_cache == {}
+
+
+@pytest.mark.parametrize("levels", [-1, 2.5, True, "2"])
+def test_pplus_moment_rejects_bad_levels(heat_setup, levels):
+    with pytest.raises(ValueError, match="levels must be an integer >= 0"):
+        heat_setup.pplus_moment((0, 0), levels=levels)
+
+
+def test_pplus_moment_accepts_zero_levels(heat_setup):
+    assert heat_setup.pplus_moment((0, 0), levels=0) == 0.0
 
 
 # --- the support box of the P0 moments -----------------------------------------
 
 
 def _ref_box_moments(f, scaling, ms, mesh_bits):
-    """Oracle: the moments from one evaluation of f on the whole box mesh."""
+    """Oracles from one evaluation `full` of f on the whole box mesh, per m:
+    box, numpy's sum of full * x^m over the support box (the bits the box
+    moments must have); mesh, numpy's full-mesh sum; exact, the correctly
+    rounded full-mesh sum (math.fsum); scale, the sum of |f x^m|.  All times
+    the cell volume w^d, a power of two."""
     x, w = sch._box_axis(mesh_bits)
+    box = sch._support_box(scaling, x, w)
     axes = np.meshgrid(*[x] * scaling.d, indexing="ij", sparse=True)
-    vals = f(np.stack(np.broadcast_arrays(*axes), axis=-1))
+    full = f(np.stack(np.broadcast_arrays(*axes), axis=-1))
+    wd = w**scaling.d
     out = {}
     for m in ms:
-        mono = np.ones(vals.shape)
+        mono = np.ones(full.shape)
         for i, mi in enumerate(m):
             if mi:
                 mono = mono * axes[i] ** mi
-        out[m] = float(np.sum(vals * mono) * w**scaling.d)
+        terms = (full * mono).ravel()
+        out[m] = {
+            "box": float(np.sum(full[box] * mono[box]) * wd),
+            "mesh": float(np.sum(terms) * wd),
+            "exact": math.fsum(terms) * wd,
+            "scale": math.fsum(np.abs(terms)) * wd,
+        }
     return out
+
+
+def _assert_box_sums(got, want):
+    """got: the box moments; want: _ref_box_moments at the same mesh."""
+    assert got.keys() == want.keys()
+    for m, ref in want.items():
+        assert got[m] == ref["box"], m
+        tol = 1e-15 * ref["scale"]
+        assert abs(got[m] - ref["exact"]) <= tol, m
+        assert abs(ref["mesh"] - ref["exact"]) <= tol, m
 
 
 def _skewed_kernel(sc, beta):
@@ -168,10 +265,7 @@ def test_box_moments_match_full_mesh_oracle(which, mesh_bits):
     # every moment up to one scaled degree past the corrected ones
     ms = [tuple(m) for m in sc.multi_indices_below(K.r + 1.5)]
     got = sch._box_moments(K.p0_raw, sc, ms, mesh_bits)
-    want = _ref_box_moments(K.p0_raw, sc, ms, mesh_bits)
-    assert got.keys() == want.keys()
-    for m in ms:
-        assert got[m] == want[m], m
+    _assert_box_sums(got, _ref_box_moments(K.p0_raw, sc, ms, mesh_bits))
 
 
 def test_decompose_moments_match_full_mesh_oracle(heat_setup, sc21):
@@ -179,8 +273,7 @@ def test_decompose_moments_match_full_mesh_oracle(heat_setup, sc21):
     K = heat_setup
     ks = list(K.correction_coeffs)
     want = _ref_box_moments(K.p0_raw, sc21, ks, sch._MESH_BITS)
-    for m in ks:
-        assert K._mom_cache[("raw", m, sch._MESH_BITS)] == want[m], m
+    _assert_box_sums({m: K._mom_cache[("raw", m, sch._MESH_BITS)] for m in ks}, want)
 
 
 @pytest.mark.parametrize("mesh_bits", [1, 2, 3, 7, 9])
