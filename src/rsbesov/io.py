@@ -1,5 +1,4 @@
-"""File formats beyond the coefficient pyramid: modelled-distribution blocks
-and sampled kernel profiles."""
+"""File formats beyond the coefficient pyramid: modelled-distribution blocks."""
 
 from __future__ import annotations
 
@@ -8,7 +7,6 @@ import numpy as np
 from .modelled import ModelledDistribution
 from .pyramid import expect_end, read_f8, read_header, write_header
 from .pyramid import save_rsbf  # noqa: F401  (perfbench/spans.py traces it here)
-from .schauder import _box_axis
 from .structures import RegularityStructure
 
 MD_MAGIC = b"RSMD"
@@ -34,29 +32,3 @@ def load_md(path, structure: RegularityStructure) -> ModelledDistribution:
         expect_end(fh, "RSMD")
         return ModelledDistribution(structure, gamma, N, vals)
 
-
-KERNEL_MAGIC = b"RSKP"
-
-
-def save_kernel_profile(path, kernel, resolution_bits: int = 9) -> None:
-    """The shared header with tail (beta, r, resolution), then the sampled
-    base piece."""
-    sc = kernel.scaling
-    with open(path, "wb") as fh:
-        write_header(fh, KERNEL_MAGIC, sc, "<dII", kernel.beta, kernel.r, resolution_bits)
-        x, _ = _box_axis(resolution_bits)
-        mesh = np.meshgrid(*[x] * sc.d, indexing="ij")
-        pts = np.stack(mesh, axis=-1)
-        fh.write(np.ascontiguousarray(kernel.p0(pts), dtype="<f8").tobytes())
-
-
-def load_kernel_profile(path):
-    """Header fields and the raw sample block of a stored base piece."""
-    with open(path, "rb") as fh:
-        sc, (beta, r, bits) = read_header(fh, KERNEL_MAGIC, "<dII")
-        n = 2**bits
-        vals = read_f8(fh, n**sc.d, "RSKP").reshape((n,) * sc.d)
-        expect_end(fh, "RSKP")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("RSKP samples must be finite")
-        return {"s": sc.s, "beta": beta, "r": r, "resolution_bits": bits}, vals

@@ -123,20 +123,19 @@ class KernelDecomposition:
         """D^k of the 1-d corrector factor B(x/s)/s (exact spline derivative)."""
         return _BUMP_DERIVS[k](x / _CORRECTOR_SCALE) / _CORRECTOR_SCALE ** (1 + k)
 
-    def _corrector(self, k: tuple[int, ...], axes: list) -> np.ndarray:
-        """D^k of the tensor corrector bump: a product of 1-d factors, each
-        evaluated once per distinct coordinate of its axis (see _axis_coords)."""
-        out = 1.0
-        for ki, (u, inv) in zip(k, axes):
-            out = out * self._corrector_1d(ki, u)[inv]
+    def _minus_correctors(self, out: np.ndarray, k: tuple[int, ...], axes: list) -> np.ndarray:
+        """out minus c * d^(kc + k) of every tensor corrector bump, in
+        correction_coeffs order.  axes holds the coordinates per axis, a point
+        array's columns or a sparse mesh's axes: each corrector is the product
+        of its 1-d factors, each evaluated on its axis alone."""
+        for kc, c in self.correction_coeffs.items():
+            out = out - c * math.prod(
+                self._corrector_1d(kci + ki, u) for kci, ki, u in zip(kc, k, axes)
+            )
         return out
 
     def p0(self, pts: np.ndarray) -> np.ndarray:
-        out = self.p0_raw(pts)
-        axes = _axis_coords(pts)
-        for k, c in self.correction_coeffs.items():
-            out = out - c * self._corrector(k, axes)
-        return out
+        return self.p0_deriv((0,) * self.scaling.d, pts)
 
     def pn(self, n: int, pts: np.ndarray, corrected: bool = True) -> np.ndarray:
         scaled = pts * 2.0 ** (n * np.array(self.scaling.s, dtype=float))
@@ -147,11 +146,7 @@ class KernelDecomposition:
         """d^k P0: the annular part by nested central differences of step
         _FD_STEP, the corrector part by exact spline derivatives."""
         out = _fd_partial(self.p0_raw, k, pts, _FD_STEP)
-        axes = _axis_coords(pts)
-        for kc, c in self.correction_coeffs.items():
-            kk = tuple(a + b for a, b in zip(kc, k))
-            out = out - c * self._corrector(kk, axes)
-        return out
+        return self._minus_correctors(out, k, [pts[..., i] for i in range(pts.shape[-1])])
 
     def pn_deriv(self, k: tuple[int, ...], n: int, pts: np.ndarray) -> np.ndarray:
         scaled = pts * 2.0 ** (n * np.array(self.scaling.s, dtype=float))
@@ -187,13 +182,15 @@ class KernelDecomposition:
             )
         for i, mi in enumerate(m):
             _check_count(f"moment index entry m[{i}]", mi, 0)
+        if isinstance(mesh_bits, bool) or not isinstance(mesh_bits, Integral) or mesh_bits < 1:
+            raise ValueError(f"mesh_bits must be at least 1 and an integer, got {mesh_bits!r}")
         key = ("m", m, mesh_bits)
         if key not in self._mom_cache:
             raw_key = ("raw", m, mesh_bits)
-            if raw_key not in self._mom_cache:
-                self._mom_cache[raw_key] = _box_moments(
-                    self.p0_raw, self.scaling, [m], mesh_bits
-                )[m]
+            if raw_key not in self._mom_cache:  # with every corrected index, in one pass
+                ms = list(dict.fromkeys([*self.correction_coeffs, m]))
+                raw = _box_moments(self.p0_raw, self.scaling, ms, mesh_bits)
+                self._mom_cache.update({("raw", mm, mesh_bits): v for mm, v in raw.items()})
             x, w = _box_axis(mesh_bits)
             corr = 0.0
             for k, c in self.correction_coeffs.items():
@@ -214,16 +211,6 @@ class KernelDecomposition:
         if levels is None:
             return base / (1.0 - rho)
         return base * (1.0 - rho**levels) / (1.0 - rho)
-
-
-def _axis_coords(pts: np.ndarray) -> list:
-    """Per axis: the distinct coordinates u and the index array that puts
-    them back on the points, pts[..., i] == u[inv]."""
-    out = []
-    for i in range(pts.shape[-1]):
-        u, inv = np.unique(pts[..., i], return_inverse=True)
-        out.append((u, inv.reshape(pts.shape[:-1])))
-    return out
 
 
 def _fd_partial(f, k: tuple[int, ...], pts: np.ndarray, h: float) -> np.ndarray:
@@ -275,8 +262,6 @@ def _box_moments(f, scaling: Scaling, ms, mesh_bits: int) -> dict:
     box (_support_box): f is sampled there only, in blocks (_sample_box), and
     each moment is numpy's sum of f x^m over the box alone.
     """
-    if mesh_bits < 1:
-        raise ValueError(f"mesh_bits must be at least 1, got {mesh_bits}")
     points = (2**mesh_bits) ** scaling.d
     if points > _MAX_ND_POINTS:
         raise ValueError(
@@ -322,6 +307,7 @@ def decompose_kernel(
     """Build the dyadic decomposition of a self-similar kernel and correct the
     base-piece moments up to scaled degree r.  A custom kernel must be
     self-similar to a relative defect of 1e-9."""
+    _check_count("r", r, 0)
     if kind == "heat":
         P, beta = heat_kernel(scaling)
     elif kind == "riesz":
@@ -511,6 +497,9 @@ def _deriv_kernel_array(
     <d^k P_n(-.), phi^N_t> = 2^{n(e - |s|/2)} <F, phi^{N-n}_t> on R^d: n s_i
     exact low-pass steps along each axis i from F's level-N coefficients
     (_self_similar_pieces), each level added to the torus periodically.
+    F is sampled in two parts, bit for bit p0_deriv's values: the raw part
+    on its own support box, the separable correctors on the wider box that
+    their scale needs.
     """
     out = np.zeros(scaling.grid_shape(N))
     for t0, c in _self_similar_pieces(kernel, k, fam, N, levels, margin):
@@ -530,20 +519,25 @@ def _self_similar_pieces(
     R^d, t0 and i per axis (see _deriv_kernel_array).
 
     F = d^k P0(-.) is sampled once on R, at level N s_i + m_i on axis i with
-    m_i = margin + s_i - 1, on its support box plus 3 samples of stencil pad:
-    F vanishes off |x_i| <= max(2^-s_i + k_i h, _CORRECTOR_SCALE), since
-    g >= |x_i|^{1/s_i} and the cutoff ends at g = 1/2, each difference of
-    step h = _FD_STEP widens that, and the correctors end at their scale.
-    The stencil's wrap then meets only zeros, and m_i exact low-pass steps
-    per axis give F's level-N coefficients on R.
+    m_i = margin + s_i - 1, on two boxes, each with 3 samples of stencil pad.
+    The raw part, the differences of p0_raw, is sampled on its support box
+    |x_i| <= 2^-s_i + k_i h only (g >= |x_i|^{1/s_i}, the cutoff ends at
+    g = 1/2 and each difference of step h = _FD_STEP widens that) and is 0
+    elsewhere.  The correctors are products of 1-d splines, subtracted on the
+    sparse axes of the box they need, |x_i| <= max(2^-s_i + k_i h,
+    _CORRECTOR_SCALE).  The stencil's wrap then meets only zeros, and m_i
+    exact low-pass steps per axis give F's level-N coefficients on R.
     """
     sc = kernel.scaling
     steps = [margin + si - 1 for si in sc.s]
     bits = [N * si + m for si, m in zip(sc.s, steps)]
-    windows = []  # sample indices [lo, hi) per axis, point (j + center) 2^-bits
-    for si, ki, bi in zip(sc.s, k, bits):
-        r = max(_CUTOFF_END**si + ki * _FD_STEP, _CORRECTOR_SCALE) * 2.0**bi
-        windows.append((math.floor(-r - fam.center) - 3, math.ceil(r - fam.center) + 4))
+    reach = [_CUTOFF_END**si + ki * _FD_STEP for si, ki in zip(sc.s, k)]
+
+    def window(r, bi):  # sample indices [lo, hi) of |x| <= r, point (j + center) 2^-bi
+        r *= 2.0**bi
+        return math.floor(-r - fam.center) - 3, math.ceil(r - fam.center) + 4
+
+    windows = [window(max(r, _CORRECTOR_SCALE), bi) for r, bi in zip(reach, bits)]
     shape = tuple(hi - lo for lo, hi in windows)
     points = math.prod(shape)
     if points > _MAX_ND_POINTS:
@@ -553,15 +547,20 @@ def _self_similar_pieces(
             f"at level N s_i + margin + s_i - 1 = {tuple(bits)}, so lower N or margin "
             "(at d=1, N + margin <= 23)"
         )
-    S = _sample_box(
-        lambda p: kernel.p0_deriv(k, p),
-        shape,
-        lambda ax, i: -((windows[ax][0] + i + fam.center) / 2.0 ** bits[ax]),
+    t0 = [lo for lo, _ in windows]
+    axes = [-((np.arange(lo, hi) + fam.center) / 2.0**bi) for (lo, hi), bi in zip(windows, bits)]
+    raw = tuple(slice(a - lo, b - lo) for (a, b), lo in zip(map(window, reach, bits), t0))
+    sub = [u[b] for u, b in zip(axes, raw)]
+    S = np.zeros(shape)
+    S[raw] = _sample_box(
+        lambda p: _fd_partial(kernel.p0_raw, k, p, _FD_STEP),
+        tuple(u.size for u in sub),
+        lambda ax, i: sub[ax][i],
     )
+    S = kernel._minus_correctors(S, k, np.meshgrid(*axes, indexing="ij", sparse=True))
     c = an._stencil(S, fam.centered_father_moments)
     del S  # not held through the cascade
     c *= 2.0 ** (-sum(bits) / 2.0)
-    t0 = [lo for lo, _ in windows]
     e = sc.total - kernel.beta + sc.scaled_degree(k) - sc.total / 2.0
     out = []
     # level 0 is m_i steps below the samples, each further level s_i steps

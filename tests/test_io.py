@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from rsbesov import io, schauder as sch
+from rsbesov import io
 from rsbesov.pyramid import CoeffPyramid, load_rsbf, save_rsbf
 from conftest import make_sin_lift
 
@@ -16,17 +16,6 @@ def test_md_file_roundtrip(tmp_path, sc1, fam6):
     back = io.load_md(path, st)
     assert back.gamma == f.gamma and back.N == f.N
     np.testing.assert_array_equal(back.values, f.values)
-
-
-def test_kernel_profile_roundtrip(tmp_path, sc1):
-    K = sch.decompose_kernel("riesz", sc1, r=2, beta=0.6)
-    path = tmp_path / "kernel.rskp"
-    io.save_kernel_profile(path, K, resolution_bits=8)
-    header, vals = io.load_kernel_profile(path)
-    assert header["s"] == (1,) and header["beta"] == 0.6 and header["r"] == 2
-    n = 2 ** header["resolution_bits"]
-    pts = (np.linspace(-1, 1, n, endpoint=False) + 1.0 / n)[:, None]
-    np.testing.assert_allclose(vals, K.p0(pts), atol=0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -50,16 +39,13 @@ def binary_files(tmp_path_factory, sc1, fam6):
     st, _, f = make_sin_lift(sc1, fam6, 4)
     io.save_md(root / "f.rsmd", f)
     save_rsbf(root / "p.rsbf", CoeffPyramid.zeros(sc1, 3))
-    K = sch.decompose_kernel("riesz", sc1, r=2, beta=0.6)
-    io.save_kernel_profile(root / "k.rskp", K, resolution_bits=5)
     return {
         "RSBF": (root / "p.rsbf", load_rsbf),
         "RSMD": (root / "f.rsmd", lambda p: io.load_md(p, st)),
-        "RSKP": (root / "k.rskp", io.load_kernel_profile),
     }
 
 
-@pytest.mark.parametrize("fmt", ["RSBF", "RSMD", "RSKP"])
+@pytest.mark.parametrize("fmt", ["RSBF", "RSMD"])
 @pytest.mark.parametrize(
     "damage, match",
     [

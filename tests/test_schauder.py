@@ -307,6 +307,42 @@ def test_p0_mesh_needs_one_bit(heat_setup, mesh_bits):
         heat_setup.p0_moment((0, 0), mesh_bits=mesh_bits)
 
 
+@pytest.mark.parametrize("mesh_bits", [True, 2.5, "9"])
+def test_p0_moment_rejects_non_integer_mesh_bits(monkeypatch, mesh_bits):
+    # True was taken as one bit, and 2.5 failed inside np.linspace
+    K = _oracle_kernel("heat")
+    monkeypatch.setattr(K, "P", None)  # any kernel evaluation would raise TypeError
+    with pytest.raises(ValueError, match="mesh_bits must be at least 1 and an integer"):
+        K.p0_moment((0, 0), mesh_bits=mesh_bits)
+    assert K._mom_cache == {}
+
+
+def test_p0_moment_takes_one_box_pass_per_mesh(heat_setup, monkeypatch):
+    # at a mesh other than decompose_kernel's, the raw moments of every
+    # corrected index come from one evaluation of p0_raw
+    K0 = heat_setup
+    ms = list(K0.correction_coeffs)
+    per_index = {m: sch._box_moments(K0.p0_raw, K0.scaling, [m], 9)[m] for m in ms}
+    calls = []
+    box_moments = sch._box_moments
+
+    def counted(f, scaling, ms, mesh_bits):
+        calls.append((list(ms), mesh_bits))
+        return box_moments(f, scaling, ms, mesh_bits)
+
+    monkeypatch.setattr(sch, "_box_moments", counted)
+    K = sch.KernelDecomposition(K0.scaling, K0.beta, K0.r, K0.P, dict(K0.correction_coeffs))
+    got = [K.p0_moment(m, mesh_bits=9) for m in ms]
+    assert len(ms) == 4 and calls == [(ms, 9)]
+    assert {m: K._mom_cache[("raw", m, 9)] for m in ms} == per_index
+    seeded = sch.KernelDecomposition(
+        K0.scaling, K0.beta, K0.r, None, dict(K0.correction_coeffs),
+        {("raw", m, 9): v for m, v in per_index.items()},
+    )
+    assert got == [seeded.p0_moment(m, mesh_bits=9) for m in ms]
+    assert len(calls) == 1
+
+
 def test_scaling_identity_exact(riesz_kernel):
     # levels are generated, not measured: check the identity numerically anyway
     K = riesz_kernel
@@ -341,6 +377,16 @@ def test_custom_self_similar_accepted(sc1):
     P, beta = sch.riesz_kernel(sc1, 0.4)
     K = sch.decompose_kernel("custom", sc1, r=2, beta=0.4, custom=P)
     assert K.beta == 0.4
+
+
+@pytest.mark.parametrize("r", [-1, True, 2.5, "2"])
+def test_decompose_rejects_bad_r(sc1, r):
+    # -1 was accepted silently and True taken as 1; 2.5 and "2" gave a bare TypeError
+    def unevaluated(pts):
+        raise AssertionError("the kernel was evaluated")
+
+    with pytest.raises(ValueError, match="r must be an integer >= 0"):
+        sch.decompose_kernel("custom", sc1, r=r, beta=0.4, custom=unevaluated)
 
 
 # --- extension -------------------------------------------------------------------
@@ -629,6 +675,87 @@ def test_nd_route_converges_in_the_sample_bits(sc21, fam6, heat_setup, heat_n1_p
     for t0, c in heat_n1_pieces[k]:
         np.add.at(want, np.ix_(*[(a + np.arange(m)) % M for a, m, M in zip(t0, c.shape, want.shape)]), c)
     assert np.max(np.abs(want - fine)) <= tol * np.max(np.abs(fine))
+
+
+def _window(fam, bits, reach):
+    """Sample indices [lo, hi) of |x| <= reach at level `bits`, point
+    (j + center) 2^-bits, plus 3 samples of stencil pad."""
+    r = reach * 2.0**bits
+    return math.floor(-r - fam.center) - 3, math.ceil(r - fam.center) + 4
+
+
+def _full_box(K, k, fam, N, margin):
+    """The windows of the one box that holds both the raw part and the
+    correctors of d^k P0, |x_i| <= max(2^-s_i + k_i h, _CORRECTOR_SCALE)."""
+    bits = [N * si + margin + si - 1 for si in K.scaling.s]
+    return bits, [
+        _window(fam, bi, max(2.0**-si + ki * sch._FD_STEP, sch._CORRECTOR_SCALE))
+        for si, ki, bi in zip(K.scaling.s, k, bits)
+    ]
+
+
+def _full_box_pieces(K, k, fam, N, levels, margin):
+    """The route with p0_deriv sampled pointwise on the full box, then the
+    stencil and the exact low-pass steps: the oracle for _self_similar_pieces."""
+    sc = K.scaling
+    bits, windows = _full_box(K, k, fam, N, margin)
+    S = sch._sample_box(
+        lambda p: K.p0_deriv(k, p),
+        tuple(hi - lo for lo, hi in windows),
+        lambda ax, i: -((windows[ax][0] + i + fam.center) / 2.0 ** bits[ax]),
+    )
+    c = an._stencil(S, fam.centered_father_moments) * 2.0 ** (-sum(bits) / 2.0)
+    t0 = [lo for lo, _ in windows]
+    e = sc.total - K.beta + sc.scaled_degree(k) - sc.total / 2.0
+    out = []
+    for n, counts in enumerate([[margin + si - 1 for si in sc.s]] + [sc.s] * (levels - 1)):
+        for ax, m in enumerate(counts):
+            for _ in range(m):
+                t0[ax], c = sch._low_pass_on_line(t0[ax], c, fam.h, ax)
+        out.append((tuple(t0), c * 2.0 ** (n * e)))
+    return out
+
+
+@pytest.mark.parametrize("which", ["riesz", "heat"])
+def test_two_box_route_matches_the_full_box_route(fam6, riesz_kernel, heat_setup, heat_n1_pieces, which):
+    # the raw part on its own box and the correctors as products of 1-d
+    # factors give the same bits as p0_deriv on every point of the full box
+    if which == "riesz":
+        K, N, levels, ks = riesz_kernel, 8, 10, [(0,), (1,), (2,)]
+        pieces_of = lambda k: sch._self_similar_pieces(K, k, fam6, N, levels, 8)  # noqa: E731
+    else:
+        K, N, levels, ks = heat_setup, 1, 2, KS21
+        pieces_of = heat_n1_pieces.__getitem__
+    for k in ks:
+        got, want = pieces_of(k), _full_box_pieces(K, k, fam6, N, levels, 8)
+        assert len(got) == len(want) == levels
+        for (t0, c), (t0_want, c_want) in zip(got, want):
+            assert t0 == t0_want, k
+            np.testing.assert_array_equal(c, c_want)
+
+
+def test_route_evaluates_the_raw_part_on_its_support_box(fam6, heat_setup):
+    # at s=(2,1) the correctors reach |t| <= 1/2, the raw part only
+    # |t| <= 1/4 + k_0 h: P is evaluated on about half of the full box
+    K0, N, margin = heat_setup, 1, 8
+    sc = K0.scaling
+    seen = {"points": 0, "reach": np.zeros(sc.d)}
+
+    def counted(pts):
+        seen["points"] += pts.size // sc.d
+        seen["reach"] = np.maximum(seen["reach"], np.max(np.abs(pts.reshape(-1, sc.d)), axis=0))
+        return K0.P(pts)
+
+    K = sch.KernelDecomposition(sc, K0.beta, K0.r, counted, dict(K0.correction_coeffs))
+    for k in [(0, 0), (1, 0)]:
+        seen["points"], seen["reach"] = 0, np.zeros(sc.d)
+        sch._self_similar_pieces(K, k, fam6, N, 1, margin)
+        bits, windows = _full_box(K, k, fam6, N, margin)
+        for ax, (si, ki, bi) in enumerate(zip(sc.s, k, bits)):
+            # the box, its pad and the differences' own steps
+            assert seen["reach"][ax] <= 2.0**-si + 2 * ki * sch._FD_STEP + 4 * 2.0**-bi, (k, ax)
+        full = math.prod(hi - lo for lo, hi in windows) * 2 ** sum(k)
+        assert 0.49 * full <= seen["points"] <= 0.51 * full, k
 
 
 # --- the d=1 self-similar route ------------------------------------------------
