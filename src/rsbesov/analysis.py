@@ -2,11 +2,11 @@
 
 Every distribution in this library lives in V_N, so any pairing <xi, G>
 equals the dot product of V_N coefficient arrays.  Kernels G are analyzed
-once into V_N coefficients: a piecewise polynomial on a small rational grid
-exactly, from cell moments of the father; any other factor by a
-moment-corrected one-point quadrature at a fine dyadic level followed by
-exact filter cascades.  Tables over shifted kernels <xi, G(. - x)> are
-circular FFT cross-correlations of the arrays.
+once into V_N coefficients: a compact factor is a piecewise polynomial on a
+small rational grid, analyzed exactly from cell moments of the father; a
+periodic factor by a moment-corrected one-point quadrature at a fine dyadic
+level followed by exact filter cascades.  Tables over shifted kernels
+<xi, G(. - x)> are circular FFT cross-correlations of the arrays.
 """
 
 from __future__ import annotations
@@ -23,7 +23,11 @@ from .scaling import Scaling
 
 @dataclass
 class Fn1D:
-    """A 1-d factor: callable plus compact support (None = already periodic)."""
+    """A periodic 1-d factor (support None).
+
+    The analysis rejects an Fn1D with a support: a compact factor is a
+    PiecewisePoly.  kernel_moment_1d still integrates one over its support.
+    """
 
     f: Callable[[np.ndarray], np.ndarray]
     support: tuple[float, float] | None = None
@@ -106,26 +110,14 @@ class PiecewisePoly:
         return PiecewisePoly(self.start + a, self.rate, self.coeffs, self.scale)
 
 
-def periodic_samples(fn: Fn1D | PiecewisePoly, y: np.ndarray) -> np.ndarray:
-    """Samples of the 1-periodization of fn at points y in [0, 1).
-
-    y is walked by its non-decreasing runs (a window grid has one or two), so
-    the points of each periodic copy y + m inside the support are one slice
-    of a run, and each copy is added in increasing m.
-    """
-    if fn.support is None:
-        return fn(y)
-    lo, hi = fn.support
-    acc = np.zeros_like(y)
-    cuts = [0, *(np.flatnonzero(~(y[1:] >= y[:-1])) + 1), len(y)]  # a NaN is a run of its own
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        run = y[a:b]
-        for m in range(int(np.floor(lo)) - 1, int(np.ceil(hi)) + 1):
-            u = run + m  # non-decreasing, so lo <= u <= hi is one slice
-            i, j = np.searchsorted(u, lo), np.searchsorted(u, hi, "right")
-            if i < j:
-                acc[a + i : a + j] += fn(u[i:j])
-    return acc
+def periodic_samples(fn: Fn1D, y: np.ndarray) -> np.ndarray:
+    """Samples of a periodic factor (support None) at points y in [0, 1)."""
+    if fn.support is not None:
+        raise ValueError(
+            f"factor with support {fn.support} is not periodic: analyze a compact "
+            "factor as a PiecewisePoly"
+        )
+    return fn(y)
 
 
 def _stencil(S: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -145,45 +137,18 @@ def _stencil(S: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return c
 
 
-def sample_window(
-    support: tuple[float, float] | None, fam: WaveletFamily, level_1d: int, margin: int
-) -> tuple[int, int]:
-    """Fine-grid index range [start, stop) that quadrature_coeffs_1d samples.
-
-    It covers the support, two samples of Taylor stencil on each side (one
-    more for rounding) and (len(h) - 1)(2^margin - 1) samples of filter
-    spread before it, rounded out to whole coarse cells of 2^margin samples.
-    A window that would cover the torus is the whole torus [0, 2^(level_1d
-    + margin)).
-    """
-    M, cell = 2 ** (level_1d + margin), 2**margin
-    if support is None:
-        return 0, M
-    lo, hi = support
-    spread = (len(fam.h) - 1) * (cell - 1)
-    first = math.floor(lo * M - fam.center) - 3 - spread
-    last = math.ceil(hi * M - fam.center) + 3
-    start, stop = first // cell * cell, -(-(last + 1) // cell) * cell
-    return (0, M) if stop - start >= M else (start, stop)
-
-
 def quadrature_coeffs_1d(
-    fn: Fn1D | PiecewisePoly,
-    fam: WaveletFamily,
-    level_1d: int,
-    margin: int = 8,
+    fn: Fn1D, fam: WaveletFamily, level_1d: int, margin: int = 8
 ) -> np.ndarray:
-    """<G_per, phi^J_t> for all t at the 1-d level, G smooth at coarser scales.
+    """<G, phi^J_t> for all t at the 1-d level, G periodic and smooth at
+    coarser scales.
 
-    One-point quadrature of the periodic samples at level_1d + margin with
-    centered-moment Taylor corrections (_stencil), in the L^2 normalisation
-    of that grid, then margin exact low-pass steps, all on the sample_window
-    only and placed periodically.  Every sample outside the window is an
-    exact zero, so the window, taken as a torus, gives the same coefficients.
+    One-point quadrature of the samples on the whole torus at level_1d +
+    margin with centered-moment Taylor corrections (_stencil), in the L^2
+    normalisation of that grid, then margin exact low-pass steps.
     """
     M = 2 ** (level_1d + margin)
-    start, stop = sample_window(fn.support, fam, level_1d, margin)
-    y = np.arange(start, stop) % M + fam.center
+    y = np.arange(M) + fam.center
     y /= M
     y -= np.floor(y)  # exactly y % 1.0 for y >= 0 (Sterbenz), without fmod
     S = periodic_samples(fn, y)
@@ -191,12 +156,11 @@ def quadrature_coeffs_1d(
     c = _stencil(S, fam.centered_father_moments) * 2.0 ** (-(level_1d + margin) / 2.0)
     for _ in range(margin):
         c = filter_step(c, fam.h, 0, 2)
-    out = np.zeros(2**level_1d)
-    out[(start // 2**margin + np.arange(len(c))) % len(out)] = c
-    return out
+    return c
 
 
 MAX_CELL_DENOMINATOR = 63  # largest odd q of the exact route's cell grid
+MAX_CELL_STEPS = 8  # largest j of the exact route's cell grid
 
 
 def _check_finite(pp: PiecewisePoly) -> None:
@@ -208,13 +172,13 @@ def _check_finite(pp: PiecewisePoly) -> None:
         )
 
 
-def _cell_grid(pp: PiecewisePoly, level_1d: int, margin: int) -> tuple[int, int] | None:
+def _cell_grid(pp: PiecewisePoly, level_1d: int) -> tuple[int, int] | None:
     """(j, q) with the fewest cells 2^j q per grid step on which the breakpoints
-    of pp lie at level_1d, q odd <= MAX_CELL_DENOMINATOR and j <= margin; None
-    if there is none.  x lies on the grid when it is the float nearest to a
-    multiple of 1 / (2^j q)."""
+    of pp lie at level_1d, q odd <= MAX_CELL_DENOMINATOR and j <= MAX_CELL_STEPS;
+    None if there is none.  x lies on the grid when it is the float nearest to
+    a multiple of 1 / (2^j q)."""
     x = np.array([pp.start * 2.0**level_1d, 2.0**level_1d / pp.rate])
-    dens = np.outer(2 ** np.arange(margin + 1), np.arange(1, MAX_CELL_DENOMINATOR + 1, 2))
+    dens = np.outer(2 ** np.arange(MAX_CELL_STEPS + 1), np.arange(1, MAX_CELL_DENOMINATOR + 1, 2))
     on = np.all(np.round(x * dens[..., None]) / dens[..., None] == x, axis=-1)
     if not on.any():
         return None
@@ -264,24 +228,22 @@ def exact_coeffs_1d(
     return out
 
 
-def smooth_coeffs_1d(
-    fn: Fn1D | PiecewisePoly,
-    fam: WaveletFamily,
-    level_1d: int,
-    margin: int = 8,
-) -> np.ndarray:
-    """<G_per, phi^J_t> for all t at the 1-d level.
-
-    A PiecewisePoly whose breakpoints lie on a _cell_grid takes the exact
-    route; every other factor the quadrature (margin is its parameter and
-    also bounds j).
-    """
-    if isinstance(fn, PiecewisePoly):
-        _check_finite(fn)
-        grid = _cell_grid(fn, level_1d, margin)
-        if grid is not None:
-            return exact_coeffs_1d(fn, fam, level_1d, *grid)
-    return quadrature_coeffs_1d(fn, fam, level_1d, margin)
+def smooth_coeffs_1d(fn: Fn1D | PiecewisePoly, fam: WaveletFamily, level_1d: int) -> np.ndarray:
+    """<G_per, phi^J_t> for all t at the 1-d level: a PiecewisePoly exactly,
+    on its _cell_grid, a periodic Fn1D by the quadrature.  A PiecewisePoly
+    off every cell grid and an Fn1D with a support raise ValueError."""
+    if not isinstance(fn, PiecewisePoly):
+        return quadrature_coeffs_1d(fn, fam, level_1d)
+    _check_finite(fn)
+    grid = _cell_grid(fn, level_1d)
+    if grid is None:
+        raise ValueError(
+            f"piecewise polynomial with start={fn.start!r}, rate={fn.rate!r} has its "
+            f"breakpoints on no cell grid at level {level_1d}: 2^J start and 2^J / rate "
+            f"must be multiples of 1 / (2^j q) with odd q <= {MAX_CELL_DENOMINATOR} and "
+            f"j <= {MAX_CELL_STEPS}"
+        )
+    return exact_coeffs_1d(fn, fam, level_1d, *grid)
 
 
 @dataclass
@@ -299,17 +261,13 @@ def analyze_kernel(
     fam: WaveletFamily,
     scaling: Scaling,
     N: int,
-    margin: int = 8,
 ) -> np.ndarray:
     """V_N coefficient array of (the periodization of) a separable kernel."""
     out = np.zeros(scaling.grid_shape(N))
     for coef, factors in kern.terms:
         if len(factors) != scaling.d:
             raise ValueError("kernel term arity does not match the dimension")
-        arrs = [
-            smooth_coeffs_1d(fn, fam, N * si, margin=margin)
-            for fn, si in zip(factors, scaling.s)
-        ]
+        arrs = [smooth_coeffs_1d(fn, fam, N * si) for fn, si in zip(factors, scaling.s)]
         term = arrs[0]
         for a in arrs[1:]:
             term = np.multiply.outer(term, a)

@@ -1,8 +1,9 @@
 """Config-driven experiment runner.
 
 Subcommands synthesize inputs, run the pipelines, and write reproducible
-plot-data tables.  Exit codes: 0 ok, 1 numerical certificate failure,
-2 usage or configuration error.
+plot-data tables.  Exit codes: 0 ok, 2 usage or configuration error, and
+1 for a certificate failure, which no subcommand raises yet (reconstruct
+reports its sewing certificate without enforcing it).
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ MIN_SWEEP_LEVEL = 4
 SWEEP_SUBCOMMANDS = frozenset(
     {"besov", "reconstruct", "roundtrip", "lift", "embed", "schauder", "report"}
 )
+# At d=1 these extend the noise structure by the Riesz kernel's I Xi.
+SCHAUDER_SUBCOMMANDS = frozenset({"schauder", "report"})
 
 
 class ConfigError(ValueError):
@@ -51,7 +54,7 @@ class ExperimentConfig:
     s: tuple[int, ...] = (1,)
     levels: int = 8
     wavelet_order: int = 6
-    structure: str = "polynomial"  # polynomial | noise | extended
+    structure: str = field(default="polynomial", metadata={"choices": ("polynomial", "noise")})
     gamma: float = 2.5
     p: float = 2.0
     q: float = math.inf
@@ -62,30 +65,37 @@ class ExperimentConfig:
     format: str = field(default="csv", metadata={"choices": ("csv", "jsonl")})
     rng_algorithm: str = field(default="numpy-PCG64", init=False)
 
-    def validate(self) -> None:
+    @property
+    def schauder_gamma(self) -> float:
+        """The order of the modelled distribution that cmd_schauder extends."""
+        return self.gamma if self.structure == "noise" else 1.25
+
+    def validate(self, subcommand: str) -> None:
+        """Reject the config for subcommand before it writes anything."""
         if self.d != len(self.s) or any(si < 1 for si in self.s):
             raise ConfigError("scaling entries must be positive and match d")
         if self.levels < 2:
             raise ConfigError("need at least two levels")
-        if self.structure not in ("polynomial", "noise", "extended"):
-            raise ConfigError(f"unknown structure {self.structure!r}")
+        if subcommand in SWEEP_SUBCOMMANDS and self.levels < MIN_SWEEP_LEVEL:
+            raise ConfigError(f"level sweeps and slope fits need --levels >= {MIN_SWEEP_LEVEL}")
+        for f in fields(self):
+            choices = f.metadata.get("choices")
+            if choices and getattr(self, f.name) not in choices:
+                raise ConfigError(f"{f.name} must be one of {', '.join(choices)}")
         if not (self.p >= 1 and self.q >= 1):
             raise ConfigError("p and q must lie in [1, inf]")
-        if self.format not in ("csv", "jsonl"):
-            raise ConfigError("format must be csv or jsonl")
         if self.structure == "polynomial" and self.gamma <= 0:
             raise ConfigError("gamma must be positive")
-        if self.structure in ("noise", "extended"):
-            if not (self.alpha < 0 <= self.gamma):
-                raise ConfigError("noise structures need alpha < 0 <= gamma")
-        if self.structure == "extended" and not (0 < self.beta):
-            raise ConfigError("beta must be positive")
+        if self.structure == "noise" and not (self.alpha < 0 <= self.gamma):
+            raise ConfigError("noise structures need alpha < 0 <= gamma")
         # Assumption: gamma avoids the homogeneities of the chosen structure
         homos = {float(k) for k in range(int(self.gamma) + 2)}
-        if self.structure in ("noise", "extended"):
+        if self.structure == "noise":
             homos.add(self.alpha)
         if any(abs(self.gamma - z) < 1e-9 for z in homos):
             raise ConfigError("gamma must avoid the homogeneities")
+        if self.d == 1 and subcommand in SCHAUDER_SUBCOMMANDS:
+            schauder.check_extension(self.alpha, self.beta, self.schauder_gamma, Scaling(self.s))
 
     def meta(self) -> dict:
         m = asdict(self)
@@ -145,7 +155,7 @@ def resolve_config(args) -> ExperimentConfig:
         value = getattr(args, f.name)
         if value is not None:
             setattr(cfg, f.name, value)
-    cfg.validate()
+    cfg.validate(args.subcommand)
     return cfg
 
 
@@ -366,7 +376,7 @@ def cmd_schauder(run: Run) -> int:
     )
     rows.append(("telescoping_rel_error", rel))
     if sc.d == 1:
-        gamma = cfg.gamma if cfg.structure != "polynomial" else 1.25
+        gamma = cfg.schauder_gamma
         nm, fXi, xi = _input(run, N, gamma, noise=True)
         _, em_model = schauder.extend_structure(fXi.structure, nm, K, gamma)
         rel_id, _ = schauder.convolution_identity_check(fXi, em_model, cfg.p, cfg.q)
@@ -397,8 +407,6 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         cfg = resolve_config(args)
-        if args.subcommand in SWEEP_SUBCOMMANDS and cfg.levels < MIN_SWEEP_LEVEL:
-            raise ConfigError(f"level sweeps and slope fits need --levels >= {MIN_SWEEP_LEVEL}")
         run = Run(cfg, Scaling(cfg.s), *_family(cfg))
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

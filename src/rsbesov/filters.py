@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 
-from .util import binom
 
 SQRT2 = math.sqrt(2.0)
 
@@ -64,7 +63,7 @@ def daubechies_filter(order: int) -> np.ndarray:
     import mpmath as mp
 
     with mp.workdps(60):
-        pcoef = [mp.mpf(binom(K - 1 + j, j)) for j in range(K)]
+        pcoef = [mp.mpf(math.comb(K - 1 + j, j)) for j in range(K)]
         yroots = mp.polyroots(list(reversed(pcoef)), maxsteps=200, extraprec=120)
         zroots = []
         for y in yroots:
@@ -119,7 +118,7 @@ def scaling_moments(h: np.ndarray, jmax: int) -> np.ndarray:
     for j in range(1, jmax + 1):
         acc = 0.0
         for i in range(j):
-            acc += binom(j, i) * M[i] * filter_moment(h, j - i)
+            acc += math.comb(j, i) * M[i] * filter_moment(h, j - i)
         M[j] = (2.0 ** (-j - 1) * SQRT2 * acc) / (1.0 - 2.0**-j)
     return M
 
@@ -132,7 +131,7 @@ def mother_moments(h: np.ndarray, jmax: int) -> np.ndarray:
     for j in range(jmax + 1):
         acc = 0.0
         for i in range(j + 1):
-            acc += binom(j, i) * M[i] * filter_moment(g, j - i)
+            acc += math.comb(j, i) * M[i] * filter_moment(g, j - i)
         N[j] = 2.0 ** (-j - 1) * SQRT2 * acc
     return N
 
@@ -167,7 +166,7 @@ def cell_moments(h: np.ndarray, q: int, degree: int) -> np.ndarray:
     M[-1] = 1.0
     C[0] = np.linalg.solve(M, np.eye(n)[-1])
     for l in range(1, degree + 1):
-        src = sum(binom(l, i) * C[i] for i in range(l))
+        src = sum(math.comb(l, i) * C[i] for i in range(l))
         C[l] = np.linalg.solve(np.eye(n) - 2.0**-l * A, 2.0**-l * (B @ src))
     return C
 
@@ -178,7 +177,7 @@ def centered_scaling_moments(h: np.ndarray, jmax: int) -> tuple[float, np.ndarra
     c = M[1]
     out = np.zeros(jmax + 1)
     for j in range(jmax + 1):
-        out[j] = sum(binom(j, i) * M[i] * (-c) ** (j - i) for i in range(j + 1))
+        out[j] = sum(math.comb(j, i) * M[i] * (-c) ** (j - i) for i in range(j + 1))
     return c, out
 
 

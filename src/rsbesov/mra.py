@@ -30,11 +30,9 @@ class WaveletFamily:
     father_samples: np.ndarray
     mother_samples: np.ndarray
     father_moments: np.ndarray
-    mother_moments: np.ndarray
     center: float
     centered_father_moments: np.ndarray
     regularity: float
-    _component_moments: dict = field(default_factory=dict, repr=False)
     _cell_moments: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -58,31 +56,6 @@ class WaveletFamily:
         ok = (ridx >= 0) & (ridx < len(table))
         out[ok] = table[ridx[ok]]
         return out
-
-    def component_moment(self, code: int, a: int) -> float:
-        """Exact moment int v^a F_code(v) dv of a per-dimension factor.
-
-        Code 0 is the father; code 2^j + t is v -> 2^(j/2) psi(2^j v - t).
-        """
-        key = (code, a)
-        if key in self._component_moments:
-            return self._component_moments[key]
-        if code == 0:
-            val = float(self.father_moments[a])
-        else:
-            j = code.bit_length() - 1
-            t = code - (1 << j)
-            acc = 0.0
-            for b in range(a + 1):
-                acc += (
-                    filters.binom(a, b)
-                    * t ** (a - b)
-                    * float(self.mother_moments[b])
-                )
-            # int v^a 2^{j/2} psi(2^j v - t) dv = 2^{-j(a+1)+j/2} sum binom t^{a-b} N_b
-            val = 2.0 ** (-j * (a + 1) + j * 0.5) * acc
-        self._component_moments[key] = val
-        return val
 
     def cell_moments(self, q: int, degree: int) -> np.ndarray:
         """filters.cell_moments of the father for l <= degree, read-only.
@@ -130,7 +103,6 @@ def build_wavelet(order: int, r: int, cascade_depth: int = 12) -> WaveletFamily:
     g = filters.mother_filter(h)
     jmax = max(16, 2 * r + 8)
     fm = filters.scaling_moments(h, jmax)
-    mm = filters.mother_moments(h, jmax)
     center, cfm = filters.centered_scaling_moments(h, jmax)
     phi = filters.cascade_father(h, cascade_depth)
     return WaveletFamily(
@@ -142,7 +114,6 @@ def build_wavelet(order: int, r: int, cascade_depth: int = 12) -> WaveletFamily:
         father_samples=phi,
         mother_samples=filters.cascade_mother(h, phi),
         father_moments=fm,
-        mother_moments=mm,
         center=center,
         centered_father_moments=cfm,
         regularity=filters.hoelder_regularity(order),

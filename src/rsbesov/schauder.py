@@ -379,10 +379,8 @@ class ExtendedModel(NoiseModel):
         kernel: KernelDecomposition,
         gamma_max: float,
         conv_levels: int,
-        margin: int = 8,
     ):
         _check_count("conv_levels", conv_levels, 1)
-        _check_count("margin", margin, 0)
         super().__init__(structure, fam, xi, alpha)
         self.kernel = kernel
         self.gamma_max = gamma_max
@@ -401,9 +399,7 @@ class ExtendedModel(NoiseModel):
         cN = self.xi_levels[N]
         self.w_arrays: dict = {}
         for k in self.deriv_ks:
-            self.w_arrays[k] = _deriv_kernel_array(
-                kernel, k, fam, sc, N, conv_levels, margin=margin
-            )
+            self.w_arrays[k] = _deriv_kernel_array(kernel, k, fam, sc, N, conv_levels)
         # t_l(x) = <xi, d^l P+(x - .)> on the fine grid, exact for xi in V_N
         self.t_tables = {
             k: an.correlate(cN, self.w_arrays[k]) for k in self.deriv_ks
@@ -594,17 +590,13 @@ def extend_structure(
     kernel: KernelDecomposition,
     gamma: float,
     conv_levels: int | None = None,
-    margin: int = 8,
 ):
     """Add the abstract integral I Xi at homogeneity alpha + beta and build
-    the admissible extended model (integer collisions rejected)."""
+    the admissible extended model (check_extension's exponents rejected)."""
     alpha = base_model.alpha
-    zeta_i = alpha + kernel.beta
-    if abs(zeta_i - round(zeta_i)) < 1e-6:
-        raise ValueError("homogeneity of the extension collides with an integer")
-    if abs(gamma + kernel.beta - round(gamma + kernel.beta)) < 1e-6:
-        raise ValueError("gamma + beta too close to an integer")
     sc = base_structure.scaling
+    check_extension(alpha, kernel.beta, gamma, sc)
+    zeta_i = alpha + kernel.beta
     syms = polynomial_symbols(sc, gamma + kernel.beta)
     syms.append(Symbol("Xi", alpha, "abstract"))
     syms.append(Symbol("IXi", zeta_i, "abstract"))
@@ -618,9 +610,25 @@ def extend_structure(
         kernel,
         gamma,
         conv_levels if conv_levels is not None else N,
-        margin=margin,
     )
     return st, model
+
+
+def check_extension(alpha: float, beta: float, gamma: float, scaling: Scaling) -> None:
+    """Reject exponents that extend_structure cannot take: alpha >= 0, beta
+    outside (0, |s|), or alpha + beta or gamma + beta within 1e-6 of an
+    integer."""
+    if not alpha < 0:
+        raise ValueError(f"need alpha < 0, got {alpha}")
+    if not 0 < beta < scaling.total:
+        raise ValueError(f"need 0 < beta < |s| = {scaling.total}, got {beta}")
+    zeta_i = alpha + beta
+    if abs(zeta_i - round(zeta_i)) < 1e-6:
+        raise ValueError(
+            f"homogeneity alpha + beta = {zeta_i:g} of the extension collides with an integer"
+        )
+    if abs(gamma + beta - round(gamma + beta)) < 1e-6:
+        raise ValueError(f"gamma + beta = {gamma + beta:g} too close to an integer")
 
 
 def integration_matrix(structure: RegularityStructure) -> np.ndarray:

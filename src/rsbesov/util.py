@@ -47,10 +47,6 @@ def fit_log2_slope(levels, values) -> float:
     return float(np.linalg.lstsq(A, y, rcond=None)[0][0])
 
 
-def binom(k: int, j: int) -> int:
-    return math.comb(k, j)
-
-
 def multi_binom(k, j) -> int:
     """Product of componentwise binomial coefficients binom(k_i, j_i)."""
     return int(np.prod([math.comb(int(a), int(b)) for a, b in zip(k, j)]))

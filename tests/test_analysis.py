@@ -1,5 +1,8 @@
-"""Support-windowed kernel analysis against the full-torus route and the
-mask-based sampler, and the per-profile memo of analyzed kernels."""
+"""Kernel analysis: the exact route of piecewise-polynomial factors, the
+rejection of every factor it cannot take, the periodic quadrature, and the
+per-profile memo of analyzed kernels.  The support-windowed quadrature of a
+compact factor, the convergence oracle of the exact route, lives here too,
+checked against the full-torus route and the mask-based sampler."""
 
 import dataclasses
 import math
@@ -102,8 +105,72 @@ def _bump_on(lo, hi):
     return besov.bspline_bump(6).dilated((hi - lo) / 2.0).shifted((lo + hi) / 2.0)
 
 
+# --- oracle: the support-windowed quadrature of a compact factor -------------
+
+
+def _sample_window(support, fam, level_1d, margin):
+    """Fine-grid index range [start, stop) that _windowed_quadrature samples.
+
+    It covers the support, two samples of Taylor stencil on each side (one
+    more for rounding) and (len(h) - 1)(2^margin - 1) samples of filter
+    spread before it, rounded out to whole coarse cells of 2^margin samples.
+    A window that would cover the torus is the whole torus [0, 2^(level_1d
+    + margin)).
+    """
+    M, cell = 2 ** (level_1d + margin), 2**margin
+    if support is None:
+        return 0, M
+    lo, hi = support
+    spread = (len(fam.h) - 1) * (cell - 1)
+    first = math.floor(lo * M - fam.center) - 3 - spread
+    last = math.ceil(hi * M - fam.center) + 3
+    start, stop = first // cell * cell, -(-(last + 1) // cell) * cell
+    return (0, M) if stop - start >= M else (start, stop)
+
+
+def _periodic_samples(fn, y):
+    """Samples of the 1-periodization of fn at points y in [0, 1).
+
+    y is walked by its non-decreasing runs (a window grid has one or two), so
+    the points of each periodic copy y + m inside the support are one slice
+    of a run, and each copy is added in increasing m.
+    """
+    if fn.support is None:
+        return fn(y)
+    lo, hi = fn.support
+    acc = np.zeros_like(y)
+    cuts = [0, *(np.flatnonzero(~(y[1:] >= y[:-1])) + 1), len(y)]  # a NaN is a run of its own
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        run = y[a:b]
+        for m in range(int(np.floor(lo)) - 1, int(np.ceil(hi)) + 1):
+            u = run + m  # non-decreasing, so lo <= u <= hi is one slice
+            i, j = np.searchsorted(u, lo), np.searchsorted(u, hi, "right")
+            if i < j:
+                acc[a + i : a + j] += fn(u[i:j])
+    return acc
+
+
+def _windowed_quadrature(fn, fam, level_1d, margin):
+    """<G_per, phi^J_t> for all t by the library's quadrature, on the
+    _sample_window only and placed periodically.  Every sample outside the
+    window is an exact zero, so the window, taken as a torus, gives the
+    coefficients of the whole torus."""
+    M = 2 ** (level_1d + margin)
+    start, stop = _sample_window(fn.support, fam, level_1d, margin)
+    y = np.arange(start, stop) % M + fam.center
+    y /= M
+    y -= np.floor(y)
+    S = _periodic_samples(fn, y)
+    c = an._stencil(S, fam.centered_father_moments) * 2.0 ** (-(level_1d + margin) / 2.0)
+    for _ in range(margin):
+        c = filter_step(c, fam.h, 0, 2)
+    out = np.zeros(2**level_1d)
+    out[(start // 2**margin + np.arange(len(c))) % len(out)] = c
+    return out
+
+
 def _window_len(support, fam, margin):
-    start, stop = an.sample_window(support, fam, N, margin)
+    start, stop = _sample_window(support, fam, N, margin)
     return stop - start
 
 
@@ -150,17 +217,19 @@ def test_windowed_analysis_matches_full_torus(order, margin):
     fam = _family(order)
     for fn in _factors(fam, margin):
         S = _full_samples(fn, fam, margin)
-        got = an.quadrature_coeffs_1d(fn, fam, N, margin=margin)
+        got = _windowed_quadrature(fn, fam, N, margin)
         assert np.array_equal(got, _ref_coeffs(S, fam, margin)), fn.support
+        if fn.support is None:  # the library's quadrature, on the whole torus
+            assert _same_bits(an.quadrature_coeffs_1d(fn, fam, N, margin=margin), got)
 
 
 # --- the run-based sampler against the masks, bit for bit -------------------
 
 
 def _window_grid(support, fam, margin):
-    """The points smooth_coeffs_1d samples, built with fmod."""
+    """The points _windowed_quadrature samples, built with fmod."""
     M = 2 ** (N + margin)
-    start, stop = an.sample_window(support, fam, N, margin)
+    start, stop = _sample_window(support, fam, N, margin)
     return start, stop, (np.arange(start, stop) % M + fam.center) / M % 1.0
 
 
@@ -176,9 +245,9 @@ def test_sampler_on_breakpoints_and_support_ends():
     step = besov.bspline_bump(4).derivative(3).dilated(0.25).shifted(0.5)
     for pp in (step, besov.bspline_bump(6).dilated(0.3).shifted(0.41)):
         y = np.sort(np.concatenate([np.arange(1000) / 1000, _breakpoints(pp)]))
-        assert _same_bits(an.periodic_samples(pp, y), _ref_periodic_samples(pp, y))
+        assert _same_bits(_periodic_samples(pp, y), _ref_periodic_samples(pp, y))
     ends = [np.nextafter(0.25, 0.0), 0.25, 0.375, 0.75, np.nextafter(0.75, 1.0)]
-    assert an.periodic_samples(step, np.array(ends)).tolist() == [0.0, 8.0, -24.0, -8.0, 0.0]
+    assert _periodic_samples(step, np.array(ends)).tolist() == [0.0, 8.0, -24.0, -8.0, 0.0]
 
 
 def test_sampler_on_windows_that_wrap():
@@ -188,7 +257,7 @@ def test_sampler_on_windows_that_wrap():
         start, stop, y = _window_grid(fn.support, fam, margin)
         assert wraps(start, stop) and stop - start < M
         assert np.count_nonzero(np.diff(y) < 0) == 1  # two runs
-        assert _same_bits(an.periodic_samples(fn, y), _ref_periodic_samples(fn, y))
+        assert _same_bits(_periodic_samples(fn, y), _ref_periodic_samples(fn, y))
 
 
 def test_sampler_adds_three_copies_of_a_wide_factor():
@@ -199,7 +268,7 @@ def test_sampler_adds_three_copies_of_a_wide_factor():
         (besov.bspline_bump(4).derivative(3), (0,)),
         (besov.bspline_bump(6).dilated(1.2), (0, 409, 3686)),
     ]:
-        got = an.periodic_samples(pp, y)
+        got = _periodic_samples(pp, y)
         assert _same_bits(got, _ref_periodic_samples(pp, y))
         for i in where:
             copies = [pp(np.array([y[i] + m]))[0] for m in range(-2, 3)]
@@ -212,7 +281,7 @@ def test_sampler_on_schauder_pieces():
     for fn in _schauder_pieces():
         for margin in (2, 8):
             y = _window_grid(fn.support, fam, margin)[2]
-            assert _same_bits(an.periodic_samples(fn, y), _ref_periodic_samples(fn, y))
+            assert _same_bits(_periodic_samples(fn, y), _ref_periodic_samples(fn, y))
 
 
 def test_unsorted_and_nan_points():
@@ -225,7 +294,7 @@ def test_unsorted_and_nan_points():
         assert _same_bits(pp(x), _ref_values(pp, x))
         y = np.concatenate([rng.uniform(0.0, 1.0, 500), [np.nan, 0.0, np.nan, np.nan]])
         rng.shuffle(y)
-        assert _same_bits(an.periodic_samples(pp, y), _ref_periodic_samples(pp, y))
+        assert _same_bits(_periodic_samples(pp, y), _ref_periodic_samples(pp, y))
 
 
 @pytest.mark.parametrize("shape", [(1,), (2,), (3,), (64,), (8, 3), (2, 16), (4, 1, 5)])
@@ -524,9 +593,9 @@ def test_exact_route_matches_quadrature_on_smooth_factors(order):
     cases += [(name, fn, n + 4) for n in (0, 3) for name, fn in _lift_factors(n)]
     assert {"bump_offset r=2", "d1_bump r=2", "d2_bump r=3"} <= {name for name, _, _ in cases}
     for name, fn, level in cases + _grid_factors():
-        assert an._cell_grid(fn, level, 8) is not None, name
+        assert an._cell_grid(fn, level) is not None, name
         got = an.smooth_coeffs_1d(fn, fam, level)
-        ref = an.quadrature_coeffs_1d(fn, fam, level, margin=13)
+        ref = _windowed_quadrature(fn, fam, level, 13)
         assert _max_rel(got, ref) <= 1e-14, (name, level)
 
 
@@ -538,8 +607,8 @@ def test_exact_route_inside_quadrature_error_at_kinks_and_jumps(order):
     for n in range(N + 1):
         for name, fn in _dictionary_factors(n, False):
             got = an.smooth_coeffs_1d(fn, fam, N)
-            q13 = an.quadrature_coeffs_1d(fn, fam, N, margin=13)
-            q8 = an.quadrature_coeffs_1d(fn, fam, N, margin=8)
+            q13 = _windowed_quadrature(fn, fam, N, 13)
+            q8 = _windowed_quadrature(fn, fam, N, 8)
             assert np.max(np.abs(got - q13)) <= np.max(np.abs(q8 - q13)) / 8, (name, n)
 
 
@@ -549,7 +618,7 @@ def test_exact_route_matches_haar_box_integrals():
     fam = _family(1)
     grids = set()
     for name, fn, level in _all_factors():
-        grids.add(an._cell_grid(fn, level, 8))
+        grids.add(an._cell_grid(fn, level))
         lo, hi = fn.support
         F = lambda x: fn.antiderivative()(np.clip(x, lo, hi))  # noqa: E731  (0 past hi)
         t = np.arange(math.floor(lo * 2**level) - 1, math.ceil(hi * 2**level) + 1)
@@ -602,7 +671,7 @@ def test_exact_coefficients_keep_the_polynomial_moments(order):
             fn = besov.bspline_bump(bump_order).dilated(0.125).shifted(centre)
             lo, hi = fn.support
             assert lo * 2**level >= len(fam.h) - 1 and hi < 1.0
-            j, got_q = an._cell_grid(fn, level, 8)
+            j, got_q = an._cell_grid(fn, level)
             assert got_q == q
             c = an.exact_coeffs_1d(fn, fam, level, j, q)
             for m in range(order):
@@ -619,26 +688,38 @@ def test_exact_coefficients_keep_the_polynomial_moments(order):
 def test_shift_by_a_grid_step_rolls_the_coefficients(i, order, k):
     name, fn, level = _all_factors()[i]
     moved = fn.shifted(k * 2.0**-level)
-    assume(an._cell_grid(moved, level, 8) == an._cell_grid(fn, level, 8))
+    assume(an._cell_grid(moved, level) == an._cell_grid(fn, level))
     fam = _family(order)
     got = an.smooth_coeffs_1d(moved, fam, level)
     assert _same_bits(got, np.roll(an.smooth_coeffs_1d(fn, fam, level), k)), name
 
 
-def test_factors_off_every_grid_take_the_quadrature():
+def test_factors_off_every_grid_are_rejected():
+    """A compact factor off every cell grid raises: no quadrature fallback,
+    whose error at a jump is O(2^-margin) of the largest coefficient."""
     fam = _family(6)
+    d4 = next(p for p in besov.make_dictionary(3, [0]).profiles if p.name == "d4_bump")
     b4 = besov.bspline_bump(4)
-    narrow = rc._lift_factor_1d(0, 1, 2.0 ** -(N + 3))  # breakpoints need j = 5
-    cases = [
-        (b4.shifted(0.1234567), 8),
-        (b4.dilated(1.0 / 65.0), 8),  # q = 65 is past the cap
-        (narrow, 2),
-    ]
-    assert an._cell_grid(narrow, N, 8) == (5, 1)
-    for fn, margin in cases:
-        assert an._cell_grid(fn, N, margin) is None
-        got = an.smooth_coeffs_1d(fn, fam, N, margin=margin)
-        assert _same_bits(got, an.quadrature_coeffs_1d(fn, fam, N, margin=margin))
+    narrow = rc._lift_factor_1d(0, 1, 2.0 ** -(N + 7))  # breakpoints need j = 9
+    assert an._cell_grid(rc._lift_factor_1d(0, 1, 2.0 ** -(N + 3)), N) == (5, 1)
+    for fn in (
+        besov.profile_kernel(d4, SC1, 0).terms[0][1][0].shifted(0.1234567),
+        b4.dilated(1.0 / 65.0),  # q = 65 is past the cap
+        narrow,
+    ):
+        assert an._cell_grid(fn, N) is None
+        with pytest.raises(ValueError, match=r"start=.*rate=.* no cell grid .* q <= 63 and j <= 8"):
+            an.smooth_coeffs_1d(fn, fam, N)
+        with pytest.raises(ValueError, match="no cell grid"):
+            an.analyze_kernel(an.SeparableKernel([(1.0, [fn])]), fam, SC1, N)
+    # a compact Fn1D is no periodic factor, and the quadrature takes no other
+    compact = an.Fn1D(lambda x: np.cos(np.pi * x) ** 2, (-0.5, 0.5))
+    with pytest.raises(ValueError, match="not periodic: analyze a compact factor as a PiecewisePoly"):
+        an.smooth_coeffs_1d(compact, fam, N)
+    with pytest.raises(ValueError, match="not periodic"):
+        an.analyze_kernel(an.SeparableKernel([(1.0, [compact])]), fam, SC1, N)
+    with pytest.raises(ValueError, match="not periodic"):
+        an.quadrature_coeffs_1d(b4, fam, N)
 
 
 @pytest.mark.parametrize("field", ["start", "rate", "scale", "coeffs"])
@@ -659,7 +740,7 @@ def test_non_finite_factor_rejected(field, bad):
 
 
 def _fresh(fam, **changes):
-    return dataclasses.replace(fam, _component_moments={}, _cell_moments={}, **changes)
+    return dataclasses.replace(fam, _cell_moments={}, **changes)
 
 
 def test_cell_moments_checked_against_the_exact_moments(monkeypatch):

@@ -275,6 +275,33 @@ def test_level_sweeps_need_four_levels(sub, levels, tmp_path, capsys):
     assert not any(tmp_path.iterdir())  # failed before writing any table
 
 
+@pytest.mark.parametrize(
+    "flags, reason",
+    [
+        (["--beta", "1.5"], r"0 < beta < \|s\| = 1, got 1.5"),
+        (["--alpha", "-0.7"], r"alpha \+ beta = 0 .* collides with an integer"),
+        (["--alpha", "0.3"], "alpha < 0"),
+    ],
+)
+def test_schauder_exponents_checked_before_writing(flags, reason, tmp_path, capsys):
+    """At d=1 report extends the noise structure whatever the structure, so a
+    bad alpha or beta fails before the first table is written."""
+    out = tmp_path / "out"
+    assert main(["report", "--levels", "4", *flags, "--out", str(out)]) == 2
+    assert re.search(reason, capsys.readouterr().err)
+    assert not out.exists()
+    # a subcommand that does not extend it still runs
+    assert main(["dnorm", "--levels", "4", *flags, "--out", str(out)]) == 0
+
+
+def test_config_file_values_checked_against_choices(tmp_path):
+    cfg = tmp_path / "exp.ini"
+    for key, value in [("structure", "extended"), ("format", "xml")]:
+        cfg.write_text(f"[experiment]\n{key} = {value}\n")
+        assert main(["dnorm", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_perfbench_span_targets_resolve():
     # the traced benchmark wraps these bindings; a rename must fail here too
     import importlib

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as hst
 
 from rsbesov import analysis as an
-from rsbesov import besov, mra
+from rsbesov import besov, filters, mra
 from rsbesov import schauder as sch
 from rsbesov import structures as rs
 from rsbesov.scaling import Scaling, wrap_displacement
@@ -79,7 +79,7 @@ def test_pi_polynomial_matches_quadrature(sc1, fam6):
         lib += (
             math.comb(1, b)
             * ((y - x) * 2**n) ** (1 - b)
-            * fam6.component_moment(1, b)
+            * filters.mother_moments(fam6.h, b)[b]
         ) * 2.0 ** (-n * 1.5)
     assert abs(direct - lib) < 1e-8
     # cross-check the father pairing path on the same geometry
