@@ -136,8 +136,8 @@ def filter_step(
 ) -> np.ndarray:
     """out[k] = sum_m taps[m] c[(stride k + start + m) mod L] along one axis.
 
-    The windows of the wrap-indexed axis are copied to a contiguous array
-    and contracted with the taps; k runs over L / stride outputs.
+    The strided windows of the wrap-indexed axis are contracted with the
+    taps in place (einsum, no window copy); k runs over L / stride outputs.
     """
     L = c.shape[axis]
     if L % stride:
@@ -145,12 +145,12 @@ def filter_step(
     idx = np.arange(start, start + L - stride + len(taps))
     windows = sliding_window_view(np.take(c, idx, axis, mode="wrap"), len(taps), axis)
     windows = windows[(slice(None),) * axis + (slice(None, None, stride),)]
-    return np.ascontiguousarray(windows) @ taps
+    return np.einsum("...k,k->...", windows, taps)
 
 
 def _interleave(parts, axis: int) -> np.ndarray:
     """out[.., n k + t, ..] = parts[t][.., k, ..] along axis, n = len(parts)."""
-    out = np.moveaxis(np.asarray(parts), 0, axis + 1)
+    out = np.stack(parts, axis=axis + 1)
     return out.reshape(*out.shape[:axis], -1, *out.shape[axis + 2 :])
 
 

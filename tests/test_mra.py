@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import cache
 
 import numpy as np
@@ -284,10 +285,10 @@ def test_dirac_coefficients_are_basis_values_property(s, order, N, data):
 # --- reference filter bank: the modulo gather, zero-upsampled synthesis and FFT ---
 
 
-def _ref_analysis(c, f, axis):
-    """out[k] = sum_m f[m] c[(2k + m) mod L] by a modulo index gather."""
+def _ref_filter_step(c, f, axis, stride=2, start=0):
+    """out[k] = sum_m f[m] c[(stride k + start + m) mod L] by a modulo index gather."""
     L = c.shape[axis]
-    idx = (2 * np.arange(L // 2)[:, None] + np.arange(len(f))[None, :]) % L
+    idx = (stride * np.arange(L // stride)[:, None] + start + np.arange(len(f))[None, :]) % L
     out = np.moveaxis(c, axis, -1)[..., idx] @ f
     return np.moveaxis(out, -1, axis)
 
@@ -321,7 +322,7 @@ def _ref_decompose(c, fam, sc):
         x = c
         for ax, chain, step, t in _code_chain(sc, code):
             for name in chain:
-                x = _ref_analysis(x, getattr(fam, name), ax)
+                x = _ref_filter_step(x, getattr(fam, name), ax)
             x = np.moveaxis(np.moveaxis(x, ax, 0)[t::step], 0, ax)
         blocks.append(x)
     return blocks[0], np.stack(blocks[1:])
@@ -370,11 +371,21 @@ def test_filter_bank_matches_reference(s):
     rng = np.random.default_rng(len(s) * 10 + s[0])
     for order in (1, 4, 6, 9):
         fam = _family(order)
+        # analysis (stride 2 from 0), point_values (stride 1 from -L) and the
+        # synthesis parities (stride 2 from 2 - len(t))
+        L = fam.support_len
+        hg = np.stack([fam.h, fam.g], axis=1)
+        calls = [(fam.h, 2, 0), (fam.g, 2, 0), (fam.father_at(np.arange(L + 1.0))[::-1], 1, -L)]
+        calls += [(hg[p::2][::-1].ravel(), 2, 2 - len(fam.h)) for p in (0, 1)]
         for N in range(1, 5):
             c = rng.standard_normal(sc.grid_shape(N))
-            for ax in range(sc.d):
-                for f in (fam.h, fam.g):
-                    assert _rel_err(mra.filter_step(c, f, ax, 2), _ref_analysis(c, f, ax)) <= 1e-13
+            # filter_step contracts each layout's strides in place: contiguous,
+            # a transposed view, a negative stride, a code-leading sub-array
+            for x in (c, c.T.copy().T, c[..., ::-1], np.stack([c, -c, 2 * c])[::2]):
+                for ax in range(x.ndim - sc.d, x.ndim):
+                    for taps, stride, start in calls:
+                        got = mra.filter_step(x, taps, ax, stride, start)
+                        assert _rel_err(got, _ref_filter_step(x, taps, ax, stride, start)) <= 1e-13
             newc, details = mra.decompose_level(c, fam, sc)
             ref_newc, ref_details = _ref_decompose(c, fam, sc)
             assert _rel_err(newc, ref_newc) <= 1e-13
@@ -385,3 +396,25 @@ def test_filter_bank_matches_reference(s):
             pyr = mra.analyze_v_coefficients(c, fam, sc, N)
             ref_values = _ref_point_values(mra.level_coefficients(pyr, fam, N), fam)
             assert _rel_err(mra.point_values(pyr, fam), ref_values * 2.0 ** (N * sc.total / 2.0)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "shape, taps, axis, stride, start",
+    [
+        ((1, 4096, 64), "h", 1, 2, 0),
+        ((1, 4096, 64), "g", 2, 2, 0),
+        ((2**18,), "h", 0, 2, 0),
+        ((4096, 64), "h", 0, 2, -4),
+        ((1, 4096, 64), "h", 1, 1, -10),
+    ],
+)
+def test_filter_step_peak_memory_stays_near_its_input(fam6, shape, taps, axis, stride, start):
+    # one wrapped gather of the input plus the output; no window matrix
+    c = np.random.default_rng(0).standard_normal(shape)
+    tracemalloc.start()
+    try:
+        mra.filter_step(c, getattr(fam6, taps), axis, stride, start)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * c.nbytes, peak / c.nbytes
