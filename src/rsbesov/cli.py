@@ -24,6 +24,7 @@ from .filters import min_order_for
 from .pyramid import save_rsbf
 from .reports import write_rows
 from .scaling import Scaling
+from .util import check_exponent
 
 SUBCOMMANDS = (
     "synthesize", "besov", "dnorm", "reconstruct", "roundtrip", "lift", "embed", "schauder",
@@ -42,6 +43,8 @@ SWEEP_SUBCOMMANDS = frozenset(
 )
 # At d=1 these extend the noise structure by the Riesz kernel's I Xi.
 SCHAUDER_SUBCOMMANDS = frozenset({"schauder", "report"})
+# Written into every report's meta: the generator behind every seed.
+RNG_ALGORITHM = "numpy-PCG64"
 
 
 class ConfigError(ValueError):
@@ -50,7 +53,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    d: int = 1
+    """One run's settings; the config file keys are these field names."""
+
     s: tuple[int, ...] = (1,)
     levels: int = 8
     wavelet_order: int = 6
@@ -63,7 +67,6 @@ class ExperimentConfig:
     seed: int = 0
     out: str = "out"
     format: str = field(default="csv", metadata={"choices": ("csv", "jsonl")})
-    rng_algorithm: str = field(default="numpy-PCG64", init=False)
 
     @property
     def schauder_gamma(self) -> float:
@@ -72,8 +75,7 @@ class ExperimentConfig:
 
     def validate(self, subcommand: str) -> None:
         """Reject the config for subcommand before it writes anything."""
-        if self.d != len(self.s) or any(si < 1 for si in self.s):
-            raise ConfigError("scaling entries must be positive and match d")
+        sc = Scaling(self.s)
         if self.levels < 2:
             raise ConfigError("need at least two levels")
         if subcommand in SWEEP_SUBCOMMANDS and self.levels < MIN_SWEEP_LEVEL:
@@ -82,52 +84,54 @@ class ExperimentConfig:
             choices = f.metadata.get("choices")
             if choices and getattr(self, f.name) not in choices:
                 raise ConfigError(f"{f.name} must be one of {', '.join(choices)}")
-        if not (self.p >= 1 and self.q >= 1):
-            raise ConfigError("p and q must lie in [1, inf]")
-        if self.structure == "polynomial" and self.gamma <= 0:
-            raise ConfigError("gamma must be positive")
-        if self.structure == "noise" and not (self.alpha < 0 <= self.gamma):
-            raise ConfigError("noise structures need alpha < 0 <= gamma")
-        # Assumption: gamma avoids the homogeneities of the chosen structure
-        homos = {float(k) for k in range(int(self.gamma) + 2)}
-        if self.structure == "noise":
-            homos.add(self.alpha)
-        if any(abs(self.gamma - z) < 1e-9 for z in homos):
-            raise ConfigError("gamma must avoid the homogeneities")
-        if self.d == 1 and subcommand in SCHAUDER_SUBCOMMANDS:
-            schauder.check_extension(self.alpha, self.beta, self.schauder_gamma, Scaling(self.s))
+        check_exponent(self.p)
+        check_exponent(self.q)
+        structures.build_structure(
+            self.gamma, sc, self.alpha if self.structure == "noise" else None
+        )
+        if sc.d == 1 and subcommand in SCHAUDER_SUBCOMMANDS:
+            schauder.check_extension(self.alpha, self.beta, self.schauder_gamma, sc)
 
     def meta(self) -> dict:
         m = asdict(self)
         m["s"] = "x".join(map(str, self.s))
+        m["d"] = len(self.s)
+        m["rng_algorithm"] = RNG_ALGORITHM
         m["version"] = __version__
         del m["out"]  # run location is not part of the reproducible payload
         return m
 
 
 def _option_fields():
-    """Init fields set by a flag or a config key of the same name; d and s
-    come from the config file only."""
-    return [f for f in fields(ExperimentConfig) if f.init and f.name not in ("d", "s")]
+    """Fields set by a flag or a config key of the same name; s comes from
+    the config file only."""
+    return [f for f in fields(ExperimentConfig) if f.name != "s"]
 
 
 def load_config(path: str | None) -> ExperimentConfig:
+    """The defaults, overridden by the file's one [experiment] section; any
+    other section, a key that is not a field, or a malformed file is a
+    ConfigError."""
     cfg = ExperimentConfig()
     if path is None:
         return cfg
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    sec = parser["experiment"] if parser.has_section("experiment") else parser["DEFAULT"]
-    if "d" in sec:
-        cfg.d = sec.getint("d")
-    if "s" in sec:
-        cfg.s = tuple(int(v) for v in sec.get("s").split(","))
-        cfg.d = len(cfg.s)
-    for f in _option_fields():
-        if f.name in sec:
-            setattr(cfg, f.name, type(f.default)(sec.get(f.name)))
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file {path}")
+        if parser.sections() != ["experiment"] or parser.defaults():
+            raise ConfigError(f"config file {path} must hold one [experiment] section only")
+        sec = dict(parser["experiment"])
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from exc
+    unknown = sorted(set(sec) - {f.name for f in fields(cfg)})
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    for name, value in sec.items():
+        if name == "s":
+            cfg.s = tuple(int(v) for v in value.split(","))
+        else:
+            setattr(cfg, name, type(getattr(cfg, name))(value))
     return cfg
 
 
@@ -160,8 +164,7 @@ def resolve_config(args) -> ExperimentConfig:
 
 
 def _family(cfg: ExperimentConfig):
-    r = max(2, int(math.ceil(abs(cfg.gamma))) + (0 if abs(cfg.gamma - round(cfg.gamma)) > 1e-9 else 1))
-    r = min(r, 3)
+    r = min(max(2, math.ceil(cfg.gamma)), 3)  # validated: gamma > 0, not an integer
     order = max(cfg.wavelet_order, 2)
     r_eff = r
     while min_order_for(r_eff) > order:
@@ -248,25 +251,23 @@ def cmd_dnorm(run: Run) -> int:
 def cmd_reconstruct(run: Run) -> int:
     cfg, sc, fam = run.cfg, run.sc, run.fam
     rows = []
-    bound_rows = []
     for N in range(max(MIN_SWEEP_LEVEL, cfg.levels - 4), cfg.levels + 1):
         model, f, xi = _input(run, N)
-        out, cert = rc.reconstruct(f, model, cfg.p, cfg.q)
+        # the polynomial input tables the bound at the finest level
+        d = None
+        if xi is None and N == cfg.levels:
+            d = besov.make_dictionary(max(run.r, 2), range(2, N - 1))
+        out, cert = rc.reconstruct(f, model, cfg.p, cfg.q, dictionary=d)
         if xi is not None:
             rows.append((N, out.max_abs_diff(xi)))
             continue
         an_target = mra.analyze_v_coefficients(_exact_sin_coeffs(fam, sc, N), fam, sc, N)
         rows.append((N, out.plus(an_target.scaled(-1.0)).l2() / an_target.l2()))
-        if N == cfg.levels:
-            d = besov.make_dictionary(max(run.r, 2), range(2, N - 1))
-            scales, raw, normed = rc.reconstruction_bound(f, model, out, cfg.p, cfg.q, d)
-            bound_rows = [(int(m), rv, nv) for m, rv, nv in zip(scales, raw, normed)]
     run.write("reconstruct", ["levels", "rel_error"], rows)
-    if bound_rows:
-        run.write("reconstruct_bound", ["scale", "raw", "normalized"], bound_rows)
-    cert_rows = [(n, "A", v, "") for n, v in enumerate(cert.sewing.a_table)]
-    cert_rows += [(n, "deltaA", v, "") for n, v in enumerate(cert.sewing.da_table)]
-    run.write("reconstruct_certificate", ["scale", "term", "value", "budget"], cert_rows)
+    if cert.bound_scales is not None:
+        bound = zip(cert.bound_scales.tolist(), cert.bound_raw, cert.bound_normalized)
+        run.write("reconstruct_bound", ["scale", "raw", "normalized"], list(bound))
+    run.write("reconstruct_certificate", ["scale", "term", "value"], list(cert.sewing.rows()))
     return 0
 
 

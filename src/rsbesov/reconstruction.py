@@ -22,7 +22,7 @@ from .besov import BesovParams, TestDictionary, mollify
 from .modelled import AveragedMD, ModelledDistribution, average, d_norm, md_distance, unaverage
 from .pyramid import CoeffPyramid
 from .scaling import Scaling
-from .structures import Model, model_distance, model_norms, polynomial_structure
+from .structures import HOMOGENEITY_TOL, Model, model_distance, model_norms, polynomial_structure
 from .util import fit_log2_slope, lq_aggregate, multi_factorial
 
 
@@ -154,11 +154,7 @@ def germ_of(f_bar: AveragedMD, model: Model) -> GermCoefficients:
 
 def structure_alpha(model: Model, gamma: float) -> float:
     """alpha = min(A \\ N) wedge gamma."""
-    non_int = [
-        z
-        for z in model.structure.homogeneities
-        if abs(z - round(z)) > 1e-9
-    ]
+    non_int = [z for z in model.structure.homogeneities if abs(z - round(z)) > HOMOGENEITY_TOL]
     return min(non_int) if non_int else gamma
 
 
@@ -176,7 +172,6 @@ def reconstruct(
     gamma = f.gamma
     if gamma <= 0:
         raise ValueError("reconstruction needs gamma > 0")
-    f.structure.check_gamma(gamma)
     if f_bar is None:
         f_bar = average(f, model)
     germ = germ_of(f_bar, model)
@@ -360,8 +355,6 @@ def lift(
     fbar^(n)_k(x) = <xi, K_{k,n}(. - x)> with the polynomially corrected
     kernels (derivatives moved onto the test function), then unaverage.
     """
-    if abs(gamma - round(gamma)) < 1e-9:
-        raise ValueError("gamma must not be an integer")
     sc = xi.scaling
     N = xi.N
     st, model = polynomial_structure(gamma, sc, fam, N)

@@ -24,8 +24,7 @@ from .modelled import ModelledDistribution, d_norm
 from .pyramid import CoeffPyramid
 from .reconstruction import reconstruct
 from .scaling import Scaling, wrap_displacement
-from .structures import Model, NoiseModel, RegularityStructure, Symbol
-from .structures import integer_homogeneities, poly_name, polynomial_symbols
+from .structures import NoiseModel, RegularityStructure, build_structure, poly_name
 from .util import multi_factorial
 
 
@@ -596,11 +595,7 @@ def extend_structure(
     alpha = base_model.alpha
     sc = base_structure.scaling
     check_extension(alpha, kernel.beta, gamma, sc)
-    zeta_i = alpha + kernel.beta
-    syms = polynomial_symbols(sc, gamma + kernel.beta)
-    syms.append(Symbol("Xi", alpha, "abstract"))
-    syms.append(Symbol("IXi", zeta_i, "abstract"))
-    st = RegularityStructure(syms, sc, integer_homogeneities(gamma + kernel.beta))
+    st = build_structure(gamma + kernel.beta, sc, alpha, kernel.beta)
     N = base_model.N
     model = ExtendedModel(
         st,
@@ -616,8 +611,10 @@ def extend_structure(
 
 def check_extension(alpha: float, beta: float, gamma: float, scaling: Scaling) -> None:
     """Reject exponents that extend_structure cannot take: alpha >= 0, beta
-    outside (0, |s|), or alpha + beta or gamma + beta within 1e-6 of an
-    integer."""
+    outside (0, |s|), gamma <= 0, or gamma, alpha + beta or gamma + beta
+    within 1e-6 of an integer."""
+    if gamma <= 0 or abs(gamma - round(gamma)) < 1e-6:
+        raise ValueError(f"need gamma > 0 away from the integers, got {gamma:g}")
     if not alpha < 0:
         raise ValueError(f"need alpha < 0, got {alpha}")
     if not 0 < beta < scaling.total:
@@ -659,12 +656,9 @@ def schauder_apply(
     the nonlocal reconstruction term, landing in order gamma + beta."""
     gamma = f.gamma
     beta = ext_model.kernel.beta
-    if gamma <= 0 or abs(gamma - round(gamma)) < 1e-6:
-        raise ValueError("need gamma > 0 away from the integers")
-    if abs(gamma + beta - round(gamma + beta)) < 1e-6:
-        raise ValueError("gamma + beta too close to an integer")
     st_out = ext_model.structure
     sc = st_out.scaling
+    check_extension(ext_model.alpha, beta, gamma, sc)
     N = f.N
     # reconstruct f with the extended model (it restricts to the base symbols)
     f_ext = embed_md(f, st_out, gamma) if f.structure is not st_out else f

@@ -23,6 +23,10 @@ from .scaling import Scaling, wrap_displacement
 from .util import multi_binom
 
 
+# How close an order parameter may come to a homogeneity (`check_gamma`).
+HOMOGENEITY_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class Symbol:
     name: str
@@ -34,22 +38,17 @@ class Symbol:
 class RegularityStructure:
     """Ordered graded basis with homogeneities bounded below.
 
-    ambient_homogeneities may extend beyond the truncated basis (the
-    polynomial sector contributes every natural number); order parameters
-    must avoid the ambient set.
+    The polynomial sector contributes every natural number to the
+    homogeneities, whatever the truncation, so an order parameter must stay
+    HOMOGENEITY_TOL away from every natural number and from every symbol's
+    homogeneity (`check_gamma`).
     """
 
-    def __init__(
-        self,
-        symbols: list[Symbol],
-        scaling: Scaling,
-        ambient: tuple[float, ...] = (),
-    ):
+    def __init__(self, symbols: list[Symbol], scaling: Scaling):
         self.scaling = scaling
         self.symbols = sorted(symbols, key=lambda s: (s.zeta, s.kind, s.name))
         self.dim = len(self.symbols)
         self.homogeneities = sorted({s.zeta for s in self.symbols})
-        self.ambient_homogeneities = sorted(set(self.homogeneities) | set(ambient))
         self._by_name = {s.name: i for i, s in enumerate(self.symbols)}
         if len(self._by_name) != self.dim:
             raise ValueError("duplicate symbol names")
@@ -69,7 +68,8 @@ class RegularityStructure:
     def check_gamma(self, gamma: float) -> None:
         if not math.isfinite(gamma):
             raise ValueError(f"gamma={gamma} must be finite")
-        if any(abs(gamma - z) < 1e-12 for z in self.ambient_homogeneities):
+        natural = max(0.0, float(round(gamma)))
+        if any(abs(gamma - z) < HOMOGENEITY_TOL for z in [natural, *self.homogeneities]):
             raise ValueError(f"gamma={gamma} coincides with a homogeneity")
 
 
@@ -83,11 +83,6 @@ def polynomial_symbols(scaling: Scaling, gamma: float) -> list[Symbol]:
         Symbol(poly_name(k), float(scaling.scaled_degree(k)), "poly", tuple(k))
         for k in scaling.multi_indices_below(gamma)
     ]
-
-
-def integer_homogeneities(top: float) -> tuple[float, ...]:
-    """The ambient integers 0..ceil(top)+1 the polynomial sector contributes."""
-    return tuple(float(k) for k in range(int(np.ceil(top)) + 2))
 
 
 class Model:
@@ -224,15 +219,30 @@ class NoiseModel(Model):
         return super().pi_profile_table(sym, scale_n, profile)
 
 
+def build_structure(
+    gamma: float, scaling: Scaling, alpha: float | None = None, beta: float | None = None
+) -> RegularityStructure:
+    """The polynomial symbols below gamma; with alpha, one noise symbol Xi at
+    alpha < 0 <= gamma; with beta as well, its integral IXi at alpha + beta.
+    gamma must avoid the homogeneities (`check_gamma`)."""
+    if alpha is None and gamma <= 0:
+        raise ValueError("gamma must be positive")
+    if alpha is not None and not (alpha < 0 <= gamma):
+        raise ValueError("need alpha < 0 <= gamma")
+    abstract = [] if alpha is None else [Symbol("Xi", alpha, "abstract")]
+    if beta is not None:
+        abstract.append(Symbol("IXi", alpha + beta, "abstract"))
+    # checked before the polynomial symbols are listed, which needs a finite
+    # gamma; their homogeneities are natural numbers, which check_gamma covers
+    RegularityStructure(abstract, scaling).check_gamma(gamma)
+    return RegularityStructure(polynomial_symbols(scaling, gamma) + abstract, scaling)
+
+
 def polynomial_structure(
     gamma: float, scaling: Scaling, fam: mra.WaveletFamily, N: int
 ):
     """The polynomial structure up to order gamma with its canonical model."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    syms = polynomial_symbols(scaling, gamma)
-    st = RegularityStructure(syms, scaling, integer_homogeneities(gamma))
-    st.check_gamma(gamma)
+    st = build_structure(gamma, scaling)
     return st, PolynomialModel(st, fam, N)
 
 
@@ -240,12 +250,7 @@ def noise_structure(
     alpha: float, xi: CoeffPyramid, gamma: float, fam: mra.WaveletFamily
 ):
     """Polynomial symbols plus one noise symbol Xi at homogeneity alpha < 0."""
-    if not (alpha < 0 <= gamma):
-        raise ValueError("need alpha < 0 <= gamma")
-    scaling = xi.scaling
-    syms = polynomial_symbols(scaling, gamma) + [Symbol("Xi", alpha, "abstract")]
-    st = RegularityStructure(syms, scaling, integer_homogeneities(gamma))
-    st.check_gamma(gamma)
+    st = build_structure(gamma, xi.scaling, alpha)
     return st, NoiseModel(st, fam, xi, alpha)
 
 

@@ -53,7 +53,7 @@ def test_config_sets_every_key_and_flags_override(tmp_path):
 
     cfg = tmp_path / "all.ini"
     cfg.write_text(
-        "[experiment]\nd = 1\ns = 2,1\nlevels = 5\nwavelet_order = 8\n"
+        "[experiment]\ns = 2,1\nlevels = 5\nwavelet_order = 8\n"
         "structure = noise\ngamma = 1.25\np = 1.5\nq = 3\nalpha = -0.4\n"
         "beta = 0.6\nseed = 9\nout = somewhere\nformat = jsonl\n"
     )
@@ -62,7 +62,7 @@ def test_config_sets_every_key_and_flags_override(tmp_path):
          "--wavelet-order", "4", "--format", "csv", "--seed", "3"]
     )
     want = ExperimentConfig(
-        d=2, s=(2, 1), levels=6, wavelet_order=4, structure="noise", gamma=1.25,
+        s=(2, 1), levels=6, wavelet_order=4, structure="noise", gamma=1.25,
         p=1.5, q=math.inf, alpha=-0.4, beta=0.6, seed=3, out="somewhere", format="csv",
     )
     assert resolve_config(args) == want
@@ -72,7 +72,7 @@ def test_parabolic_lift_reports_no_slope_for_a_round_off_sector(tmp_path):
     # at s=(2,1) the X^(0,1) sector of the lifted sin field is zero up to
     # round-off (increments 3e-16..3e-14): its fitted slope must be NaN
     cfg = tmp_path / "lift21.ini"
-    cfg.write_text("[experiment]\nd = 2\ns = 2,1\nlevels = 4\n")
+    cfg.write_text("[experiment]\ns = 2,1\nlevels = 4\n")
     assert main(["lift", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     rows = dict(
         line.split(",") for line in (tmp_path / "lift.csv").read_text().splitlines()
@@ -81,6 +81,50 @@ def test_parabolic_lift_reports_no_slope_for_a_round_off_sector(tmp_path):
     assert rows["unaverage_slope_zeta_1.0"] == "nan"
     for z in ("0.0", "2.0"):  # the live sectors keep their fitted rates
         assert math.isfinite(float(rows[f"unaverage_slope_zeta_{z}"]))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[experiment]\nlevles = 5\n",  # a misspelled key
+        "[Experiment]\nlevels = 5\n",  # a misnamed section
+        "levels = 5\n",  # no section header
+        "[experiment]\nlevels = 5\nlevels = 6\n",  # a duplicate key
+        "[experiment]\nd = 1\ns = 2,1\n",  # d follows from s
+    ],
+)
+def test_malformed_config_file_exits_2_before_writing(text, tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["dnorm", "--levels", "4", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gamma", [2 + 5e-10, 5 + 1e-10, 2 + 5e-13, 2.5, math.inf, math.nan])
+def test_cli_and_library_agree_on_gamma(gamma, sc1, fam6, tmp_path):
+    from rsbesov.structures import polynomial_structure
+
+    try:
+        polynomial_structure(gamma, sc1, fam6, 4)
+        want = 0
+    except ValueError:
+        want = 2
+    argv = ["dnorm", "--levels", "4", "--gamma", repr(gamma), "--out", str(tmp_path)]
+    assert main(argv) == want
+
+
+def test_cli_and_library_agree_on_noise_gamma(sc1, fam6, tmp_path):
+    from rsbesov import besov
+    from rsbesov.structures import noise_structure
+
+    gamma = 1.0000000005
+    xi = besov.synthesize_random_besov(sc1, 4, -0.5, 0)
+    with pytest.raises(ValueError, match="coincides with a homogeneity"):
+        noise_structure(-0.5, xi, gamma, fam6)
+    argv = ["dnorm", "--levels", "4", "--structure", "noise", "--gamma", repr(gamma)]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
 
 
 def test_bad_exponent_exits_2(tmp_path):

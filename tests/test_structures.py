@@ -34,6 +34,21 @@ def test_gamma_rejected_on_homogeneity(sc1, fam6):
         rs.polynomial_structure(-1.0, sc1, fam6, 5)
 
 
+def test_gamma_avoids_every_natural_and_homogeneity_within_one_tolerance(sc1):
+    tol = rs.HOMOGENEITY_TOL
+    for gamma in (5 + 2 * tol, 7 - 2 * tol, 2.5):
+        rs.build_structure(gamma, sc1)
+    # naturals above the truncated basis count, and so do abstract symbols
+    for gamma, alpha, beta in ((5 + tol / 2, None, None), (7 - tol / 2, None, None),
+                               (0.2 + tol / 2, -0.5, 0.7)):
+        with pytest.raises(ValueError, match="coincides with a homogeneity"):
+            rs.build_structure(gamma, sc1, alpha, beta)
+    st = rs.build_structure(1.25, sc1, -0.5, 0.7)
+    assert [(s.name, s.zeta) for s in st.symbols] == [
+        ("Xi", -0.5), ("1", 0.0), ("IXi", pytest.approx(0.2)), ("X^1", 1.0)
+    ]
+
+
 def test_gamma_binomial_action(sc1, fam6):
     st, model = rs.polynomial_structure(2.5, sc1, fam6, 6)
     M = model.gamma(np.array([0.3]), np.array([0.1]))
