@@ -13,7 +13,7 @@ from . import analysis as an
 from . import mra
 from .pyramid import CoeffPyramid
 from .scaling import Scaling
-from .util import check_exponent, fit_log2_slope, lq_aggregate
+from .util import check_exponent, lq_aggregate, tail_slope
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class BesovReport:
     q: float
 
     def level_max(self) -> np.ndarray:
-        return self.level_terms.max(axis=1) if self.level_terms.size else np.zeros(0)
+        return self.level_terms.max(axis=1)
 
     def rows(self):
         for n in range(self.level_terms.shape[0]):
@@ -71,21 +71,25 @@ class BesovReport:
                 yield (n, j, self.level_terms[n, j])
 
 
+def level_norms(arrays, alpha: float, p, scaling: Scaling) -> np.ndarray:
+    """Per level n: ||a_n / 2^{-n(|s|/2 + alpha)}||_{l^p_n} of a_n = arrays[n],
+    one entry per leading row of a_n (`lpn_norm`'s stacked rows)."""
+    return np.array(
+        [
+            lpn_norm(a / 2.0 ** (-n * scaling.total / 2.0 - n * alpha), n, p, scaling)
+            for n, a in enumerate(arrays)
+        ]
+    )
+
+
 def besov_norm_wavelet(pyr: CoeffPyramid, params: BesovParams) -> BesovReport:
     """Equivalent wavelet norm: base l^p plus sup_psi l^q-over-levels of the
     rescaled detail l^p norms."""
     if pyr.N < 1:
         raise ValueError("pyramid must carry at least one detail level")
-    sc = pyr.scaling
-    base = lpn_norm(pyr.base, 0, params.p, sc)
-    terms = np.zeros((pyr.N, pyr.n_psi))
-    for n in range(pyr.N):
-        w = 2.0 ** (-n * sc.total / 2.0 - n * params.alpha)
-        for j in range(pyr.n_psi):
-            terms[n, j] = lpn_norm(pyr.details[n][j] / w, n, params.p, sc)
-    detail = max(
-        (lq_aggregate(terms[:, j], params.q) for j in range(pyr.n_psi)), default=0.0
-    )
+    base = lpn_norm(pyr.base, 0, params.p, pyr.scaling)
+    terms = level_norms(pyr.details, params.alpha, params.p, pyr.scaling)
+    detail = max(lq_aggregate(col, params.q) for col in terms.T)
     return BesovReport(base + detail, base, terms, params.alpha, params.p, params.q)
 
 
@@ -94,18 +98,11 @@ def critical_exponent(pyr: CoeffPyramid, p) -> float:
 
     The level term scales like 2^{n(alpha - alpha_crit)}, so the critical
     exponent is read off the decay slope of the unweighted level norms over
-    the last five levels.
+    the last five levels (NaN without a detail level).
     """
-    sc = pyr.scaling
-    vals = []
-    for n in range(pyr.N):
-        w = 2.0 ** (-n * sc.total / 2.0)
-        vals.append(
-            max(lpn_norm(pyr.details[n][j] / w, n, p, sc) for j in range(pyr.n_psi))
-        )
-    ns = np.arange(pyr.N)
-    lo = max(0, pyr.N - 5)
-    return -fit_log2_slope(ns[lo:], np.array(vals[lo:]))
+    # reshaped, since at N = 0 the empty table has no psi axis to reduce
+    table = level_norms(pyr.details, 0.0, p, pyr.scaling).reshape(pyr.N, pyr.n_psi)
+    return -tail_slope(table.max(axis=1), 5)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,21 @@ from .analysis import subsample
 from .besov import lpn_norm
 from .scaling import Scaling, translation_offsets
 from .structures import Model, RegularityStructure, sector_abs
-from .util import fit_log2_slope, lq_aggregate
+from .util import lq_aggregate, tail_slope
 
 TRANSLATION_MIN_LEVEL = 2
 ROUNDOFF_REL = 1e-12  # increments below this share of the field are round-off
+
+
+def _check_values(structure: RegularityStructure, gamma: float, arrays) -> None:
+    """Finite values, gamma off the homogeneities, and every coefficient of a
+    symbol at or above gamma zero."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ValueError("values must be finite")
+    structure.check_gamma(gamma)
+    for i, s in enumerate(structure.symbols):
+        if s.zeta >= gamma and any(np.any(a[..., i]) for a in arrays):
+            raise ValueError("coefficients above gamma must vanish")
 
 
 @dataclass
@@ -34,12 +45,7 @@ class ModelledDistribution:
         sc = self.structure.scaling
         if self.values.shape != (*sc.grid_shape(self.N), self.structure.dim):
             raise ValueError("value array shape mismatch")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("values must be finite")
-        self.structure.check_gamma(self.gamma)
-        for i, s in enumerate(self.structure.symbols):
-            if s.zeta >= self.gamma and np.any(self.values[..., i]):
-                raise ValueError("coefficients above gamma must vanish")
+        _check_values(self.structure, self.gamma, [self.values])
 
     def copy(self) -> "ModelledDistribution":
         return ModelledDistribution(self.structure, self.gamma, self.N, self.values.copy())
@@ -77,6 +83,7 @@ class AveragedMD:
         for n, lv in enumerate(self.levels):
             if lv.shape != (*sc.grid_shape(n), self.structure.dim):
                 raise ValueError(f"level {n} shape mismatch")
+        _check_values(self.structure, self.gamma, self.levels)
 
     def restrict(self, gamma_prime: float) -> "AveragedMD":
         levels = [lv.copy() for lv in self.levels]
@@ -118,10 +125,7 @@ class DNormReport:
     def translation_slope(self, zeta: float) -> float:
         """Fitted decay exponent of the raw numerator against the last five
         levels."""
-        vals = self.raw_numerators(zeta)
-        ns = self.trans_levels
-        lo = max(0, len(ns) - 5)
-        return -fit_log2_slope(ns[lo:], vals[lo:])
+        return -tail_slope(self.raw_numerators(zeta), 5, first=TRANSLATION_MIN_LEVEL)
 
     def rows(self):
         for z, v in sorted(self.local.items()):
@@ -199,6 +203,7 @@ def _fine_norm(f: ModelledDistribution, local_values: np.ndarray, difference, p,
 def d_norm(f: ModelledDistribution, model: Model, p, q) -> DNormReport:
     """The modelled-distribution norm: local L^p bounds plus the dyadic-shell
     discretization of the translation bound."""
+    f.structure.check_same(model.structure)
     fine = _level_index(f.structure.scaling, f.N, f.N)
 
     def difference(steps):
@@ -217,6 +222,7 @@ def _dbar_norms(fbar: AveragedMD, model: Model, norms) -> list[DNormReport]:
     """dbar_norm of fbar's levels read at every order and exponents (gamma,
     p, q) of norms: one Gamma transport per level, every norm's shell sums
     taken from the same difference stack."""
+    fbar.structure.check_same(model.structure)
     st, sc = fbar.structure, fbar.structure.scaling
     N, lv = fbar.N, fbar.levels
     specs = [(st.sectors_below(g), g, p, q) for g, p, q in norms]
@@ -255,6 +261,7 @@ def average(f: ModelledDistribution, model: Model) -> AveragedMD:
     the radius reaches half the period an offset wraps onto a torus point
     again, which then weighs more (at n = 0 each point counts twice and x
     itself three times); the level-N map is f itself."""
+    f.structure.check_same(model.structure)
     st, sc = f.structure, f.structure.scaling
     N = f.N
     levels: list[np.ndarray] = [None] * (N + 1)
@@ -279,6 +286,7 @@ def unaverage(
     """Transport the averages back to the finest grid: f_n(x) =
     Gamma_{x, x_n} fbar^(n)(x_n); returns f_N and the convergence report,
     whose slopes are fitted over the last four increments."""
+    fbar.structure.check_same(model.structure)
     st, sc = fbar.structure, fbar.structure.scaling
     N = fbar.N
     zetas = st.sectors_below(fbar.gamma)
@@ -295,15 +303,7 @@ def unaverage(
     # increments at round-off of the field carry no rate: NaN, not a slope
     field_lp = max((lpn_norm(sector_abs(st, f_n, z), N, p, sc) for z in zetas), default=0.0)
     floor = ROUNDOFF_REL * field_lp
-    slopes = {}
-    for z in zetas:
-        ns = np.arange(N)
-        lo = max(0, N - 4)
-        inc = increments[z][lo:]
-        if float(inc.max(initial=0.0)) <= floor:
-            slopes[z] = float("nan")
-        else:
-            slopes[z] = -fit_log2_slope(ns[lo:], inc)
+    slopes = {z: -tail_slope(increments[z], 4, floor=floor) for z in zetas}
     return ModelledDistribution(st, fbar.gamma, N, f_n), UnaverageReport(
         increments, slopes
     )
@@ -339,8 +339,7 @@ def md_distance(
 ) -> DNormReport:
     """Two-model distance: local difference plus the mixed translation bound
     with each distribution transported by its own model."""
-    if f2.structure.dim != f.structure.dim:
-        raise ValueError("structure mismatch")
+    f.structure.check_same(model.structure, f2.structure, model2.structure)
     if f2.gamma != f.gamma or f2.N != f.N:
         raise ValueError("order or resolution mismatch")
 
@@ -372,6 +371,7 @@ def check_local_propagation(fbar: AveragedMD, model: Model, p, q) -> Propagation
     """Verify sup_n ||fbar^(n)|_zeta||_{l^p_n} <= level-0 bound + K * combined,
     where the combined-shell term compares fbar^(n)(x) with Gamma_{x,x+h}
     fbar^(n+1)(x+h) for h = 0 and h over E_{n+1}."""
+    fbar.structure.check_same(model.structure)
     st, sc = fbar.structure, fbar.structure.scaling
     N, gamma, lv = fbar.N, fbar.gamma, fbar.levels
     zetas = st.sectors_below(gamma)

@@ -23,7 +23,7 @@ from .modelled import AveragedMD, ModelledDistribution, average, d_norm, md_dist
 from .pyramid import CoeffPyramid
 from .scaling import Scaling
 from .structures import HOMOGENEITY_TOL, Model, model_distance, model_norms, polynomial_structure
-from .util import fit_log2_slope, lq_aggregate, multi_factorial
+from .util import fit_log2_slope, lq_aggregate, multi_factorial, tail_slope
 
 
 class CertificateError(RuntimeError):
@@ -92,29 +92,20 @@ def sewing_limit(
     level-boundedness of A at exponent alpha and l^q-decay of delta A at
     exponent gamma (a fitted growth of at most 0.1 over the last five
     levels)."""
-    sc = germ.scaling
-    N = germ.N
-    a_tab = np.zeros(N + 1)
-    for n in range(N + 1):
-        w = 2.0 ** (-n * alpha - n * sc.total / 2.0)
-        a_tab[n] = besov.lpn_norm(germ.A[n] / w, n, p, sc)
-    dA = germ.increments(fam)
-    da_tab = np.zeros(N)
-    for n in range(N):
-        w = 2.0 ** (-n * gamma - n * sc.total / 2.0)
-        da_tab[n] = besov.lpn_norm(dA[n] / w, n, p, sc)
-    lo = max(0, N - 5)
-    growth = fit_log2_slope(np.arange(lo, N), da_tab[lo:])
+    a_tab = besov.level_norms(germ.A, alpha, p, germ.scaling)
+    da_tab = besov.level_norms(germ.increments(fam), gamma, p, germ.scaling)
+    growth = tail_slope(da_tab, 5)
     # roundoff-level increments get amplified by the 2^{n gamma} weights;
-    # only a growing table of non-negligible size is a genuine blow-up
-    floor = 1e-8 * max(float(a_tab.max(initial=0.0)), 1.0)
-    accepted = growth <= 0.1 or float(da_tab[lo:].max(initial=0.0)) <= floor
+    # only a growing table of non-negligible size, relative to A, is a
+    # genuine blow-up
+    floor = 1e-8 * float(a_tab.max(initial=0.0))
+    accepted = growth <= 0.1 or float(da_tab[-5:].max(initial=0.0)) <= floor
     cert = SewingCertificate(alpha, gamma, p, q, a_tab, da_tab, growth, accepted)
     if reject and not cert.accepted:
         raise CertificateError(
             f"delta-A table grows (fitted exponent {growth:.3f} > 0.1)", cert
         )
-    out = mra.analyze_v_coefficients(germ.A[N].copy(), fam, sc, N)
+    out = mra.analyze_v_coefficients(germ.A[germ.N].copy(), fam, germ.scaling, germ.N)
     return out, cert
 
 
@@ -141,6 +132,7 @@ class ReconstructionCertificate:
 
 def germ_of(f_bar: AveragedMD, model: Model) -> GermCoefficients:
     """A^n_x = <Pi_x fbar^(n)(x), phi^n_x>, exact per symbol kind."""
+    f_bar.structure.check_same(model.structure)
     sc = model.scaling
     A = []
     for n in range(f_bar.N + 1):
@@ -438,18 +430,13 @@ def uniqueness_probe(
     xi2: CoeffPyramid,
     gamma: float,
     fam: mra.WaveletFamily,
-    scales: range | None = None,
 ) -> UniquenessReport:
     """Mollified-difference probe of the uniqueness argument: the sup over x
-    of <xi1 - xi2, rho^delta_x> at dyadic delta, normalized by delta^gamma."""
+    of <xi1 - xi2, rho^delta_x> at dyadic delta = 2^-m, m = 2..N-2,
+    normalized by delta^gamma."""
     diff = xi1.plus(xi2.scaled(-1.0))
-    N = diff.N
-    scales = scales or range(2, N - 1)
-    svals = np.array(sorted(scales))
-    sups = np.zeros(len(svals))
-    for i, m in enumerate(svals):
-        sm = mollify(diff, 2.0 ** (-m), fam)
-        sups[i] = float(np.max(np.abs(sm)))
+    svals = np.arange(2, diff.N - 1)
+    sups = np.array([np.max(np.abs(mollify(diff, 2.0 ** (-m), fam))) for m in svals])
     lam = 2.0 ** (-svals.astype(float))
     fitted = -fit_log2_slope(svals, sups)
     return UniquenessReport(svals, sups, sups / lam**gamma, fitted)

@@ -716,15 +716,13 @@ def convolution_identity_check(
     ext_model: ExtendedModel,
     p,
     q,
-    reconstruction: CoeffPyramid | None = None,
 ):
     """Relative error between reconstruct(P+_gamma f) and the direct
     finest-grid convolution of reconstruct(f) with the truncated kernel."""
     sc = ext_model.scaling
     N = f.N
     f_ext = embed_md(f, ext_model.structure, f.gamma) if f.structure is not ext_model.structure else f
-    if reconstruction is None:
-        reconstruction, _ = reconstruct(f_ext, ext_model, p, q)
+    reconstruction, _ = reconstruct(f_ext, ext_model, p, q)
     pf, _ = schauder_apply(f, ext_model, p, q, reconstruction=reconstruction, with_norm=False)
     lhs, _ = reconstruct(pf, ext_model, p, q)
     cN_rec = mra.level_coefficients(reconstruction, ext_model.fam, N)

@@ -72,6 +72,12 @@ class RegularityStructure:
         if any(abs(gamma - z) < HOMOGENEITY_TOL for z in [natural, *self.homogeneities]):
             raise ValueError(f"gamma={gamma} coincides with a homogeneity")
 
+    def check_same(self, *others: "RegularityStructure") -> None:
+        """Data and models must share one structure: the same symbols and
+        scaling, compared by value."""
+        if any(o.symbols != self.symbols or o.scaling != self.scaling for o in others):
+            raise ValueError("data and model live on different regularity structures")
+
 
 def poly_name(k) -> str:
     """Symbol name of the monomial X^k."""

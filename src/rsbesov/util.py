@@ -47,6 +47,17 @@ def fit_log2_slope(levels, values) -> float:
     return float(np.linalg.lstsq(A, y, rcond=None)[0][0])
 
 
+def tail_slope(values, window: int, first: int = 0, floor: float = 0.0) -> float:
+    """fit_log2_slope over the last `window` entries of values, entry i taken
+    at level first + i.  NaN when no entry of the window lies above floor;
+    a non-finite entry raises first."""
+    v = np.asarray(values, dtype=float)
+    levels, v = np.arange(first, first + len(v))[-window:], v[-window:]
+    if np.all(np.isfinite(v)) and not np.any(v > floor):
+        return float("nan")
+    return fit_log2_slope(levels, v)
+
+
 def multi_binom(k, j) -> int:
     """Product of componentwise binomial coefficients binom(k_i, j_i)."""
     return int(np.prod([math.comb(int(a), int(b)) for a, b in zip(k, j)]))

@@ -6,6 +6,7 @@ import pytest
 from rsbesov import analysis as an
 from rsbesov import besov, mra
 from rsbesov.pyramid import CoeffPyramid
+from rsbesov.scaling import Scaling
 
 INF = math.inf
 
@@ -306,3 +307,47 @@ def test_slope_fit_needs_two_points():
     assert fit_log2_slope([0, 1, 2], [1.0, 0.0, 4.0]) == pytest.approx(1.0)
     with pytest.raises(ValueError, match="non-finite"):
         fit_log2_slope([0, 1], [1.0, np.inf])
+
+
+def test_tail_slope_fits_the_window_from_its_first_level():
+    from rsbesov.util import fit_log2_slope, tail_slope
+
+    vals = np.array([5.0, 1.0, 2.0, 4.0, 8.0])
+    assert tail_slope(vals, 3) == fit_log2_slope([2, 3, 4], vals[2:])
+    assert tail_slope(vals, 9, first=2) == fit_log2_slope(np.arange(2, 7), vals)
+    # the level offset moves the intercept only, never the slope
+    assert tail_slope(vals, 3, first=7) == pytest.approx(1.0)
+    assert math.isnan(tail_slope([], 5))
+    # floor: NaN when no window entry lies above it, entries before the window ignored
+    assert math.isnan(tail_slope([9.0, 1e-3, 2e-3], 2, floor=2e-3))
+    assert tail_slope([9.0, 1e-3, 4e-3], 2, floor=2e-3) == pytest.approx(2.0)
+
+
+def test_tail_slope_rejects_non_finite_before_the_floor():
+    from rsbesov.util import tail_slope
+
+    # a NaN is never above the floor, yet it must raise, not read as round-off
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            tail_slope([1.0, 1e-20, bad], 3, floor=1.0)
+
+
+@pytest.mark.parametrize("s, N", [((1,), 6), ((2, 1), 3)])
+def test_level_norms_match_per_row_bits(s, N):
+    sc = Scaling(s)
+    pyr = besov.synthesize_random_besov(sc, N, -0.3, seed=4)
+    for p in (1.0, 2.0, math.inf):
+        table = besov.level_norms(pyr.details, 0.4, p, sc)
+        assert table.shape == (N, pyr.n_psi)
+        for n in range(N):
+            w = 2.0 ** (-n * sc.total / 2.0 - n * 0.4)
+            for j in range(pyr.n_psi):
+                assert table[n, j] == besov.lpn_norm(pyr.details[n][j] / w, n, p, sc)
+        # single grids give one entry per level
+        single = besov.level_norms([d[0] for d in pyr.details], 0.4, p, sc)
+        assert np.array_equal(single, table[:, 0])
+
+
+def test_critical_exponent_is_nan_without_detail_levels(sc1):
+    assert math.isnan(besov.critical_exponent(CoeffPyramid.zeros(sc1, 0), 2.0))
+    assert math.isnan(besov.critical_exponent(CoeffPyramid.zeros(Scaling((2, 1)), 0), math.inf))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rsbesov import besov, modelled as md, structures as rs
+from rsbesov import besov, modelled as md, reconstruction as rc, structures as rs
 from rsbesov.analysis import subsample
 from rsbesov.util import lq_aggregate
 from conftest import MODEL_KINDS, make_model, make_sin_lift
@@ -61,6 +61,53 @@ def test_md_rejects_non_finite_gamma(sc1, fam6, bad):
     vals = np.random.default_rng(0).standard_normal((*sc1.grid_shape(6), st.dim))
     with pytest.raises(ValueError, match="finite"):
         md.ModelledDistribution(st, bad, 6, vals)
+
+
+def test_averaged_md_validates_like_modelled_distribution(sc1, fam6):
+    st, model, f = make_sin_lift(sc1, fam6, 6)
+    levels = md.average(f, model).levels
+    bad = [lv.copy() for lv in levels]
+    bad[3][2, st.index("X^1")] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        md.AveragedMD(st, 2.5, 6, bad)
+    with pytest.raises(ValueError, match="homogeneity"):
+        md.AveragedMD(st, 2.0, 6, levels)
+    # zeta(X^2) = 2 >= gamma = 1.5, and level 4 carries an X^2 coefficient
+    with pytest.raises(ValueError, match="above gamma"):
+        md.AveragedMD(st, 1.5, 6, levels)
+    md.AveragedMD(st, 2.5, 6, levels).restrict(1.5)  # zeroes X^2, so it validates
+
+
+# every entry that pairs data with a model, called with the sin jet (1, X,
+# X^2 at gamma 2.5) and its average f, fbar on the polynomial structure, and
+# the noise model (Xi, 1, X at gamma 1.25) with its constant-Xi field g: the
+# same dimension and scaling, but not one structure
+WRONG_STRUCTURE_CALLS = {
+    "d_norm": lambda f, m, fbar, g, nm: md.d_norm(f, nm, 2.0, 2.0),
+    "md_distance first pair": lambda f, m, fbar, g, nm: md.md_distance(f, nm, f, m, 2.0, 2.0),
+    "md_distance second pair": lambda f, m, fbar, g, nm: md.md_distance(f, m, f, nm, 2.0, 2.0),
+    "md_distance f and f2": lambda f, m, fbar, g, nm: md.md_distance(f, m, g, nm, 2.0, 2.0),
+    "dbar_norm": lambda f, m, fbar, g, nm: md.dbar_norm(fbar, nm, 2.0, 2.0),
+    "average": lambda f, m, fbar, g, nm: md.average(f, nm),
+    "unaverage": lambda f, m, fbar, g, nm: md.unaverage(fbar, nm),
+    "check_local_propagation": lambda f, m, fbar, g, nm: md.check_local_propagation(fbar, nm, 2.0, INF),
+    "germ_of": lambda f, m, fbar, g, nm: rc.germ_of(fbar, nm),
+}
+
+
+@pytest.mark.parametrize("entry", list(WRONG_STRUCTURE_CALLS))
+def test_data_on_another_structure_is_rejected(sc1, fam6, entry):
+    st, model, f = make_sin_lift(sc1, fam6, 6)
+    _, _, noise_model, g = make_xi_md(sc1, fam6, 6)
+    assert noise_model.structure.dim == st.dim
+    with pytest.raises(ValueError, match="different regularity structures"):
+        WRONG_STRUCTURE_CALLS[entry](f, model, md.average(f, model), g, noise_model)
+
+
+def test_equal_structure_built_anew_is_the_same_structure(sc1, fam6):
+    _, model, f = make_sin_lift(sc1, fam6, 6)
+    _, model2 = rs.polynomial_structure(2.5, sc1, fam6, 6)
+    assert md.d_norm(f, model2, 2.0, 2.0).total == md.d_norm(f, model, 2.0, 2.0).total
 
 
 def test_sin_lift_translation_bounded_with_slope(sin_setup_n8):

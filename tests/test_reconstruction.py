@@ -66,6 +66,20 @@ def test_incoherent_germ_rejected_with_diagnostics(sc1, fam6):
     assert exc.value.certificate.da_growth > 0.5
 
 
+@pytest.mark.parametrize("amplitude", [1.0, 1e-6, 1e-12])
+def test_sewing_verdict_does_not_depend_on_amplitude(sc1, fam6, amplitude):
+    # the round-off floor scales with the A table: a germ and its multiples
+    # get one verdict (an absolute floor accepted the divergent germ at 1e-12)
+    N = 8
+    rng = np.random.default_rng(0)
+    divergent = [amplitude * rng.uniform(-1, 1, 2**n) for n in range(N + 1)]
+    _, cert = rc.sewing_limit(rc.GermCoefficients(sc1, N, divergent), -0.5, 1.0, 2.0, INF, fam6, reject=False)
+    assert cert.da_growth == pytest.approx(1.41, abs=0.005) and not cert.accepted
+    xi = besov.synthesize("random_besov", sc1, N, fam6, alpha=-0.3, seed=5).scaled(amplitude)
+    _, cert = rc.sewing_limit(rc.germ_from_pyramid(xi, fam6), -0.3, 2.2, 2.0, INF, fam6)
+    assert cert.accepted
+
+
 # --- reconstruction -----------------------------------------------------------
 
 
