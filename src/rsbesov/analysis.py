@@ -36,13 +36,19 @@ class Fn1D:
         return self.f(np.asarray(x, dtype=float))
 
 
-def _horner(c: np.ndarray, t: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """sum_k c[k] t^k by Horner's rule, written into out."""
-    out[...] = c[-1]
-    for ck in c[-2::-1]:
-        out *= t
-        out += ck
-    return out
+def _horner(coeffs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[i, k] (y - i)^k at each point y, with i = floor(y) capped
+    at the last piece, by Horner's rule on all points at once: each step
+    gathers the points' coefficients of that degree.  y is overwritten."""
+    piece = np.minimum(y.astype(np.intp), len(coeffs) - 1)
+    y -= piece
+    cols = coeffs.T
+    vals = cols[-1].take(piece)
+    c_at = np.empty_like(y)
+    for c in cols[-2::-1]:
+        vals *= y
+        vals += c.take(piece, out=c_at, mode="clip")  # piece is in range
+    return vals
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,20 +71,15 @@ class PiecewisePoly:
         return self.start, self.start + len(self.coeffs) / self.rate
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Horner per piece on the points of that piece only, found by masks
-        (x may be in any order)."""
+        """Horner per point on the points of the support (x may be in any
+        order)."""
         x = np.asarray(x, dtype=float)
         lo, hi = self.support
         inside = (x >= lo) & (x <= hi)
-        y = (x[inside] - self.start) * self.rate
-        piece = np.minimum(y.astype(np.intp), len(self.coeffs) - 1)
-        vals = np.empty_like(y)
-        for i, c in enumerate(self.coeffs):
-            m = piece == i
-            t = y[m] - i
-            vals[m] = _horner(c, t, np.empty_like(t))
+        vals = _horner(self.coeffs, (x[inside] - self.start) * self.rate)
+        vals *= self.scale
         out = np.zeros_like(x)
-        out[inside] = vals * self.scale
+        out[inside] = vals
         return out
 
     def __mul__(self, c: float) -> "PiecewisePoly":

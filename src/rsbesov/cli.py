@@ -41,7 +41,8 @@ MIN_SWEEP_LEVEL = 4
 SWEEP_SUBCOMMANDS = frozenset(
     {"besov", "reconstruct", "roundtrip", "lift", "embed", "schauder", "report"}
 )
-# At d=1 these extend the noise structure by the Riesz kernel's I Xi.
+# These decompose a kernel: the Riesz kernel at d=1, whose I Xi extends the
+# noise structure, and the heat kernel at d >= 2.
 SCHAUDER_SUBCOMMANDS = frozenset({"schauder", "report"})
 # Written into every report's meta: the generator behind every seed.
 RNG_ALGORITHM = "numpy-PCG64"
@@ -89,8 +90,12 @@ class ExperimentConfig:
         structures.build_structure(
             self.gamma, sc, self.alpha if self.structure == "noise" else None
         )
-        if sc.d == 1 and subcommand in SCHAUDER_SUBCOMMANDS:
-            schauder.check_extension(self.alpha, self.beta, self.schauder_gamma, sc)
+        if subcommand in SCHAUDER_SUBCOMMANDS:
+            if sc.d == 1:
+                schauder.check_extension(self.alpha, self.beta, self.schauder_gamma, sc)
+            else:
+                schauder.heat_kernel(sc)  # raises for a scaling without one
+            schauder.check_moment_mesh(sc)
 
     def meta(self) -> dict:
         m = asdict(self)

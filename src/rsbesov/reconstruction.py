@@ -99,12 +99,21 @@ def sewing_limit(
     # only a growing table of non-negligible size, relative to A, is a
     # genuine blow-up
     floor = 1e-8 * float(a_tab.max(initial=0.0))
-    accepted = growth <= 0.1 or float(da_tab[-5:].max(initial=0.0)) <= floor
+    window = da_tab[-5:]
+    accepted = growth <= 0.1 or float(window.max(initial=0.0)) <= floor
     cert = SewingCertificate(alpha, gamma, p, q, a_tab, da_tab, growth, accepted)
     if reject and not cert.accepted:
-        raise CertificateError(
-            f"delta-A table grows (fitted exponent {growth:.3f} > 0.1)", cert
-        )
+        levels = f"levels {len(da_tab) - len(window)}..{len(da_tab) - 1}"
+        if math.isnan(growth):
+            k = np.count_nonzero(window)
+            reason = (
+                f"delta-A table over {levels} has {k} nonzero entr{'y' if k == 1 else 'ies'}, "
+                f"too few to fit a growth exponent, and its largest entry, {window.max():.3g}, "
+                f"is above the round-off floor {floor:.3g}"
+            )
+        else:
+            reason = f"delta-A table grows over {levels} (fitted exponent {growth:.3f} > 0.1)"
+        raise CertificateError(reason, cert)
     out = mra.analyze_v_coefficients(germ.A[germ.N].copy(), fam, germ.scaling, germ.N)
     return out, cert
 
@@ -433,7 +442,9 @@ def uniqueness_probe(
 ) -> UniquenessReport:
     """Mollified-difference probe of the uniqueness argument: the sup over x
     of <xi1 - xi2, rho^delta_x> at dyadic delta = 2^-m, m = 2..N-2,
-    normalized by delta^gamma."""
+    normalized by delta^gamma; N >= 4, so that there is a scale."""
+    if xi1.N < 4:
+        raise ValueError(f"the uniqueness probe needs N >= 4 (scales 2 .. N-2), got N={xi1.N}")
     diff = xi1.plus(xi2.scaled(-1.0))
     svals = np.arange(2, diff.N - 1)
     sups = np.array([np.max(np.abs(mollify(diff, 2.0 ** (-m), fam))) for m in svals])

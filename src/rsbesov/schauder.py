@@ -168,8 +168,9 @@ class KernelDecomposition:
     def p0_moment(self, m: tuple[int, ...], mesh_bits: int = _MESH_BITS) -> float:
         """Midpoint-rule moment of P0 on the 2^mesh_bits-per-axis box mesh.
 
-        The raw mesh moment of p0_raw (shared with `decompose_kernel`, a sum
-        over the support box) minus, per tensor corrector, c_k times the
+        The raw mesh moment of p0_raw (shared with `decompose_kernel`, numpy's
+        pairwise sum over the support box, streamed by `_box_moments` so the
+        box is never held) minus, per tensor corrector, c_k times the
         product of its 1-d midpoint sums on the whole mesh axis: the same
         midpoint rule as a mesh sum of p0, not its bits.  It is deliberately
         independent of the 1-d moment system that produced c_k, so a
@@ -241,16 +242,33 @@ def _support_box(scaling: Scaling, x: np.ndarray, w: float) -> tuple:
     )
 
 
+def _sample_flat(f, shape: tuple, coord, a: int, b: int) -> tuple:
+    """f at the flat (C-order) indices a .. b-1 of the box mesh of the given
+    shape, with the index arrays of those points: the point with index tuple
+    i lies at coord(axis, i[axis]) on each axis."""
+    idx = np.unravel_index(np.arange(a, b), shape)
+    return f(np.stack([coord(ax, i) for ax, i in enumerate(idx)], -1)), idx
+
+
 def _sample_box(f, shape: tuple, coord) -> np.ndarray:
-    """f on the box mesh of the given shape, _BLOCK points per call (so f's
-    temporaries stay small): the point with index tuple i lies at
-    coord(axis, i[axis]) on each axis, worked out per block."""
+    """f on the box mesh of the given shape (see _sample_flat), _BLOCK points
+    per call, so f's temporaries stay small."""
     out = np.empty(shape)
     flat = out.reshape(-1)
     for a in range(0, flat.size, _BLOCK):
-        idx = np.unravel_index(np.arange(a, min(a + _BLOCK, flat.size)), shape)
-        flat[a : a + _BLOCK] = f(np.stack([coord(ax, i) for ax, i in enumerate(idx)], -1))
+        b = min(a + _BLOCK, flat.size)
+        flat[a:b] = _sample_flat(f, shape, coord, a, b)[0]
     return out
+
+
+def check_moment_mesh(scaling: Scaling, mesh_bits: int = _MESH_BITS) -> None:
+    """Reject a P0 moment mesh of more than _MAX_ND_POINTS points."""
+    points = (2**mesh_bits) ** scaling.d
+    if points > _MAX_ND_POINTS:
+        raise ValueError(
+            f"the P0 moment mesh at s={scaling.s}, mesh_bits={mesh_bits} has "
+            f"{points} points (at most {_MAX_ND_POINTS} supported)"
+        )
 
 
 def _box_moments(f, scaling: Scaling, ms, mesh_bits: int) -> dict:
@@ -258,27 +276,39 @@ def _box_moments(f, scaling: Scaling, ms, mesh_bits: int) -> dict:
     from a single evaluation of f on the mesh.
 
     f is a multiple P * chi of the annular cutoff, so it is 0 off the support
-    box (_support_box): f is sampled there only, in blocks (_sample_box), and
-    each moment is numpy's sum of f x^m over the box alone.
+    box (_support_box), and each moment is numpy's sum of f x^m over the
+    support box alone, streamed: the flat box is split as numpy's pairwise
+    sum splits a contiguous array (n2 = n/2 rounded down to a multiple of 8)
+    down to ranges of at most _BLOCK points; f is sampled once per range
+    (_sample_flat), np.sum gives the range's subtree, and the range sums are
+    added back up the same tree.  Every bit is that of np.sum over the whole
+    box, which is never held.
     """
-    points = (2**mesh_bits) ** scaling.d
-    if points > _MAX_ND_POINTS:
-        raise ValueError(
-            f"the P0 moment mesh at s={scaling.s}, mesh_bits={mesh_bits} has "
-            f"{points} points (at most {_MAX_ND_POINTS} supported)"
-        )
+    check_moment_mesh(scaling, mesh_bits)
     x, w = _box_axis(mesh_bits)
     sub = [x[b] for b in _support_box(scaling, x, w)]
-    vals = _sample_box(f, tuple(u.size for u in sub), lambda ax, i: sub[ax][i])
-    axes = np.meshgrid(*sub, indexing="ij", sparse=True)
-    out = {}
-    for m in ms:
-        mono = 1.0
-        for i, mi in enumerate(m):
-            if mi:
-                mono = mono * axes[i] ** mi
-        out[m] = float(np.sum(vals * mono) * w**scaling.d)
-    return out
+    shape = tuple(u.size for u in sub)
+    powers = [{m[i]: u ** m[i] for m in ms if m[i]} for i, u in enumerate(sub)]
+
+    def leaf(a, b):
+        vals, idx = _sample_flat(f, shape, lambda ax, i: sub[ax][i], a, b)
+        sums = []
+        for m in ms:
+            mono = 1.0
+            for i, mi in enumerate(m):
+                if mi:
+                    mono = mono * powers[i][mi][idx[i]]
+            sums.append(np.sum(vals * mono))
+        return np.array(sums)
+
+    def pairwise(a, n):
+        if n <= _BLOCK:
+            return leaf(a, a + n)
+        n2 = n // 2 - (n // 2) % 8
+        return pairwise(a, n2) + pairwise(a + n2, n - n2)
+
+    sums = pairwise(0, math.prod(shape))
+    return {m: float(v * w**scaling.d) for m, v in zip(ms, sums)}
 
 
 def self_similarity_defect(P, scaling: Scaling, beta: float) -> float:

@@ -219,6 +219,24 @@ def test_schauder_mesh_past_the_size_limit_exits_2(tmp_path, capsys):
     assert not (tmp_path / "schauder.csv").exists()
 
 
+@pytest.mark.parametrize("sub", ["report", "schauder"])
+@pytest.mark.parametrize(
+    "s, levels, reason",
+    [("1,1", 6, r"heat kernel needs scaling \(2, 1, \.\.\., 1\)"), ("2,1,1", 4, "8589934592 points")],
+    ids=["s11", "s211"],
+)
+def test_schauder_scaling_checked_before_writing(sub, s, levels, reason, tmp_path, capsys):
+    """A scaling with no heat kernel, or whose P0 moment mesh is past the
+    size limit, is refused before the first table is written (report wrote
+    11 tables and then exited 2)."""
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(f"[experiment]\ns = {s}\nlevels = {levels}\n")
+    out = tmp_path / "out"
+    assert main([sub, "--config", str(cfg), "--out", str(out)]) == 2
+    assert re.search(reason, capsys.readouterr().err)
+    assert not out.exists()
+
+
 GOLDEN = Path(__file__).parent / "golden" / "report_l6_s7"
 
 

@@ -80,6 +80,28 @@ def test_sewing_verdict_does_not_depend_on_amplitude(sc1, fam6, amplitude):
     assert cert.accepted
 
 
+def test_sewing_rejection_names_a_window_without_a_fit(sc1, fam6):
+    # a zero germ with one unit entry at level N: the delta-A table is zero
+    # but for its last entry, so no growth exponent can be fitted
+    N = 8
+    A = [np.zeros(2**n) for n in range(N + 1)]
+    A[N][0] = 1.0
+    germ = rc.GermCoefficients(sc1, N, A)
+    with pytest.raises(rc.CertificateError, match=r"levels 3\.\.7 has 1 nonzero entry") as exc:
+        rc.sewing_limit(germ, -0.5, 1.5, 2.0, INF, fam6)
+    assert "nan" not in str(exc.value)
+    cert = exc.value.certificate
+    assert np.count_nonzero(cert.da_table) == 1 and not cert.accepted
+
+
+def test_sewing_rejection_names_the_fitted_window(sc1, fam6):
+    N, alpha = 10, -0.5
+    rng = np.random.default_rng(2)
+    A = [2.0 ** (-n * (alpha + 0.5)) * rng.uniform(-1, 1, 2**n) for n in range(N + 1)]
+    with pytest.raises(rc.CertificateError, match=r"levels 5\.\.9 .*fitted exponent \d\.\d+ > 0\.1"):
+        rc.sewing_limit(rc.GermCoefficients(sc1, N, A), alpha, 1.5, 2.0, INF, fam6)
+
+
 # --- reconstruction -----------------------------------------------------------
 
 
@@ -473,3 +495,13 @@ def test_uniqueness_probe(sc1, fam6):
     big = rc.uniqueness_probe(xi1, xi1.plus(bump), gamma, fam6)
     assert not big.consistent(tol=0.1)
     assert big.normalized.max() > 1e3
+
+
+def test_uniqueness_probe_needs_a_scale(sc1, fam6):
+    # at N=3 the scales 2 .. N-2 are none: two independent fields read
+    # consistent at every tolerance through a NaN exponent
+    xi1, xi2 = (
+        besov.synthesize("random_besov", sc1, 3, fam6, alpha=-0.3, seed=seed) for seed in (5, 6)
+    )
+    with pytest.raises(ValueError, match="N >= 4"):
+        rc.uniqueness_probe(xi1, xi2, 2.5, fam6)

@@ -129,14 +129,28 @@ def test_decompose_evaluates_kernel_once_on_mesh_2d(sc21, monkeypatch):
     _assert_one_mesh_pass(sc21, 1.5, 2, 4, monkeypatch)
 
 
-def test_decompose_peak_memory_follows_the_sample_blocks():
+def _traced_peak(call):
     tracemalloc.start()
     try:
-        sch.decompose_kernel("heat", Scaling((2, 1)), r=2)
-        peak = tracemalloc.get_traced_memory()[1]
+        call()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 2**20, peak
+
+
+def test_decompose_peak_memory_follows_the_sample_blocks():
+    # the support box (514 x 1026 points, 4.2 MB) is streamed, never held:
+    # holding it and one vals * mono product peaked at 8.1 MB
+    peak = _traced_peak(lambda: sch.decompose_kernel("heat", Scaling((2, 1)), r=2))
+    assert peak <= 2 * 2**20, peak
+
+
+def test_p0_moment_peak_memory_follows_the_sample_blocks(heat_setup):
+    # a fresh cache: mesh_bits 12 has a 1026 x 2050-point support box (16.8 MB)
+    K0 = heat_setup
+    K = sch.KernelDecomposition(K0.scaling, K0.beta, K0.r, K0.P, dict(K0.correction_coeffs))
+    peak = _traced_peak(lambda: K.p0_moment((0, 1), mesh_bits=12))
+    assert peak <= 2 * 2**20, peak
 
 
 @pytest.mark.parametrize("which", ["riesz", "heat"])
@@ -268,6 +282,22 @@ def test_box_moments_match_full_mesh_oracle(which, mesh_bits):
     ms = [tuple(m) for m in sc.multi_indices_below(K.r + 1.5)]
     got = sch._box_moments(K.p0_raw, sc, ms, mesh_bits)
     _assert_box_sums(got, _ref_box_moments(K.p0_raw, sc, ms, mesh_bits))
+
+
+def test_box_moments_match_one_sum_over_the_held_box():
+    # at mesh_bits 12, past the full-mesh oracle's reach: the streamed moments
+    # have the bits of np.sum over the sampled support box, held whole
+    K = _oracle_kernel("heat")
+    sc = K.scaling
+    x, w = sch._box_axis(12)
+    sub = [x[b] for b in sch._support_box(sc, x, w)]
+    vals = sch._sample_box(K.p0_raw, tuple(u.size for u in sub), lambda ax, i: sub[ax][i])
+    axes = np.meshgrid(*sub, indexing="ij", sparse=True)
+    ms = [(0, 0), (0, 1), (0, 2), (1, 0)]
+    got = sch._box_moments(K.p0_raw, sc, ms, 12)
+    for m in ms:
+        mono = axes[0] ** m[0] * axes[1] ** m[1]
+        assert got[m] == float(np.sum(vals * mono) * w**2), m
 
 
 def test_decompose_moments_match_full_mesh_oracle(heat_setup, sc21):
