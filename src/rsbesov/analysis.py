@@ -283,14 +283,6 @@ def correlate(c: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.real(np.fft.ifftn(C * np.conj(K)))
 
 
-def subsample(arr: np.ndarray, scaling: Scaling, from_level: int, to_level: int):
-    """Restrict a Lambda_{from} array to Lambda_{to} (to_level <= from_level)."""
-    sl = tuple(
-        slice(None, None, 2 ** ((from_level - to_level) * si)) for si in scaling.s
-    )
-    return arr[sl]
-
-
 def kernel_moment_1d(fn: Fn1D | PiecewisePoly, a: int) -> float:
     """int u^a fn(u) du by midpoint sums over 2^14 cells of the support."""
     if fn.support is None:

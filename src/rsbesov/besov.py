@@ -182,6 +182,10 @@ class TestDictionary:
     def with_beta(self, beta: int) -> list[Profile]:
         return [p for p in self.profiles if p.beta >= beta]
 
+    def usable_scales(self, N: int) -> list[int]:
+        """The scales n <= N - 2, the ones a Lambda_N field resolves."""
+        return [n for n in self.scales if n <= N - 2]
+
 
 def make_dictionary(r: int, scales) -> TestDictionary:
     """Default dictionary: smooth tensor bumps plus derivative variants that
@@ -236,7 +240,7 @@ def besov_norm_testfn(
     profiles = dictionary.with_beta(beta)
     if not profiles:
         raise ValueError("dictionary carries no profiles for this regularity")
-    scales = [n for n in dictionary.scales if n <= pyr.N - 2]
+    scales = dictionary.usable_scales(pyr.N)
     per_scale = np.zeros(len(scales))
     for i, n in enumerate(scales):
         lam = 2.0 ** (-n)

@@ -130,7 +130,7 @@ def embed_sweep(fbar: AveragedMD, model: Model, cases) -> list[EmbedReport]:
         zeroed = ()
         if case.gamma_t < case.gamma:
             st.check_gamma(case.gamma_t)
-            zeroed = tuple(i for i, s in enumerate(st.symbols) if s.zeta >= case.gamma_t)
+            zeroed = tuple(st.at_or_above(case.gamma_t))
         fields[()] = fbar
         if zeroed not in fields:
             fields[zeroed] = fbar.restrict(case.gamma_t)

@@ -11,9 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import subsample
 from .besov import lpn_norm
-from .scaling import Scaling, translation_offsets
+from .scaling import Scaling
 from .structures import Model, RegularityStructure, sector_abs
 from .util import lq_aggregate, tail_slope
 
@@ -27,9 +26,9 @@ def _check_values(structure: RegularityStructure, gamma: float, arrays) -> None:
     if not all(np.all(np.isfinite(a)) for a in arrays):
         raise ValueError("values must be finite")
     structure.check_gamma(gamma)
-    for i, s in enumerate(structure.symbols):
-        if s.zeta >= gamma and any(np.any(a[..., i]) for a in arrays):
-            raise ValueError("coefficients above gamma must vanish")
+    cut = structure.at_or_above(gamma)
+    if any(np.any(a[..., cut]) for a in arrays):
+        raise ValueError("coefficients above gamma must vanish")
 
 
 @dataclass
@@ -61,9 +60,7 @@ class ModelledDistribution:
     def restrict(self, gamma_prime: float) -> "ModelledDistribution":
         """Projection to T_{<gamma'}; gamma' must avoid the homogeneities."""
         vals = self.values.copy()
-        for i, s in enumerate(self.structure.symbols):
-            if s.zeta >= gamma_prime:
-                vals[..., i] = 0.0
+        vals[..., self.structure.at_or_above(gamma_prime)] = 0.0
         return ModelledDistribution(self.structure, gamma_prime, self.N, vals)
 
 
@@ -87,10 +84,8 @@ class AveragedMD:
 
     def restrict(self, gamma_prime: float) -> "AveragedMD":
         levels = [lv.copy() for lv in self.levels]
-        for i, s in enumerate(self.structure.symbols):
-            if s.zeta >= gamma_prime:
-                for lv in levels:
-                    lv[..., i] = 0.0
+        for lv in levels:
+            lv[..., self.structure.at_or_above(gamma_prime)] = 0.0
         return AveragedMD(self.structure, gamma_prime, self.N, levels)
 
 
@@ -138,30 +133,27 @@ class DNormReport:
                 yield (z, n, "consistency", v)
 
 
-def _level_index(sc: Scaling, n: int, N: int):
-    """ix_-style fine-grid indices of the Lambda_n points."""
-    return np.ix_(*[np.arange(2 ** (n * si)) * 2 ** ((N - n) * si) for si in sc.s])
+def _check_model(f, *others) -> None:
+    """f and the others (models or data) share one structure and the level N `_moved` uses."""
+    f.structure.check_same(*(o.structure for o in others))
+    if any(o.N != f.N for o in others):
+        raise ValueError(f"level {f.N} differs from the levels {[o.N for o in others]}")
 
 
-def _shell_steps(sc: Scaling, n: int, N: int) -> np.ndarray:
-    """The offsets of E_n in fine-grid cells, shape (3^d - 1, d)."""
-    return np.array(translation_offsets(sc, n)) * 2 ** ((N - n) * np.array(sc.s))
-
-
-def _moved(model: Model, g: np.ndarray, m: int, N: int, x_index, steps) -> np.ndarray:
-    """Gamma_{x,x+h} g(x+h) at the fine-grid targets x_index for every h in
-    the stack steps (shape (*B, d), in fine cells), where g is a Lambda_m
-    array and every x + h lies on Lambda_m; returns shape (*B, *P, dim)."""
-    if N != model.N:
-        raise ValueError(f"target level {N} differs from the model's level {model.N}")
+def _moved(model: Model, g: np.ndarray, m: int, x_index, steps) -> np.ndarray:
+    """Gamma_{x,x+h} g(x+h) at the targets x_index on the model's grid
+    Lambda_N for every h in the stack steps (shape (*B, d), in Lambda_N
+    cells), where g is a Lambda_m array and every x + h lies on Lambda_m;
+    returns shape (*B, *P, dim)."""
     sc = model.scaling
+    shape, stride = sc.grid_shape(model.N), sc.stride(m, model.N)
     steps = np.asarray(steps)
     lead = steps.shape[:-1] + (1,) * sc.d
     src = tuple(
-        ((xi + steps[..., i].reshape(lead)) % 2 ** (N * si)) // 2 ** ((N - m) * si)
-        for i, (xi, si) in enumerate(zip(x_index, sc.s))
+        ((xi + steps[..., i].reshape(lead)) % shape[i]) // stride[i]
+        for i, xi in enumerate(x_index)
     )
-    return model.gamma_apply_field(g[src], steps * 2.0 ** (-N * np.array(sc.s)), x_index)
+    return model.gamma_apply_field(g[src], steps / np.array(shape), x_index)
 
 
 def _moduli(st: RegularityStructure, zetas, a: np.ndarray) -> dict[float, np.ndarray]:
@@ -194,7 +186,7 @@ def _fine_norm(f: ModelledDistribution, local_values: np.ndarray, difference, p,
     def shell(n):
         hnorm = 2.0 ** (-n)
         # D[y] = f(y) - Gamma_{y, y-h} f(y-h), same l^p as the x+h form
-        diffs = difference(-_shell_steps(sc, n, N))
+        diffs = difference(-sc.shell_steps(n, N))
         return _shell_lq(sc, _moduli(st, zetas, diffs), N, lambda z: hnorm ** (f.gamma - z), p, q)
 
     return DNormReport(f.gamma, p, q, local, _level_table(zetas, [shell(n) for n in levels]), levels)
@@ -203,11 +195,11 @@ def _fine_norm(f: ModelledDistribution, local_values: np.ndarray, difference, p,
 def d_norm(f: ModelledDistribution, model: Model, p, q) -> DNormReport:
     """The modelled-distribution norm: local L^p bounds plus the dyadic-shell
     discretization of the translation bound."""
-    f.structure.check_same(model.structure)
-    fine = _level_index(f.structure.scaling, f.N, f.N)
+    _check_model(f, model)
+    fine = f.structure.scaling.level_index(f.N, f.N)
 
     def difference(steps):
-        return f.values - _moved(model, f.values, f.N, f.N, fine, steps)
+        return f.values - _moved(model, f.values, f.N, fine, steps)
 
     return _fine_norm(f, f.values, difference, p, q)
 
@@ -222,7 +214,7 @@ def _dbar_norms(fbar: AveragedMD, model: Model, norms) -> list[DNormReport]:
     """dbar_norm of fbar's levels read at every order and exponents (gamma,
     p, q) of norms: one Gamma transport per level, every norm's shell sums
     taken from the same difference stack."""
-    fbar.structure.check_same(model.structure)
+    _check_model(fbar, model)
     st, sc = fbar.structure, fbar.structure.scaling
     N, lv = fbar.N, fbar.levels
     specs = [(st.sectors_below(g), g, p, q) for g, p, q in norms]
@@ -230,12 +222,12 @@ def _dbar_norms(fbar: AveragedMD, model: Model, norms) -> list[DNormReport]:
     trans, cons = [[] for _ in specs], [[] for _ in specs]
     for n in np.arange(N + 1):
         if n < N:
-            mod = _moduli(st, sectors, lv[n] - subsample(lv[n + 1], sc, n + 1, n))
+            mod = _moduli(st, sectors, lv[n] - lv[n + 1][sc.level_index(n, n + 1)])
             for rows, (zetas, g, p, _) in zip(cons, specs):
                 rows.append({z: lpn_norm(mod[z], n, p, sc) / 2.0 ** (-n * (g - z)) for z in zetas})
         if n >= TRANSLATION_MIN_LEVEL:
-            steps = -_shell_steps(sc, n, N)
-            diffs = lv[n] - _moved(model, lv[n], n, N, _level_index(sc, n, N), steps)
+            steps = -sc.shell_steps(n, N)
+            diffs = lv[n] - _moved(model, lv[n], n, sc.level_index(n, N), steps)
             mod = _moduli(st, sectors, diffs)
             for rows, (zetas, g, p, q) in zip(trans, specs):
                 shells = {z: mod[z] for z in zetas}
@@ -261,15 +253,15 @@ def average(f: ModelledDistribution, model: Model) -> AveragedMD:
     the radius reaches half the period an offset wraps onto a torus point
     again, which then weighs more (at n = 0 each point counts twice and x
     itself three times); the level-N map is f itself."""
-    f.structure.check_same(model.structure)
+    _check_model(f, model)
     st, sc = f.structure, f.structure.scaling
     N = f.N
     levels: list[np.ndarray] = [None] * (N + 1)
     levels[N] = f.values.copy()
     for n in range(N):
-        radii = np.array([2 ** ((N - n) * si) for si in sc.s])
+        radii = sc.stride(n, N)
         offsets = np.indices(2 * radii + 1).reshape(sc.d, -1).T - radii
-        moved = _moved(model, f.values, N, N, _level_index(sc, n, N), offsets)
+        moved = _moved(model, f.values, N, sc.level_index(n, N), offsets)
         levels[n] = moved.sum(axis=0) / len(offsets)
     return AveragedMD(st, f.gamma, N, levels)
 
@@ -286,7 +278,7 @@ def unaverage(
     """Transport the averages back to the finest grid: f_n(x) =
     Gamma_{x, x_n} fbar^(n)(x_n); returns f_N and the convergence report,
     whose slopes are fitted over the last four increments."""
-    fbar.structure.check_same(model.structure)
+    _check_model(fbar, model)
     st, sc = fbar.structure, fbar.structure.scaling
     N = fbar.N
     zetas = st.sectors_below(fbar.gamma)
@@ -313,16 +305,16 @@ def _transport_to_fine(fbar: AveragedMD, model: Model, n: int) -> np.ndarray:
     """f_n on Lambda_N: Gamma_{x, x_n} fbar^(n)(x_n), x_n nearest in Lambda_n."""
     st, sc = fbar.structure, fbar.structure.scaling
     N = fbar.N
-    strides = [2 ** ((N - n) * si) for si in sc.s]
+    strides = sc.stride(n, N)
     # residue classes r of the fine points x = j * stride + r, shape (*strides, d)
     rem = np.moveaxis(np.indices(strides), 0, -1)
     # step = x_n - x in fine cells (source minus target), half-up ties
     step = np.floor(rem / strides + 0.5).astype(int) * strides - rem
     lead = (*strides, *(1,) * sc.d)
     x_index = tuple(
-        xi + rem[..., i].reshape(lead) for i, xi in enumerate(_level_index(sc, n, N))
+        xi + rem[..., i].reshape(lead) for i, xi in enumerate(sc.level_index(n, N))
     )
-    moved = _moved(model, fbar.levels[n], n, N, x_index, step)  # (*strides, *Lambda_n, dim)
+    moved = _moved(model, fbar.levels[n], n, x_index, step)  # (*strides, *Lambda_n, dim)
     # interleave: fine axis i is (level-n index, residue) with the residue fastest
     d = sc.d
     order = [ax for i in range(d) for ax in (d + i, i)] + [2 * d]
@@ -339,18 +331,18 @@ def md_distance(
 ) -> DNormReport:
     """Two-model distance: local difference plus the mixed translation bound
     with each distribution transported by its own model."""
-    f.structure.check_same(model.structure, f2.structure, model2.structure)
-    if f2.gamma != f.gamma or f2.N != f.N:
-        raise ValueError("order or resolution mismatch")
+    _check_model(f, f2, model, model2)
+    if f2.gamma != f.gamma:
+        raise ValueError("order mismatch")
 
-    fine = _level_index(f.structure.scaling, f.N, f.N)
+    fine = f.structure.scaling.level_index(f.N, f.N)
 
     def difference(steps):
         return (
             f.values
             - f2.values
-            - _moved(model, f.values, f.N, f.N, fine, steps)
-            + _moved(model2, f2.values, f.N, f.N, fine, steps)
+            - _moved(model, f.values, f.N, fine, steps)
+            + _moved(model2, f2.values, f.N, fine, steps)
         )
 
     return _fine_norm(f, f.values - f2.values, difference, p, q)
@@ -371,7 +363,7 @@ def check_local_propagation(fbar: AveragedMD, model: Model, p, q) -> Propagation
     """Verify sup_n ||fbar^(n)|_zeta||_{l^p_n} <= level-0 bound + K * combined,
     where the combined-shell term compares fbar^(n)(x) with Gamma_{x,x+h}
     fbar^(n+1)(x+h) for h = 0 and h over E_{n+1}."""
-    fbar.structure.check_same(model.structure)
+    _check_model(fbar, model)
     st, sc = fbar.structure, fbar.structure.scaling
     N, gamma, lv = fbar.N, fbar.gamma, fbar.levels
     zetas = st.sectors_below(gamma)
@@ -385,8 +377,8 @@ def check_local_propagation(fbar: AveragedMD, model: Model, p, q) -> Propagation
     }
 
     def shell(n):
-        steps = np.concatenate([np.zeros((1, sc.d), int), _shell_steps(sc, n + 1, N)])
-        diffs = lv[n] - _moved(model, lv[n + 1], n + 1, N, _level_index(sc, n, N), steps)
+        steps = np.concatenate([np.zeros((1, sc.d), int), sc.shell_steps(n + 1, N)])
+        diffs = lv[n] - _moved(model, lv[n + 1], n + 1, sc.level_index(n, N), steps)
         return _shell_lq(sc, _moduli(st, zetas, diffs), n, lambda z: 2.0 ** (-n * (gamma - z)), p, q)
 
     table = _level_table(zetas, [shell(n) for n in np.arange(N)])

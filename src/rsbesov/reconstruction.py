@@ -226,7 +226,7 @@ def _scale_table(
     lambda^gamma."""
     sc = f.structure.scaling
     N = f.N
-    scales = np.array([m for m in dictionary.scales if m <= N - 2])
+    scales = np.array(dictionary.usable_scales(N))
     raw = np.zeros(len(scales))
     for si_, m in enumerate(scales):
         best = np.zeros(sc.grid_shape(N))
@@ -370,7 +370,7 @@ def lift(
             kern = lift_kernel(s.k, q_floor, sc, n)
             karr = an.analyze_kernel(kern, fam, sc, N)
             tab = an.correlate(cN, karr)
-            vals[..., i] = an.subsample(tab, sc, N, n)
+            vals[..., i] = tab[sc.level_index(n, N)]
         levels.append(vals)
     fbar = AveragedMD(st, gamma, N, levels)
     f, urep = unaverage(fbar, model, p=p if not math.isinf(p) else 2.0)

@@ -33,7 +33,6 @@ class Scaling:
 
     def snorm(self, x) -> float:
         """||x||_s of a single displacement (nearest-image on the torus)."""
-        x = np.asarray(x, dtype=float)
         x = wrap_displacement(x)
         return float(np.max(np.abs(x) ** (1.0 / np.array(self.s, dtype=float))))
 
@@ -46,6 +45,22 @@ class Scaling:
 
     def grid_size(self, n: int) -> int:
         return 2 ** (n * self.total)
+
+    def stride(self, n: int, N: int) -> np.ndarray:
+        """Per-axis spacing of Lambda_n in Lambda_N cells: the grids nest for 0 <= n <= N."""
+        if not 0 <= n <= N:
+            raise ValueError(f"level {n} is not nested in level {N}")
+        return np.array(self.grid_shape(N)) // self.grid_shape(n)
+
+    def level_index(self, n: int, N: int):
+        """ix_-style indices of the Lambda_n points inside a Lambda_N array."""
+        return np.ix_(*[np.arange(m) * t for m, t in zip(self.grid_shape(n), self.stride(n, N))])
+
+    def shell_steps(self, n: int, N: int) -> np.ndarray:
+        """The offsets h of E_n, 2^(n s_i) h_i in {-1, 0, 1} and h != 0, in
+        Lambda_N cells: shape (3^d - 1, d)."""
+        cands = [h for h in product((-1, 0, 1), repeat=self.d) if any(h)]
+        return np.array(cands) * self.stride(n, N)
 
     def grid_points(self, n: int) -> np.ndarray:
         """All points of Lambda_n, shape (*grid_shape, d), lexicographic."""
@@ -65,22 +80,14 @@ class Scaling:
     def nearest_grid_index(self, x: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
         """Index of the nearest Lambda_n point (half-up ties), idempotent on Lambda_n."""
         x = np.asarray(x, dtype=float)
-        out = []
-        for i, si in enumerate(self.s):
-            m = 2 ** (n * si)
-            out.append(np.floor(x[..., i] * m + 0.5).astype(int) % m)
-        return tuple(out)
+        if not np.all(np.isfinite(x)):
+            raise ValueError("grid points must be finite")
+        return tuple(
+            np.floor(x[..., i] * m + 0.5).astype(int) % m for i, m in enumerate(self.grid_shape(n))
+        )
 
 
 def wrap_displacement(x: np.ndarray) -> np.ndarray:
     """Nearest-image representative of a displacement, in [-1/2, 1/2)^d."""
     return (np.asarray(x, dtype=float) + 0.5) % 1.0 - 0.5
 
-
-def translation_offsets(scaling: Scaling, n: int) -> list[tuple[int, ...]]:
-    """The nonzero offsets of E_n: h with 2^(n*s_i) h_i in {-1, 0, 1}.
-
-    Returned as integer index shifts relative to the level-n grid.
-    """
-    cands = product(*[(-1, 0, 1) for _ in range(scaling.d)])
-    return [h for h in cands if any(h)]

@@ -457,17 +457,15 @@ class ExtendedModel(NoiseModel):
         ix = vals[..., self.ixi_index]
         if not np.any(ix):
             return out
-        sc = self.scaling
+        sc, shape = self.scaling, self.scaling.grid_shape(self.N)
         # one displacement per leading index, broadcast over the target points
         B = np.shape(delta)[:-1]
         delta = np.reshape(delta, (*B, *(1,) * (ix.ndim - len(B)), sc.d)).astype(float)
-        cells = delta * 2.0 ** (self.N * np.array(sc.s))
+        cells = delta * np.array(shape)
         steps = np.rint(cells).astype(int)
         if np.any(np.abs(cells - steps) > 1e-9):
             raise ValueError("transport displacement off the fine grid")
-        y_index = tuple(
-            (x_index[i] + steps[..., i]) % (2 ** (self.N * sc.s[i])) for i in range(sc.d)
-        )
+        y_index = tuple((x_index[i] + steps[..., i]) % m for i, m in enumerate(shape))
         wdel = wrap_displacement(-delta)  # x - y
         for k in self.taylor_ks:
             c = self._c_coeff(k, x_index, y_index, wdel)

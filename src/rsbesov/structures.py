@@ -62,6 +62,10 @@ class RegularityStructure:
     def sectors_below(self, gamma: float) -> list[float]:
         return [z for z in self.homogeneities if z < gamma]
 
+    def at_or_above(self, gamma: float) -> list[int]:
+        """Indices of the symbols at or above gamma: the ones T_{<gamma} drops."""
+        return [i for i, s in enumerate(self.symbols) if s.zeta >= gamma]
+
     def poly_indices(self) -> list[int]:
         return [i for i, s in enumerate(self.symbols) if s.kind == "poly"]
 
@@ -106,11 +110,14 @@ class Model:
         """Gamma_{x,y}: re-expansion from base point y to base point x, the
         field action on the identity basis at x."""
         x = np.asarray(x, dtype=float)
+        delta = np.asarray(y, dtype=float) - x
+        if not np.all(np.isfinite(delta)):
+            raise ValueError("grid points must be finite")
         dim = self.structure.dim
         x_index = tuple(
             np.full(dim, i) for i in self.scaling.nearest_grid_index(x, self.N)
         )
-        return self.gamma_apply_field(np.eye(dim), np.asarray(y) - x, x_index).T
+        return self.gamma_apply_field(np.eye(dim), delta, x_index).T
 
     def gamma_apply_field(self, vals: np.ndarray, delta, x_index) -> np.ndarray:
         """Apply Gamma_{x, x+delta} to vals, where vals[b, idx] = f(x_idx + delta[b]).
@@ -324,9 +331,7 @@ def _pi_sweep(model: Model, gamma: float, dictionary: TestDictionary, table) -> 
     n <= N - 2, its profiles and the symbols below gamma, with the table."""
     worst = 0.0
     rows = []
-    for n in dictionary.scales:
-        if n > model.N - 2:
-            continue
+    for n in dictionary.usable_scales(model.N):
         lam = 2.0 ** (-n)
         for prof in dictionary.profiles:
             for i, s in enumerate(model.structure.symbols):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from rsbesov import besov, modelled as md, reconstruction as rc, structures as rs
-from rsbesov.analysis import subsample
 from rsbesov.util import lq_aggregate
 from conftest import MODEL_KINDS, make_model, make_sin_lift
 
@@ -253,11 +252,11 @@ def _average_by_offset(f, model):
     levels = []
     for n in range(N):
         radii = [2 ** ((N - n) * si) for si in sc.s]
-        x_index = md._level_index(sc, n, N)
+        x_index = sc.level_index(n, N)
         acc = np.zeros((*sc.grid_shape(n), f.structure.dim))
         count = 0
         for off in itertools.product(*[range(-r, r + 1) for r in radii]):
-            acc += md._moved(model, f.values, N, N, x_index, off)
+            acc += md._moved(model, f.values, N, x_index, off)
             count += 1
         levels.append(acc / count)
     return levels + [f.values]
@@ -271,9 +270,9 @@ def _transport_by_residue(fbar, model, n):
     strides = [2 ** ((N - n) * si) for si in sc.s]
     for rem in itertools.product(*[range(s) for s in strides]):
         step = [int(np.floor(r / s + 0.5)) * s - r for r, s in zip(rem, strides)]
-        x_index = tuple(xi + r for xi, r in zip(md._level_index(sc, n, N), rem))
+        x_index = tuple(xi + r for xi, r in zip(sc.level_index(n, N), rem))
         sl = tuple(slice(r, None, s) for r, s in zip(rem, strides))
-        out[sl] = md._moved(model, fbar.levels[n], n, N, x_index, step)
+        out[sl] = md._moved(model, fbar.levels[n], n, x_index, step)
     return out
 
 
@@ -318,7 +317,7 @@ def _ref_fine_translation(f, difference, p, q):
     rows = []
     for n in np.arange(md.TRANSLATION_MIN_LEVEL, N + 1):
         hnorm = 2.0 ** (-n)
-        diffs = difference(-md._shell_steps(sc, n, N))
+        diffs = difference(-sc.shell_steps(n, N))
         rows.append(_ref_shell_lq(st, zetas, diffs, N, lambda z: hnorm ** (f.gamma - z), p, q))
     return _ref_table(zetas, rows)
 
@@ -332,20 +331,20 @@ def _ref_dbar_norm(fbar, model, p, q):
     local = {z: besov.lpn_norm(rs.sector_abs(st, lv[0], z), 0, p, sc) for z in zetas}
     trans, cons, comb = [], [], []
     for n in np.arange(md.TRANSLATION_MIN_LEVEL, N + 1):
-        steps = -md._shell_steps(sc, n, N)
-        diffs = lv[n] - md._moved(model, lv[n], n, N, md._level_index(sc, n, N), steps)
+        steps = -sc.shell_steps(n, N)
+        diffs = lv[n] - md._moved(model, lv[n], n, sc.level_index(n, N), steps)
         trans.append(
             _ref_shell_lq(st, zetas, diffs, n, lambda z: 2.0 ** (-n * (gamma - z)), p, q)
         )
     for n in np.arange(0, N):
-        diff = lv[n] - subsample(lv[n + 1], sc, n + 1, n)
+        diff = lv[n] - lv[n + 1][sc.level_index(n, n + 1)]
         cons.append({
             z: besov.lpn_norm(rs.sector_abs(st, diff, z), n, p, sc) / 2.0 ** (-n * (gamma - z))
             for z in zetas
         })
         # h = 0 (the consistency term) plus h over E_{n+1}
-        steps = np.concatenate([np.zeros((1, sc.d), int), md._shell_steps(sc, n + 1, N)])
-        diffs = lv[n] - md._moved(model, lv[n + 1], n + 1, N, md._level_index(sc, n, N), steps)
+        steps = np.concatenate([np.zeros((1, sc.d), int), sc.shell_steps(n + 1, N)])
+        diffs = lv[n] - md._moved(model, lv[n + 1], n + 1, sc.level_index(n, N), steps)
         comb.append(
             _ref_shell_lq(st, zetas, diffs, n, lambda z: 2.0 ** (-n * (gamma - z)), p, q)
         )
@@ -367,7 +366,7 @@ def test_norm_tables_match_per_offset_reductions(kind):
         vals[..., [s.zeta >= gamma for s in st.symbols]] = 0.0
         fs.append(md.ModelledDistribution(st, gamma, N, vals))
     f, f2 = fs
-    fine = md._level_index(sc, N, N)
+    fine = sc.level_index(N, N)
     fbar = md.average(f, model)
     for p, q in [(2.0, 2.0), (1.0, INF), (INF, 2.0), (3.0, 1.5)]:
         local, trans, cons, comb = _ref_dbar_norm(fbar, model, p, q)
@@ -388,7 +387,7 @@ def test_norm_tables_match_per_offset_reductions(kind):
                 assert prop.required_K[z] == excess / combined[z]
         rep = md.d_norm(f, model, p, q)
         want = _ref_fine_translation(
-            f, lambda steps: f.values - md._moved(model, f.values, N, N, fine, steps), p, q
+            f, lambda steps: f.values - md._moved(model, f.values, N, fine, steps), p, q
         )
         assert rep.translation.keys() == want.keys()
         for z in want:
@@ -398,8 +397,8 @@ def test_norm_tables_match_per_offset_reductions(kind):
             f,
             lambda steps: f.values
             - f2.values
-            - md._moved(model, f.values, N, N, fine, steps)
-            + md._moved(model, f2.values, N, N, fine, steps),
+            - md._moved(model, f.values, N, fine, steps)
+            + md._moved(model, f2.values, N, fine, steps),
             p,
             q,
         )

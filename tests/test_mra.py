@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from functools import cache
 
@@ -17,6 +18,28 @@ def test_grid_nesting_and_counts(sc21):
     coarse = sc21.grid_points(3).reshape(-1, 2)
     fine_set = {tuple(np.round(p, 12)) for p in fine}
     assert all(tuple(np.round(p, 12)) in fine_set for p in coarse)
+
+
+@pytest.mark.parametrize("s", [(1,), (2, 1), (1, 1)])
+def test_level_index_and_shells_nest_in_the_fine_grid(s):
+    # Lambda_n sits inside Lambda_N at the level_index points, and every
+    # E_n shell step moves each Lambda_n point onto its Lambda_n neighbour
+    sc = Scaling(s)
+    units = set(itertools.product((-1, 0, 1), repeat=sc.d)) - {(0,) * sc.d}
+    for N in range(5):
+        fine, shape = sc.grid_points(N), sc.grid_shape(N)
+        for n in range(N + 1):
+            idx = sc.level_index(n, N)
+            assert np.array_equal(fine[idx], sc.grid_points(n))
+            steps = sc.shell_steps(n, N)
+            assert {tuple(u) for u in steps // sc.stride(n, N)} == units
+            assert len(steps) == len(units)
+            for h in steps:
+                moved = fine[tuple((ix + hi) % m for ix, hi, m in zip(idx, h, shape))]
+                unit = h // sc.stride(n, N)
+                assert np.array_equal(moved, np.roll(sc.grid_points(n), -unit, range(sc.d)))
+    with pytest.raises(ValueError, match="nested"):
+        sc.level_index(3, 2)
 
 
 def test_nearest_point_idempotent(sc1):

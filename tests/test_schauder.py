@@ -479,7 +479,7 @@ def test_ixi_mother_decay_slope(sc1, fam6, riesz_kernel):
         det = em.conv_pyramid.details[n][0]
         acc = det.copy()
         for ell in em.taylor_ks:
-            tl = an.subsample(em.t_tables[ell], sc1, N, n)
+            tl = em.t_tables[ell][sc1.level_index(n, N)]
             mother_moment = filters.mother_moments(fam6.h, ell[0])[ell[0]]
             pair = 2.0 ** (-n * (ell[0] + 0.5)) * mother_moment
             acc = acc - tl / math.factorial(ell[0]) * pair

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as hst
 
-from rsbesov import analysis as an
 from rsbesov import besov, filters, mra
 from rsbesov import schauder as sch
 from rsbesov import structures as rs
@@ -260,12 +259,27 @@ def _reference_center_weight(model, sym, n):
         w = model.conv_levels_coeffs[n].copy()
         for ell in model.taylor_ks:
             pairing = model.poly_father_pairing(ell, n, zero)
-            tl = an.subsample(model.t_tables[ell], model.scaling, model.N, n)
+            tl = model.t_tables[ell][model.scaling.level_index(n, model.N)]
             w = w - tl / multi_factorial(ell) * pairing
         return w
     if isinstance(model, rs.NoiseModel) and sym == model.xi_index:
         return model.xi_levels[n]
     return model.poly_father_pairing(model.structure.symbols[sym].k, n, zero)
+
+
+def test_non_finite_points_rejected():
+    # a NaN base point used to be cast to grid index 0, so the tables were
+    # read there and a finite number came back; a NaN second point was cast
+    # to a source index too
+    model = make_model("extended-1", 6)
+    ixi = model.structure.index("IXi")
+    with pytest.raises(ValueError, match="finite"):
+        model.pi_father_point(ixi, 3, np.array([np.nan]), np.array([0.25]), (2,))
+    for x, y in [([np.nan], [0.25]), ([0.25], [np.inf])]:
+        with pytest.raises(ValueError, match="finite"):
+            model.gamma(x, y)
+    with pytest.raises(ValueError, match="finite"):
+        make_model("poly-1", 6).gamma([0.25], [np.nan])
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
