@@ -228,12 +228,9 @@ def _scale_table(
     N = f.N
     scales = np.array(dictionary.usable_scales(N))
     raw = np.zeros(len(scales))
-    for si_, m in enumerate(scales):
-        best = np.zeros(sc.grid_shape(N))
-        for prof in dictionary.profiles:
-            kern = prof.kernel_coeffs(model.fam, sc, m, N)
-            best = np.maximum(best, np.abs(residual(m, prof, kern)))
-        raw[si_] = besov.lpn_norm(best, N, p, sc)
+    for i, m in enumerate(scales):
+        kernels = ((prof, prof.kernel_coeffs(model.fam, sc, m, N)) for prof in dictionary.profiles)
+        raw[i] = besov.sup_norm((residual(m, prof, k) for prof, k in kernels), N, p, sc)
     lam = 2.0 ** (-scales.astype(float))
     return scales, raw, raw / lam**f.gamma
 

@@ -19,8 +19,11 @@ class Scaling:
     s: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.s) < 1 or any(int(si) < 1 for si in self.s):
-            raise ValueError("scaling needs d >= 1 entries, all >= 1")
+        if len(self.s) < 1 or not all(
+            isinstance(si, (int, np.integer)) and not isinstance(si, bool) and si >= 1
+            for si in self.s
+        ):
+            raise ValueError(f"scaling needs d >= 1 entries, all integers >= 1, got {self.s}")
         object.__setattr__(self, "s", tuple(int(si) for si in self.s))
 
     @property

@@ -17,7 +17,7 @@ import numpy as np
 from . import analysis as an
 from . import mra
 # profile_kernel is unused here but stays bound: perfbench/spans.py traces it
-from .besov import Profile, TestDictionary, profile_kernel  # noqa: F401
+from .besov import Profile, TestDictionary, profile_kernel, sup_norm  # noqa: F401
 from .pyramid import CoeffPyramid
 from .scaling import Scaling, wrap_displacement
 from .util import multi_binom
@@ -327,19 +327,19 @@ def gamma_norm(model: Model, gamma: float) -> float:
 
 
 def _pi_sweep(model: Model, gamma: float, dictionary: TestDictionary, table) -> tuple[float, list]:
-    """sup |table(sym, n, profile)| / lambda^zeta over the dictionary scales
-    n <= N - 2, its profiles and the symbols below gamma, with the table."""
+    """sup_{x, profile} |table(sym, n, profile)| / lambda^zeta over the scales
+    n <= N - 2 and the symbols below gamma, with one (n, symbol, ratio) row each."""
     worst = 0.0
     rows = []
     for n in dictionary.usable_scales(model.N):
         lam = 2.0 ** (-n)
-        for prof in dictionary.profiles:
-            for i, s in enumerate(model.structure.symbols):
-                if s.zeta >= gamma:
-                    continue
-                ratio = float(np.max(np.abs(table(i, n, prof)))) / lam**s.zeta
-                rows.append((n, prof.name, s.name, ratio))
-                worst = max(worst, ratio)
+        for i, s in enumerate(model.structure.symbols):
+            if s.zeta >= gamma:
+                continue
+            tables = (table(i, n, prof) for prof in dictionary.profiles)
+            ratio = sup_norm(tables, model.N, math.inf, model.scaling) / lam**s.zeta
+            rows.append((n, s.name, ratio))
+            worst = max(worst, ratio)
     return worst, rows
 
 

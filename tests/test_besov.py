@@ -7,6 +7,7 @@ from rsbesov import analysis as an
 from rsbesov import besov, mra
 from rsbesov.pyramid import CoeffPyramid
 from rsbesov.scaling import Scaling
+from rsbesov.util import lq_aggregate
 
 INF = math.inf
 
@@ -189,6 +190,37 @@ def test_testfn_within_calibrated_factor(sc1, fam6, alpha):
     wv = besov.besov_norm_wavelet(pyr, par).value
     tf, _ = besov.besov_norm_testfn(pyr, par, d, fam6)
     assert wv / TESTFN_C <= tf <= TESTFN_C * wv
+
+
+@pytest.mark.parametrize("alpha", [-0.4, 0.3])
+def test_testfn_takes_the_sup_inside_the_lp_norm(sc1, fam6, alpha):
+    # per scale, the L^p norm of the pointwise sup over the profiles; the
+    # larger of the per-profile L^p norms (0.08605 at alpha = -0.4, against
+    # 0.09846 here) only bounds it from below
+    N, p = 8, 2.0
+    pyr = besov.synthesize("random_besov", sc1, N, fam6, alpha=alpha, seed=42)
+    d = besov.make_dictionary(2, scales=range(2, 7))
+    cN = mra.level_coefficients(pyr, fam6, N)
+
+    def pairing(prof, n):
+        return an.correlate(cN, prof.kernel_coeffs(fam6, sc1, n, N))
+
+    def sup_then_lp(profiles, n):
+        best = np.zeros(sc1.grid_shape(N))
+        for prof in profiles:
+            best = np.maximum(best, np.abs(pairing(prof, n)))
+        return besov.lpn_norm(best, N, p, sc1)
+
+    profiles = [prof for prof in d.profiles if prof.beta >= (-1 if alpha < 0 else 0)]
+    want = np.array([sup_then_lp(profiles, n) / 2.0 ** (-n * alpha) for n in range(2, 7)])
+    total = lq_aggregate(want, 2.0)
+    if alpha >= 0:
+        total += sup_then_lp([prof for prof in d.profiles if prof.beta == -1], 0)
+    got, per_scale = besov.besov_norm_testfn(pyr, besov.BesovParams(alpha, p, 2.0, 2), d, fam6)
+    assert np.array_equal(per_scale, want) and got == total
+    for n, term in zip(range(2, 7), per_scale):
+        per_profile = max(besov.lpn_norm(pairing(prof, n), N, p, sc1) for prof in profiles)
+        assert term >= per_profile / 2.0 ** (-n * alpha)
 
 
 def test_testfn_zero(sc1, fam6):

@@ -42,6 +42,15 @@ def test_level_index_and_shells_nest_in_the_fine_grid(s):
         sc.level_index(3, 2)
 
 
+def test_scaling_rejects_non_integral_entries():
+    # int(si) used to truncate: (2.7, 1) became s = (2, 1), and 1.9 and True became 1
+    for bad in [(2.7, 1), (np.float64(1.9),), (True,), (2.0,), (0,), ()]:
+        with pytest.raises(ValueError, match="integers"):
+            Scaling(bad)
+    sc = Scaling((np.int64(2), np.uint32(1)))
+    assert sc.s == (2, 1) and all(type(si) is int for si in sc.s)
+
+
 def test_nearest_point_idempotent(sc1):
     x = np.array([[0.3125]])
     idx = sc1.nearest_grid_index(x, 4)

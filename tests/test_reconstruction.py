@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from rsbesov import analysis as an
 from rsbesov import besov, mra, modelled as md, reconstruction as rc, structures as rs
 from rsbesov.util import fit_log2_slope, lq_aggregate
-from conftest import make_sin_lift
+from conftest import MODEL_KINDS, make_model, make_sin_lift
 
 INF = math.inf
 
@@ -435,7 +436,7 @@ def test_model_distance_of_model_to_itself_is_zero(sc1, sc21, fam6):
     for m, gamma in ((model, f.gamma), (rs.polynomial_structure(2.5, sc21, fam6, 4)[1], 2.5)):
         diff = rs.model_distance(m, m, gamma, d)
         assert diff.pi == 0.0 and diff.gamma == 0.0
-        assert diff.pi_table and all(row[3] == 0.0 for row in diff.pi_table)
+        assert diff.pi_table and all(row[-1] == 0.0 for row in diff.pi_table)
 
 
 def test_model_distance_linear_in_perturbation(sc1, fam6):
@@ -505,3 +506,97 @@ def test_uniqueness_probe_needs_a_scale(sc1, fam6):
     )
     with pytest.raises(ValueError, match="N >= 4"):
         rc.uniqueness_probe(xi1, xi2, 2.5, fam6)
+
+
+# --- one dictionary sup ------------------------------------------------------------
+# The bound tables and the model norms take the sup over the dictionary through
+# besov.sup_norm. The oracles below are the per-profile loops they replaced;
+# max is exact, so the two must agree bit for bit.
+
+
+def _per_profile_bound(f, model, p, dictionary, residual):
+    sc, N = f.structure.scaling, f.N
+    scales = dictionary.usable_scales(N)
+    raw = np.zeros(len(scales))
+    for si_, m in enumerate(scales):
+        best = np.zeros(sc.grid_shape(N))
+        for prof in dictionary.profiles:
+            kern = prof.kernel_coeffs(model.fam, sc, m, N)
+            best = np.maximum(best, np.abs(residual(m, prof, kern)))
+        raw[si_] = besov.lpn_norm(best, N, p, sc)
+    return raw
+
+
+def _per_profile_pi(model, gamma, dictionary, table):
+    """sup over the per-profile ratios, and their max per (n, symbol)."""
+    worst = 0.0
+    per_row = {}
+    for n in dictionary.usable_scales(model.N):
+        lam = 2.0 ** (-n)
+        for prof in dictionary.profiles:
+            for i, s in enumerate(model.structure.symbols):
+                if s.zeta >= gamma:
+                    continue
+                ratio = float(np.max(np.abs(table(i, n, prof)))) / lam**s.zeta
+                per_row[(n, s.name)] = max(per_row.get((n, s.name), 0.0), ratio)
+                worst = max(worst, ratio)
+    return worst, per_row
+
+
+def _pi_perturbed(model, eps):
+    """A copy of the model whose Pi tables carry the factor 1 + eps sin(2 pi x_0)."""
+    wave = 1.0 + eps * np.sin(2 * np.pi * model.scaling.grid_points(model.N)[..., 0])
+    other = copy.copy(model)
+    other.pi_profile_table = lambda sym, n, prof: model.pi_profile_table(sym, n, prof) * wave
+    return other
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_dictionary_sup_matches_the_per_profile_loops(kind):
+    model = make_model(kind, 6 if kind.endswith("-1") else 4)
+    model2 = _pi_perturbed(model, 0.1)
+    st, sc, N = model.structure, model.scaling, model.N
+    gamma = 2.5 if kind.startswith("poly") else 1.25
+    d = besov.make_dictionary(2, scales=range(1, 5))
+    rng = np.random.default_rng(2)
+    vals = rng.standard_normal((*sc.grid_shape(N), st.dim))
+    vals[..., st.at_or_above(gamma)] = 0.0
+    f = md.ModelledDistribution(st, gamma, N, vals)
+
+    xi = besov.synthesize("random_besov", sc, N, model.fam, alpha=-0.5, seed=4)
+    cN = mra.level_coefficients(xi, model.fam, N)
+
+    def bound_residual(m, prof, kern):
+        xi_part = an.correlate(cN, kern)
+        germ_part = np.zeros_like(xi_part)
+        for i in range(st.dim):
+            germ_part = germ_part + model.pi_profile_table(i, m, prof) * vals[..., i]
+        return xi_part - germ_part
+
+    _, raw, _ = rc.reconstruction_bound(f, model, xi, 2.0, INF, d)
+    assert np.array_equal(raw, _per_profile_bound(f, model, 2.0, d, bound_residual))
+
+    c1 = mra.level_coefficients(rc.reconstruct(f, model, 2.0, INF)[0], model.fam, N)
+    c2 = mra.level_coefficients(rc.reconstruct(f, model2, 2.0, INF)[0], model.fam, N)
+
+    def compare_residual(m, prof, kern):
+        part = an.correlate(c1 - c2, kern)
+        for i in range(st.dim):
+            part = part - model.pi_profile_table(i, m, prof) * vals[..., i]
+            part = part + model2.pi_profile_table(i, m, prof) * vals[..., i]
+        return part
+
+    _, raw, _, _ = rc.two_model_compare(f, model, f, model2, 2.0, INF, d, with_budget=False)
+    assert np.array_equal(raw, _per_profile_bound(f, model, 2.0, d, compare_residual))
+
+    def pi_diff(i, n, prof):
+        return model.pi_profile_table(i, n, prof) - model2.pi_profile_table(i, n, prof)
+
+    for got, table in (
+        (rs.model_norms(model, gamma, d), model.pi_profile_table),
+        (rs.model_distance(model, model2, gamma, d), pi_diff),
+    ):
+        want, per_row = _per_profile_pi(model, gamma, d, table)
+        assert got.pi == want and got.pi > 0.0
+        assert {(n, sym): ratio for n, sym, ratio in got.pi_table} == per_row
+        assert len(got.pi_table) == len(per_row)
