@@ -46,15 +46,111 @@ def min_order_for(r: int) -> int:
     return order
 
 
+# The minimal-phase taps of orders 1-12, as `_factorise` gives them in
+# float64, written with repr so that they read back bit for bit
+# (tests/test_filters.py compares the two).
+_TAPS = {
+    1: (
+        0.7071067811865475, 0.7071067811865475,
+    ),
+    2: (
+        0.48296291314453416, 0.8365163037378079, 0.2241438680420134,
+        -0.12940952255126037,
+    ),
+    3: (
+        0.33267055295008263, 0.8068915093110925, 0.45987750211849154,
+        -0.13501102001025458, -0.08544127388202666, 0.03522629188570953,
+    ),
+    4: (
+        0.2303778133088965, 0.7148465705529157, 0.6308807679298589,
+        -0.027983769416859854, -0.18703481171909309, 0.030841381835560764,
+        0.0328830116668852, -0.010597401785069032,
+    ),
+    5: (
+        0.16010239797419293, 0.6038292697971896, 0.7243085284377729,
+        0.13842814590132074, -0.24229488706638203, -0.032244869584638375,
+        0.07757149384004572, -0.006241490212798274, -0.012580751999081999,
+        0.0033357252854737712,
+    ),
+    6: (
+        0.11154074335010947, 0.49462389039845306, 0.7511339080210954,
+        0.31525035170919763, -0.22626469396543983, -0.12976686756726194,
+        0.09750160558732304, 0.027522865530305727, -0.03158203931748603,
+        0.0005538422011614961, 0.004777257510945511, -0.0010773010853084796,
+    ),
+    7: (
+        0.07785205408500918, 0.3965393194819173, 0.7291320908462351, 0.4697822874051931,
+        -0.14390600392856498, -0.22403618499387498, 0.07130921926683026,
+        0.08061260915108308, -0.03802993693501441, -0.01657454163066688,
+        0.01255099855609984, 0.0004295779729213665, -0.0018016407040474908,
+        0.00035371379997452024,
+    ),
+    8: (
+        0.05441584224310401, 0.31287159091429995, 0.6756307362972898,
+        0.5853546836542067, -0.015829105256349306, -0.2840155429615469,
+        0.0004724845739132828, 0.12874742662047847, -0.017369301001807547,
+        -0.044088253930794755, 0.013981027917398282, 0.008746094047405777,
+        -0.004870352993451574, -0.00039174037337694705, 0.0006754494064505693,
+        -0.00011747678412476953,
+    ),
+    9: (
+        0.038077947363878345, 0.24383467461259034, 0.6048231236901112,
+        0.6572880780513005, 0.13319738582500756, -0.2932737832791749,
+        -0.09684078322297646, 0.14854074933810638, 0.03072568147933338,
+        -0.06763282906132997, 0.00025094711483145197, 0.022361662123679096,
+        -0.004723204757751397, -0.00428150368246343, 0.0018476468830562265,
+        0.00023038576352319597, -0.0002519631889427101, 3.93473203162716e-05,
+    ),
+    10: (
+        0.026670057900555554, 0.1881768000776915, 0.5272011889317256,
+        0.6884590394536035, 0.2811723436605775, -0.24984642432731538,
+        -0.19594627437737705, 0.12736934033579325, 0.09305736460357235,
+        -0.07139414716639708, -0.029457536821875813, 0.033212674059341,
+        0.0036065535669561697, -0.010733175483330575, 0.001395351747052901,
+        0.001992405295185056, -0.0006858566949597116, -0.00011646685512928545,
+        9.358867032006959e-05, -1.3264202894521244e-05,
+    ),
+    11: (
+        0.018694297761471083, 0.1440670211506245, 0.44989976435604534,
+        0.6856867749162006, 0.41196436894790744, -0.16227524502749036,
+        -0.27423084681794696, 0.0660435881966832, 0.14981201246637849,
+        -0.046479955116684187, -0.0664387856950252, 0.031335090219046076,
+        0.020840904360181062, -0.0153648209062016, -0.0033408588730144454,
+        0.004928417656059041, -0.0003085928588151432, -0.0008930232506662646,
+        0.0002491525235528235, 5.4439074699368475e-05, -3.4634984186984996e-05,
+        4.49427427723651e-06,
+    ),
+    12: (
+        0.013112257957229518, 0.10956627282118515, 0.37735513521421266,
+        0.6571987225793071, 0.5158864784278157, -0.04476388565377463,
+        -0.3161784537527855, -0.023779257256069726, 0.18247860592757967,
+        0.00535956967435215, -0.09643212009650708, 0.010849130255822185,
+        0.04154627749508444, -0.01221864906974828, -0.012840825198300683,
+        0.00671149900879551, 0.0022486072409952378, -0.0021795036186277603,
+        6.545128212509596e-06, 0.00038865306282093143, -8.850410920820432e-05,
+        -2.4241545757030785e-05, 1.2776952219379767e-05, -1.529071758068511e-06,
+    ),
+}
+
+
 def daubechies_filter(order: int) -> np.ndarray:
     """Minimal-phase orthonormal filter with `order` vanishing moments.
 
-    Spectral factorization of the half-band polynomial: the roots of
-    P(y) = sum_{j<K} C(K-1+j, j) y^j are mapped to z-plane pairs through
-    y = (2 - z - 1/z)/4 and the roots inside the unit circle are kept.
+    Orders 1-12 come from the table above, as a fresh contiguous array;
+    higher orders are factorised, which imports mpmath.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
+    if order in _TAPS:
+        return np.array(_TAPS[order])
+    return _factorise(order)
+
+
+def _factorise(order: int) -> np.ndarray:
+    """Spectral factorization of the half-band polynomial: the roots of
+    P(y) = sum_{j<K} C(K-1+j, j) y^j are mapped to z-plane pairs through
+    y = (2 - z - 1/z)/4 and the roots inside the unit circle are kept.
+    """
     if order == 1:
         return np.array([1.0, 1.0]) / SQRT2
     K = int(order)
@@ -88,7 +184,7 @@ def daubechies_filter(order: int) -> np.ndarray:
     m = len(h)
     front = np.sum(np.arange(m) * h * h)
     if front > (m - 1) / 2.0:
-        h = h[::-1]
+        h = h[::-1].copy()
     return h
 
 
@@ -212,7 +308,7 @@ def cascade_father(h: np.ndarray, depth: int) -> np.ndarray:
         fine = np.zeros(2 * m + 1)
         fine[::2] = vals
         # new odd points t: phi(t 2^-(j+1)) = sqrt2 sum_k h_k phi((t - k 2^j) 2^-j)
-        fine[1::2] = _refine(h, vals, np.arange(1, 2 * m, 2), 2**j)
+        fine[1::2] = _refine(h, vals, 1, m, 2**j)
         vals = fine
     return vals
 
@@ -221,16 +317,19 @@ def cascade_mother(h: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Point values of psi on [0, L-1] from the father values phi of
     `cascade_father` at the same dyadic mesh."""
     m = len(phi) - 1
-    return _refine(mother_filter(h), phi, 2 * np.arange(m + 1), m // (len(h) - 1))
+    return _refine(mother_filter(h), phi, 0, m + 1, m // (len(h) - 1))
 
 
-def _refine(f: np.ndarray, vals: np.ndarray, src: np.ndarray, step: int) -> np.ndarray:
-    """One refinement sum per index in src: sqrt2 sum_k f_k vals[src - k step],
-    with vals taken as zero outside its samples.  The taps are added in k
-    order, like a scalar loop, so the samples do not depend on vectorising."""
-    acc = np.zeros(len(src))
+def _refine(f: np.ndarray, vals: np.ndarray, start: int, n: int, step: int) -> np.ndarray:
+    """The refinement sums sqrt2 sum_k f_k vals[start + 2 i - k step], i < n,
+    with vals taken as zero outside its samples.  Each tap reads one stride-2
+    slice of vals, and the taps are added in k order, like a scalar loop, so
+    the samples do not depend on vectorising."""
+    acc = np.zeros(n)
     for k, fk in enumerate(f):
-        j = src - k * step
-        ok = (j >= 0) & (j < len(vals))
-        acc[ok] += fk * vals[j[ok]]
+        shift = k * step - start  # i reads vals[2 i - shift]
+        lo = max(0, -(-shift // 2))
+        hi = min(n, (len(vals) - 1 + shift) // 2 + 1)
+        if lo < hi:
+            acc[lo:hi] += fk * vals[2 * lo - shift : 2 * hi - shift : 2]
     return SQRT2 * acc

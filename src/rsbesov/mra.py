@@ -138,6 +138,8 @@ def filter_step(
 
     The strided windows of the wrap-indexed axis are contracted with the
     taps in place (einsum, no window copy); k runs over L / stride outputs.
+    einsum's rounding depends on the taps' memory layout, so they are made
+    contiguous first: a view and a copy of the same taps give the same bits.
     """
     L = c.shape[axis]
     if L % stride:
@@ -145,7 +147,7 @@ def filter_step(
     idx = np.arange(start, start + L - stride + len(taps))
     windows = sliding_window_view(np.take(c, idx, axis, mode="wrap"), len(taps), axis)
     windows = windows[(slice(None),) * axis + (slice(None, None, stride),)]
-    return np.einsum("...k,k->...", windows, taps)
+    return np.einsum("...k,k->...", windows, np.ascontiguousarray(taps))
 
 
 def _interleave(parts, axis: int) -> np.ndarray:

@@ -116,7 +116,16 @@ class KernelDecomposition:
 
     # -- evaluation --------------------------------------------------------
     def p0_raw(self, pts: np.ndarray) -> np.ndarray:
-        return self.P(pts) * annular_cutoff(self.scaling, pts)
+        """P times the annular cutoff, the cutoff taken only where P != 0
+        (the heat kernel vanishes on the t <= 0 half of every box).  Where P
+        has no zero, as for the Riesz kernel, nothing is gathered."""
+        out = np.array(self.P(pts), dtype=float)
+        nz = out != 0
+        if nz.all():
+            out *= annular_cutoff(self.scaling, pts)
+        else:
+            out[nz] *= annular_cutoff(self.scaling, pts[nz])
+        return out
 
     def _corrector_1d(self, k: int, x: np.ndarray) -> np.ndarray:
         """D^k of the 1-d corrector factor B(x/s)/s (exact spline derivative)."""

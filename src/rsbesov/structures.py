@@ -286,7 +286,8 @@ def sector_abs(structure: RegularityStructure, vec: np.ndarray, zeta: float) -> 
 
 def _gamma_sweep(model: Model, gamma: float, bases, matrix) -> float:
     """sup |matrix(x, y) tau|_beta / ||x-y||^{zeta-beta} over beta < zeta,
-    the base points x and the grid displacements x - y of levels 1 to 3."""
+    the base points x and the grid displacements x - y of levels 1 to 3.
+    A non-finite ratio raises: max would drop a NaN."""
     st = model.structure
     sc = model.scaling
     worst = 0.0
@@ -304,8 +305,13 @@ def _gamma_sweep(model: Model, gamma: float, bases, matrix) -> float:
                     for tau in st.sector(z):
                         col = M[:, tau]
                         for b in zs[:zi]:
-                            v = float(np.max(np.abs(col[st.sector(b)])))
-                            worst = max(worst, v / dn ** (z - b))
+                            v = float(np.max(np.abs(col[st.sector(b)]))) / dn ** (z - b)
+                            if not math.isfinite(v):
+                                raise ValueError(
+                                    f"non-finite Gamma ratio at displacement level {m} "
+                                    f"for symbol {st.symbols[tau].name}"
+                                )
+                            worst = max(worst, v)
     return worst
 
 
@@ -328,7 +334,8 @@ def gamma_norm(model: Model, gamma: float) -> float:
 
 def _pi_sweep(model: Model, gamma: float, dictionary: TestDictionary, table) -> tuple[float, list]:
     """sup_{x, profile} |table(sym, n, profile)| / lambda^zeta over the scales
-    n <= N - 2 and the symbols below gamma, with one (n, symbol, ratio) row each."""
+    n <= N - 2 and the symbols below gamma, with one (n, symbol, ratio) row each.
+    A non-finite ratio raises: max would drop a NaN."""
     worst = 0.0
     rows = []
     for n in dictionary.usable_scales(model.N):
@@ -338,6 +345,8 @@ def _pi_sweep(model: Model, gamma: float, dictionary: TestDictionary, table) -> 
                 continue
             tables = (table(i, n, prof) for prof in dictionary.profiles)
             ratio = sup_norm(tables, model.N, math.inf, model.scaling) / lam**s.zeta
+            if not math.isfinite(ratio):
+                raise ValueError(f"non-finite Pi ratio at scale n={n} for symbol {s.name}")
             rows.append((n, s.name, ratio))
             worst = max(worst, ratio)
     return worst, rows

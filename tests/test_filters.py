@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -31,7 +34,7 @@ def test_order2_golden():
     np.testing.assert_allclose(h, closed, atol=1e-14)
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 4, 6, 8, 9, 12])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 6, 8, 9, 12, 14])
 def test_filter_identities(order):
     h = filters.daubechies_filter(order)
     assert len(h) == 2 * order
@@ -102,3 +105,50 @@ def test_order_too_small_reports_minimum():
         build_wavelet(4, 2)
     with pytest.raises(ValueError, match="minimal admissible order"):
         build_wavelet(2, 3)
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+def test_tabulated_taps_are_the_factorisation_bits(order):
+    h = filters.daubechies_filter(order)
+    assert h.flags.c_contiguous and h.dtype == np.float64
+    assert h.tobytes() == filters._factorise(order).tobytes()
+    h[0] = 0.0  # every call returns a fresh array
+    assert filters.daubechies_filter(order).tobytes() == filters._factorise(order).tobytes()
+
+
+def _mask_refine(f, vals, src, step):
+    """The refinement sums by a boolean mask and a gather per tap."""
+    acc = np.zeros(len(src))
+    for k, fk in enumerate(f):
+        j = src - k * step
+        ok = (j >= 0) & (j < len(vals))
+        acc[ok] += fk * vals[j[ok]]
+    return SQRT2 * acc
+
+
+@pytest.mark.parametrize("depth", [6, 12, 14])
+@pytest.mark.parametrize("order", [1, 2, 4, 6, 9, 12])
+def test_slice_refinement_matches_the_masked_gather(order, depth, monkeypatch):
+    h = filters.daubechies_filter(order)
+    phi = filters.cascade_father(h, depth)
+    psi = filters.cascade_mother(h, phi)
+    monkeypatch.setattr(
+        filters,
+        "_refine",
+        lambda f, vals, start, n, step: _mask_refine(f, vals, start + 2 * np.arange(n), step),
+    )
+    ref_phi = filters.cascade_father(h, depth)
+    assert phi.tobytes() == ref_phi.tobytes()
+    assert psi.tobytes() == filters.cascade_mother(h, ref_phi).tobytes()
+
+
+def test_report_runs_without_mpmath(tmp_path):
+    # mpmath factorises orders above 12 only: a default report never imports it
+    script = (
+        "import sys, rsbesov.cli\n"
+        f"code = rsbesov.cli.main(['report', '--levels', '4', '--out', {str(tmp_path)!r}])\n"
+        "print(code, 'mpmath' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"], proc.stdout

@@ -84,6 +84,16 @@ def test_p0_moment_matches_full_mesh_sum(which, heat_setup, riesz_kernel):
         assert abs(K.p0_moment(m, mesh_bits=7) - _full_mesh_moment(K, m, 7)) <= 1e-15
 
 
+@pytest.mark.parametrize("which", ["heat", "riesz"])
+def test_p0_raw_is_the_kernel_times_the_cutoff(which, heat_setup, riesz_kernel):
+    # the cutoff is skipped where P vanishes, without moving a bit; the heat
+    # box has zeros (the gather), the Riesz box none (the whole-array product)
+    K = heat_setup if which == "heat" else riesz_kernel
+    pts = _support_box_points(K.scaling)
+    want = K.P(pts) * sch.annular_cutoff(K.scaling, pts)
+    assert K.p0_raw(pts).tobytes() == want.tobytes()
+
+
 def _support_box_points(sc):
     """The default-mesh points with |x_i| <= 2^-s_i + one cell, in index order."""
     x, w = sch._box_axis(sch._MESH_BITS)

@@ -122,6 +122,22 @@ def test_noise_gamma_fixes_xi(sc1, fam6):
     np.testing.assert_allclose(col, want, atol=0)
 
 
+def test_nan_in_the_noise_pyramid_is_not_a_finite_pi_norm(sc1, fam6):
+    # max(worst, ratio) drops a NaN ratio, which read as ||Pi|| = 0.06257
+    xi = besov.synthesize("random_besov", sc1, 6, fam6, alpha=-0.5, seed=1)
+    xi.details[3][0][5] = np.nan
+    stn, nm = rs.noise_structure(-0.5, xi, 1.25, fam6)
+    with pytest.raises(ValueError, match="non-finite Pi ratio at scale n=2 for symbol Xi"):
+        rs.model_norms(nm, 1.25, besov.make_dictionary(2, range(2, 5)))
+
+
+def test_non_finite_gamma_ratio_raises(sc1, fam6):
+    st, model = rs.polynomial_structure(2.5, sc1, fam6, 6)
+    nan_matrix = lambda x, y: np.full((st.dim, st.dim), np.nan)  # noqa: E731
+    with pytest.raises(ValueError, match=r"non-finite Gamma ratio at displacement level 1 for symbol X\^1"):
+        rs._gamma_sweep(model, 2.5, [np.zeros(1)], nan_matrix)
+
+
 def test_noise_structure_preconditions(sc1, fam6):
     xi = besov.synthesize("random_besov", sc1, 6, fam6, alpha=-0.5, seed=2)
     with pytest.raises(ValueError):
