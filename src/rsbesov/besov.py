@@ -155,9 +155,10 @@ def _cr_bound(fn: an.PiecewisePoly, r: int) -> float:
     return worst
 
 
-@dataclass
+@dataclass(eq=False)
 class Profile:
-    """One dictionary element: identical smooth factor in every dimension."""
+    """One dictionary element: identical smooth factor in every dimension.
+    Equal and hashed by identity: caches keyed by it never mix dictionaries."""
 
     name: str
     beta: int  # annihilates scaled degree <= beta; -1 means none

@@ -80,10 +80,10 @@ class CoeffPyramid:
         return tot**0.5
 
     def max_abs_diff(self, other: "CoeffPyramid") -> float:
-        worst = float(np.max(np.abs(self.base - other.base))) if self.base.size else 0.0
-        for a, b in zip(self.details, other.details):
-            worst = max(worst, float(np.max(np.abs(a - b))))
-        return worst
+        if other.scaling != self.scaling or other.N != self.N:
+            raise ValueError("pyramid shape mismatch")
+        pairs = zip([self.base, *self.details], [other.base, *other.details])
+        return max(float(np.max(np.abs(a - b))) for a, b in pairs)
 
 
 def write_header(fh, magic: bytes, scaling: Scaling, tail_layout: str, *tail) -> None:

@@ -191,8 +191,7 @@ class KernelDecomposition:
             )
         for i, mi in enumerate(m):
             _check_count(f"moment index entry m[{i}]", mi, 0)
-        if isinstance(mesh_bits, bool) or not isinstance(mesh_bits, Integral) or mesh_bits < 1:
-            raise ValueError(f"mesh_bits must be at least 1 and an integer, got {mesh_bits!r}")
+        _check_count("mesh_bits", mesh_bits, 1)
         key = ("m", m, mesh_bits)
         if key not in self._mom_cache:
             raw_key = ("raw", m, mesh_bits)
@@ -251,33 +250,37 @@ def _support_box(scaling: Scaling, x: np.ndarray, w: float) -> tuple:
     )
 
 
-def _sample_flat(f, shape: tuple, coord, a: int, b: int) -> tuple:
-    """f at the flat (C-order) indices a .. b-1 of the box mesh of the given
-    shape, with the index arrays of those points: the point with index tuple
-    i lies at coord(axis, i[axis]) on each axis."""
-    idx = np.unravel_index(np.arange(a, b), shape)
-    return f(np.stack([coord(ax, i) for ax, i in enumerate(idx)], -1)), idx
+def _sample_flat(f, axes: list, a: int, b: int) -> tuple:
+    """f at the flat (C-order) indices a .. b-1 of the box mesh with the given
+    per-axis coordinates, with those points as a (b - a, d) array: the rows of
+    the first axis that [a, b) touches are broadcast whole and [a, b) cut out."""
+    row = math.prod(u.size for u in axes[1:])
+    i0 = a // row
+    mesh = np.meshgrid(axes[0][i0 : -(-b // row)], *axes[1:], indexing="ij")
+    pts = np.stack(mesh, -1).reshape(-1, len(axes))[a - i0 * row : b - i0 * row]
+    return f(pts), pts
 
 
-def _sample_box(f, shape: tuple, coord) -> np.ndarray:
-    """f on the box mesh of the given shape (see _sample_flat), _BLOCK points
-    per call, so f's temporaries stay small."""
-    out = np.empty(shape)
+def _sample_box(f, axes: list) -> np.ndarray:
+    """f on the box mesh with the given per-axis coordinates (see
+    _sample_flat), _BLOCK points per call, so f's temporaries stay small."""
+    out = np.empty(tuple(u.size for u in axes))
     flat = out.reshape(-1)
     for a in range(0, flat.size, _BLOCK):
         b = min(a + _BLOCK, flat.size)
-        flat[a:b] = _sample_flat(f, shape, coord, a, b)[0]
+        flat[a:b] = _sample_flat(f, axes, a, b)[0]
     return out
 
 
 def check_moment_mesh(scaling: Scaling, mesh_bits: int = _MESH_BITS) -> None:
     """Reject a P0 moment mesh of more than _MAX_ND_POINTS points."""
-    points = (2**mesh_bits) ** scaling.d
+    mesh = f"the P0 moment mesh at s={scaling.s}, mesh_bits={mesh_bits}"
+    _check_points(mesh, (2**mesh_bits) ** scaling.d, "")
+
+
+def _check_points(mesh: str, points: int, hint: str) -> None:
     if points > _MAX_ND_POINTS:
-        raise ValueError(
-            f"the P0 moment mesh at s={scaling.s}, mesh_bits={mesh_bits} has "
-            f"{points} points (at most {_MAX_ND_POINTS} supported)"
-        )
+        raise ValueError(f"{mesh} has {points} points (at most {_MAX_ND_POINTS} supported){hint}")
 
 
 def _box_moments(f, scaling: Scaling, ms, mesh_bits: int) -> dict:
@@ -296,17 +299,15 @@ def _box_moments(f, scaling: Scaling, ms, mesh_bits: int) -> dict:
     check_moment_mesh(scaling, mesh_bits)
     x, w = _box_axis(mesh_bits)
     sub = [x[b] for b in _support_box(scaling, x, w)]
-    shape = tuple(u.size for u in sub)
-    powers = [{m[i]: u ** m[i] for m in ms if m[i]} for i, u in enumerate(sub)]
 
     def leaf(a, b):
-        vals, idx = _sample_flat(f, shape, lambda ax, i: sub[ax][i], a, b)
+        vals, pts = _sample_flat(f, sub, a, b)
         sums = []
         for m in ms:
             mono = 1.0
             for i, mi in enumerate(m):
                 if mi:
-                    mono = mono * powers[i][mi][idx[i]]
+                    mono = mono * pts[:, i] ** mi
             sums.append(np.sum(vals * mono))
         return np.array(sums)
 
@@ -316,7 +317,7 @@ def _box_moments(f, scaling: Scaling, ms, mesh_bits: int) -> dict:
         n2 = n // 2 - (n // 2) % 8
         return pairwise(a, n2) + pairwise(a + n2, n - n2)
 
-    sums = pairwise(0, math.prod(shape))
+    sums = pairwise(0, math.prod(u.size for u in sub))
     return {m: float(v * w**scaling.d) for m, v in zip(ms, sums)}
 
 
@@ -571,24 +572,18 @@ def _self_similar_pieces(
 
     windows = [window(max(r, _CORRECTOR_SCALE), bi) for r, bi in zip(reach, bits)]
     shape = tuple(hi - lo for lo, hi in windows)
-    points = math.prod(shape)
-    if points > _MAX_ND_POINTS:
-        raise ValueError(
-            f"the kernel mesh of d^{k} P0 at s={sc.s}, N={N}, margin={margin} has "
-            f"{points} points (at most {_MAX_ND_POINTS} supported): axis i is sampled "
-            f"at level N s_i + margin + s_i - 1 = {tuple(bits)}, so lower N or margin "
-            "(at d=1, N + margin <= 23)"
-        )
+    _check_points(
+        f"the kernel mesh of d^{k} P0 at s={sc.s}, N={N}, margin={margin}",
+        math.prod(shape),
+        f": axis i is sampled at level N s_i + margin + s_i - 1 = {tuple(bits)}, so lower N "
+        "or margin (at d=1, N + margin <= 23)",
+    )
     t0 = [lo for lo, _ in windows]
     axes = [-((np.arange(lo, hi) + fam.center) / 2.0**bi) for (lo, hi), bi in zip(windows, bits)]
     raw = tuple(slice(a - lo, b - lo) for (a, b), lo in zip(map(window, reach, bits), t0))
     sub = [u[b] for u, b in zip(axes, raw)]
     S = np.zeros(shape)
-    S[raw] = _sample_box(
-        lambda p: _fd_partial(kernel.p0_raw, k, p, _FD_STEP),
-        tuple(u.size for u in sub),
-        lambda ax, i: sub[ax][i],
-    )
+    S[raw] = _sample_box(lambda p: _fd_partial(kernel.p0_raw, k, p, _FD_STEP), sub)
     S = kernel._minus_correctors(S, k, np.meshgrid(*axes, indexing="ij", sparse=True))
     c = an._stencil(S, fam.centered_father_moments)
     del S  # not held through the cascade

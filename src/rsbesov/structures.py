@@ -192,7 +192,7 @@ class Model:
         return self.poly_profile_moment(self.structure.symbols[sym].k, scale_n, profile)
 
     def _profile_corr(self, cN: np.ndarray, scale_n: int, profile: Profile, tag) -> np.ndarray:
-        key = (tag, scale_n, profile.name)
+        key = (tag, scale_n, profile)
         if key not in self._profile_cache:
             k = profile.kernel_coeffs(self.fam, self.scaling, scale_n, self.N)
             self._profile_cache[key] = an.correlate(cN, k)
@@ -286,18 +286,20 @@ def sector_abs(structure: RegularityStructure, vec: np.ndarray, zeta: float) -> 
 
 def _gamma_sweep(model: Model, gamma: float, bases, matrix) -> float:
     """sup |matrix(x, y) tau|_beta / ||x-y||^{zeta-beta} over beta < zeta,
-    the base points x and the grid displacements x - y of levels 1 to 3.
-    A non-finite ratio raises: max would drop a NaN."""
+    the base points x and the grid displacements x - y of levels 1 to 3,
+    each displacement once, at the coarsest level that holds it (Lambda_1 in
+    Lambda_2 in Lambda_3).  A non-finite ratio raises: max would drop a NaN."""
     st = model.structure
     sc = model.scaling
     worst = 0.0
     zs = st.sectors_below(gamma)
+    seen = set()
     for m in range(1, min(3, model.N) + 1):
-        pts = sc.grid_points(m).reshape(-1, sc.d)
-        for delta in pts:
+        for delta in sc.grid_points(m).reshape(-1, sc.d):
             dn = sc.snorm(delta)
-            if dn == 0.0 or dn > 0.5:
+            if dn == 0.0 or dn > 0.5 or tuple(delta) in seen:
                 continue
+            seen.add(tuple(delta))
             for x in bases:
                 y = (x - wrap_displacement(delta)) % 1.0
                 M = matrix(x, y)

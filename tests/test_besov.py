@@ -325,6 +325,18 @@ def test_random_besov_reproducible(sc1, fam6):
     assert a.max_abs_diff(b) == 0.0
 
 
+def test_max_abs_diff_rejects_mismatched_pyramids(sc1, sc21, fam6):
+    # zipping the detail lists compared N=4 with the first four levels of
+    # N=6 and read 0.0 with level 5 off by 100
+    a = besov.synthesize("random_besov", sc1, 4, fam6, alpha=-0.2, seed=9)
+    b = besov.synthesize("random_besov", sc1, 6, fam6, alpha=-0.2, seed=9)
+    b.details[5] += 100.0
+    c = besov.synthesize("random_besov", sc21, 4, fam6, alpha=-0.2, seed=9)
+    for x, y in [(a, b), (b, a), (a, c)]:
+        with pytest.raises(ValueError, match="pyramid shape mismatch"):
+            x.max_abs_diff(y)
+
+
 def test_critical_exponent_rejects_nan_coefficient(sc1, fam6):
     pyr = mra.forward_transform(np.sin(2 * np.pi * np.arange(256) / 256), fam6, sc1)
     pyr.details[5][0, 3] = np.nan

@@ -173,11 +173,11 @@ def test_sample_box_matches_one_shot_evaluation(which, deriv, riesz_kernel, heat
     assert math.prod(shape) % sch._BLOCK
     k = (1,) + (0,) * (d - 1)
     f = (lambda p: K.p0_deriv(k, p)) if deriv else K.p0_raw
-    coord = lambda ax, i: -((i - shape[ax] // 2 + 0.25) / 2.0 ** bits[ax])  # noqa: E731
-    mesh = np.meshgrid(*[coord(ax, np.arange(n)) for ax, n in enumerate(shape)], indexing="ij")
+    axes = [-((np.arange(n) - n // 2 + 0.25) / 2.0**b) for n, b in zip(shape, bits)]
+    mesh = np.meshgrid(*axes, indexing="ij")
     want = f(np.stack(mesh, axis=-1))
     assert np.count_nonzero(want) > 0.1 * want.size
-    got = sch._sample_box(f, shape, coord)
+    got = sch._sample_box(f, axes)
     assert got.shape == shape
     np.testing.assert_array_equal(got, want)
 
@@ -301,7 +301,7 @@ def test_box_moments_match_one_sum_over_the_held_box():
     sc = K.scaling
     x, w = sch._box_axis(12)
     sub = [x[b] for b in sch._support_box(sc, x, w)]
-    vals = sch._sample_box(K.p0_raw, tuple(u.size for u in sub), lambda ax, i: sub[ax][i])
+    vals = sch._sample_box(K.p0_raw, sub)
     axes = np.meshgrid(*sub, indexing="ij", sparse=True)
     ms = [(0, 0), (0, 1), (0, 2), (1, 0)]
     got = sch._box_moments(K.p0_raw, sc, ms, 12)
@@ -345,7 +345,7 @@ def test_p0_mesh_past_the_size_limit_rejected(heat_setup):
 
 @pytest.mark.parametrize("mesh_bits", [0, -1])
 def test_p0_mesh_needs_one_bit(heat_setup, mesh_bits):
-    with pytest.raises(ValueError, match="mesh_bits must be at least 1"):
+    with pytest.raises(ValueError, match="mesh_bits must be an integer >= 1"):
         heat_setup.p0_moment((0, 0), mesh_bits=mesh_bits)
 
 
@@ -354,7 +354,7 @@ def test_p0_moment_rejects_non_integer_mesh_bits(monkeypatch, mesh_bits):
     # True was taken as one bit, and 2.5 failed inside np.linspace
     K = _oracle_kernel("heat")
     monkeypatch.setattr(K, "P", None)  # any kernel evaluation would raise TypeError
-    with pytest.raises(ValueError, match="mesh_bits must be at least 1 and an integer"):
+    with pytest.raises(ValueError, match="mesh_bits must be an integer >= 1"):
         K.p0_moment((0, 0), mesh_bits=mesh_bits)
     assert K._mom_cache == {}
 
@@ -745,8 +745,7 @@ def _full_box_pieces(K, k, fam, N, levels, margin):
     bits, windows = _full_box(K, k, fam, N, margin)
     S = sch._sample_box(
         lambda p: K.p0_deriv(k, p),
-        tuple(hi - lo for lo, hi in windows),
-        lambda ax, i: -((windows[ax][0] + i + fam.center) / 2.0 ** bits[ax]),
+        [-((np.arange(lo, hi) + fam.center) / 2.0**b) for (lo, hi), b in zip(windows, bits)],
     )
     c = an._stencil(S, fam.centered_father_moments) * 2.0 ** (-sum(bits) / 2.0)
     t0 = [lo for lo, _ in windows]

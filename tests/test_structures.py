@@ -186,6 +186,45 @@ def test_model_norms_monotone_in_dictionary(sc1, fam6):
     assert n_full >= n_small - 1e-14
 
 
+def test_profile_cache_keeps_dictionaries_apart(sc1, fam6):
+    # make_dictionary(2, ...) and make_dictionary(3, ...) name their profiles
+    # alike but normalise them differently (pi 0.10472 against 0.015083)
+    def fresh():
+        xi = besov.synthesize("random_besov", sc1, 8, fam6, alpha=-0.5, seed=5)
+        return rs.noise_structure(-0.5, xi, 1.25, fam6)[1]
+
+    d2, d3 = (besov.make_dictionary(r, range(2, 6)) for r in (2, 3))
+    nm = fresh()
+    assert [p.name for p in d2.profiles] == [p.name for p in d3.profiles[: len(d2.profiles)]]
+    pi2 = rs.model_norms(nm, 1.25, d2).pi
+    pi3 = rs.model_norms(nm, 1.25, d3).pi
+    assert pi3 == rs.model_norms(fresh(), 1.25, d3).pi
+    assert pi2 == rs.model_norms(fresh(), 1.25, d2).pi
+    assert pi3 < 0.5 * pi2
+
+
+@pytest.mark.parametrize("kind, count", [("poly-1", 7), ("poly-21", 263)])
+def test_gamma_sweep_visits_each_displacement_once(kind, count):
+    # Lambda_1 in Lambda_2 in Lambda_3: levels 1 to 3 hold 7 (s=(1)) and 263
+    # (s=(2,1)) distinct displacements of scaled norm in (0, 1/2]
+    model = make_model(kind, 4)
+    sc = model.scaling
+    deltas = []
+
+    def recording(x, y):
+        deltas.append(tuple((x - y) % 1.0))
+        return model.gamma(x, y)
+
+    rs._gamma_sweep(model, 2.5, [np.zeros(sc.d)], recording)
+    assert len(deltas) == len(set(deltas)) == count
+    assert set(deltas) == {
+        tuple(delta)
+        for m in (1, 2, 3)
+        for delta in sc.grid_points(m).reshape(-1, sc.d)
+        if 0.0 < sc.snorm(delta) <= 0.5
+    }
+
+
 def test_pi_scaling_exponent_for_monomials(sc1, fam6):
     # |<Pi_x X^k, eta^lambda_x>| = lambda^{|k|_s} m_k: fitted exponent exact
     st, pm = rs.polynomial_structure(2.5, sc1, fam6, 8)
