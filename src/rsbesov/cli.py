@@ -95,7 +95,7 @@ class ExperimentConfig:
                 schauder.check_extension(self.alpha, self.beta, self.schauder_gamma, sc)
             else:
                 schauder.heat_kernel(sc)  # raises for a scaling without one
-            schauder.check_moment_mesh(sc)
+            schauder.check_moment_rule(sc)
 
     def meta(self) -> dict:
         m = asdict(self)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product as iproduct
 from numbers import Integral
 
@@ -36,6 +37,10 @@ _CORRECTOR_SCALE = 0.5  # s in the 1-d corrector factors B(x / s) / s, support [
 _CUTOFF_END = 0.5  # S(u) = 0 for u >= 1/2, so the annular cutoff vanishes for g >= 1/2
 _FD_STEP = 1e-3  # step of the central differences in p0_deriv, in p0 coordinates
 _BLOCK = 2**14  # points per kernel call in _sample_box (128 KiB per temporary)
+_GL_NODES = 8  # Gauss-Legendre nodes per panel of the radial and the sphere rule
+_SPHERE_PANELS = 4  # panels per chart half of the first sphere rule, doubled until settled
+_SPHERE_MAX_PANELS = 2**10  # past this the sphere rule gives up (the heat kernel settles at 128)
+_SPHERE_RTOL = 1e-13  # settled: a doubling moves no A_m by more, relative to int |theta^m P|
 
 
 def _step(u: np.ndarray) -> np.ndarray:
@@ -47,10 +52,8 @@ def _step(u: np.ndarray) -> np.ndarray:
     return out
 
 
-_MESH_BITS = 11  # box-mesh points per axis (log2) for the P0 moments
-# largest kernel or P0 moment mesh: the kernel mesh binds at N=3 for s=(2,1)
-# and at N + margin = 24 for d=1 (N=16 at margin 8), the P0 mesh at
-# mesh_bits 13 for s=(2,1)
+# largest kernel mesh of _self_similar_pieces: binds at N=3 for s=(2,1) and at
+# N + margin = 24 for d=1 (N=16 at margin 8)
 _MAX_ND_POINTS = 2**24
 
 
@@ -112,7 +115,7 @@ class KernelDecomposition:
     r: int
     P: object  # full kernel, pointwise on (..., d) arrays
     correction_coeffs: dict = field(default_factory=dict)
-    _mom_cache: dict = field(default_factory=dict, repr=False)
+    _mom_cache: dict = field(default_factory=dict, repr=False)  # raw P0 moment per m
 
     # -- evaluation --------------------------------------------------------
     def p0_raw(self, pts: np.ndarray) -> np.ndarray:
@@ -174,16 +177,14 @@ class KernelDecomposition:
         return self.P(pts) * (1.0 - _step(s_gauge(self.scaling, pts)))
 
     # -- moments -----------------------------------------------------------
-    def p0_moment(self, m: tuple[int, ...], mesh_bits: int = _MESH_BITS) -> float:
-        """Midpoint-rule moment of P0 on the 2^mesh_bits-per-axis box mesh.
-
-        The raw mesh moment of p0_raw (shared with `decompose_kernel`, numpy's
-        pairwise sum over the support box, streamed by `_box_moments` so the
-        box is never held) minus, per tensor corrector, c_k times the
-        product of its 1-d midpoint sums on the whole mesh axis: the same
-        midpoint rule as a mesh sum of p0, not its bits.  It is deliberately
-        independent of the 1-d moment system that produced c_k, so a
-        vanishing result checks that solve.  m is a tuple of d integers >= 0.
+    def p0_moment(self, m: tuple[int, ...]) -> float:
+        """int x^m P0: the raw moment of p0_raw in polar coordinates
+        (`_raw_moments`, cached per m) minus c_k times each tensor
+        corrector's moment, the entry of decompose_kernel's moment system
+        (`_corrector_moment`).  For a corrected m both halves are the ones
+        the solve took, so the result is its residual: it checks the solve.
+        For any other m it is the moment itself.  m is a tuple of d
+        integers >= 0.
         """
         if not isinstance(m, tuple) or len(m) != self.scaling.d:
             raise ValueError(
@@ -191,23 +192,12 @@ class KernelDecomposition:
             )
         for i, mi in enumerate(m):
             _check_count(f"moment index entry m[{i}]", mi, 0)
-        _check_count("mesh_bits", mesh_bits, 1)
-        key = ("m", m, mesh_bits)
-        if key not in self._mom_cache:
-            raw_key = ("raw", m, mesh_bits)
-            if raw_key not in self._mom_cache:  # with every corrected index, in one pass
-                ms = list(dict.fromkeys([*self.correction_coeffs, m]))
-                raw = _box_moments(self.p0_raw, self.scaling, ms, mesh_bits)
-                self._mom_cache.update({("raw", mm, mesh_bits): v for mm, v in raw.items()})
-            x, w = _box_axis(mesh_bits)
-            corr = 0.0
-            for k, c in self.correction_coeffs.items():
-                term = c
-                for ki, mi in zip(k, m):
-                    term *= float(np.sum(x**mi * self._corrector_1d(ki, x)) * w)
-                corr += term
-            self._mom_cache[key] = self._mom_cache[raw_key] - corr
-        return self._mom_cache[key]
+        if m not in self._mom_cache:
+            self._mom_cache.update(_raw_moments(self.P, self.scaling, self.beta, [m]))
+        corr = 0.0
+        for k, c in self.correction_coeffs.items():
+            corr += c * _corrector_moment(m, k)
+        return self._mom_cache[m] - corr
 
     def pplus_moment(self, m: tuple[int, ...], levels: int | None = None) -> float:
         """Moments of the (possibly truncated) singular part: geometric sums
@@ -233,49 +223,20 @@ def _fd_partial(f, k: tuple[int, ...], pts: np.ndarray, h: float) -> np.ndarray:
     return (_fd_partial(f, km, up, h) - _fd_partial(f, km, dn, h)) / (2.0 * h)
 
 
-def _box_axis(mesh_bits: int) -> tuple[np.ndarray, float]:
-    """Midpoints of 2^mesh_bits equal cells on [-1, 1] and the cell width."""
-    n = 2**mesh_bits
-    return np.linspace(-1.0, 1.0, n, endpoint=False) + 1.0 / n, 2.0 / n
-
-
-def _support_box(scaling: Scaling, x: np.ndarray, w: float) -> tuple:
-    """Per axis, the slice of the sorted mesh axis x with |x_i| <= 2^-s_i + w.
-
-    Off it some |x_i|^{1/s_i} > 1/2, so the gauge g >= 1/2 and the annular
-    cutoff is exactly 0 - 0 there; one cell w of slack keeps rounding out.
-    """
-    return tuple(
-        slice(*np.searchsorted(x, [-(2.0**-si) - w, 2.0**-si + w])) for si in scaling.s
-    )
-
-
-def _sample_flat(f, axes: list, a: int, b: int) -> tuple:
-    """f at the flat (C-order) indices a .. b-1 of the box mesh with the given
-    per-axis coordinates, with those points as a (b - a, d) array: the rows of
-    the first axis that [a, b) touches are broadcast whole and [a, b) cut out."""
-    row = math.prod(u.size for u in axes[1:])
-    i0 = a // row
-    mesh = np.meshgrid(axes[0][i0 : -(-b // row)], *axes[1:], indexing="ij")
-    pts = np.stack(mesh, -1).reshape(-1, len(axes))[a - i0 * row : b - i0 * row]
-    return f(pts), pts
-
-
 def _sample_box(f, axes: list) -> np.ndarray:
-    """f on the box mesh with the given per-axis coordinates (see
-    _sample_flat), _BLOCK points per call, so f's temporaries stay small."""
+    """f on the box mesh with the given per-axis coordinates, _BLOCK points
+    per call, so f's temporaries stay small: the rows of the first axis that
+    a flat (C-order) range touches are broadcast whole and the range cut
+    out of them."""
     out = np.empty(tuple(u.size for u in axes))
     flat = out.reshape(-1)
+    row = math.prod(u.size for u in axes[1:])
     for a in range(0, flat.size, _BLOCK):
         b = min(a + _BLOCK, flat.size)
-        flat[a:b] = _sample_flat(f, axes, a, b)[0]
+        i0 = a // row
+        mesh = np.meshgrid(axes[0][i0 : -(-b // row)], *axes[1:], indexing="ij")
+        flat[a:b] = f(np.stack(mesh, -1).reshape(-1, len(axes))[a - i0 * row : b - i0 * row])
     return out
-
-
-def check_moment_mesh(scaling: Scaling, mesh_bits: int = _MESH_BITS) -> None:
-    """Reject a P0 moment mesh of more than _MAX_ND_POINTS points."""
-    mesh = f"the P0 moment mesh at s={scaling.s}, mesh_bits={mesh_bits}"
-    _check_points(mesh, (2**mesh_bits) ** scaling.d, "")
 
 
 def _check_points(mesh: str, points: int, hint: str) -> None:
@@ -283,42 +244,162 @@ def _check_points(mesh: str, points: int, hint: str) -> None:
         raise ValueError(f"{mesh} has {points} points (at most {_MAX_ND_POINTS} supported){hint}")
 
 
-def _box_moments(f, scaling: Scaling, ms, mesh_bits: int) -> dict:
-    """Midpoint-rule moments x^m of f on the box [-1, 1]^d for every m in ms,
-    from a single evaluation of f on the mesh.
+# ---------------------------------------------------------------------------
+# P0 moments in s-homogeneous polar coordinates
 
-    f is a multiple P * chi of the annular cutoff, so it is 0 off the support
-    box (_support_box), and each moment is numpy's sum of f x^m over the
-    support box alone, streamed: the flat box is split as numpy's pairwise
-    sum splits a contiguous array (n2 = n/2 rounded down to a multiple of 8)
-    down to ranges of at most _BLOCK points; f is sampled once per range
-    (_sample_flat), np.sum gives the range's subtree, and the range sums are
-    added back up the same tree.  Every bit is that of np.sum over the whole
-    box, which is never held.
+
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x), by the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
+@cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]:
+    Newton's method on P_n from Tricomi's first guesses, built on first use."""
+    x = np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(8):
+        p, dp = _legendre(n, x)
+        x = x - p / dp
+    dp = _legendre(n, x)[1]
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x.flags.writeable = w.flags.writeable = False  # shared by every caller
+    return x, w
+
+
+def _panel_rule(edges: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The composite n-point Gauss-Legendre rule on the panels between
+    consecutive edges: flat nodes and weights."""
+    x, w = _gauss_legendre(n)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = (hi - lo) / 2.0
+    return (lo + half * (x + 1.0)).ravel(), (half * w).ravel()
+
+
+def _radial_integral(e: float) -> float:
+    """R(e) = int_{1/8}^{1/2} rho^e (S(rho) - S(2 rho)) d rho, by Gauss-Legendre
+    on each spline piece of the cutoff (S's 8 pieces on [1/4, 1/2], halved on
+    [1/8, 1/4]).  The pieces are polynomials of degree 8, so 8 + ceil(e/2)
+    nodes are exact for an integer e >= 0; for any other e the power is
+    analytic on pieces at most 1/32 wide at distance 1/8 or more from 0."""
+    knots = _CDF.start + np.arange(len(_CDF.coeffs) + 1) / _CDF.rate
+    rho, w = _panel_rule(
+        np.concatenate([knots[:-1] / 2.0, knots]), _GL_NODES + math.ceil(max(e, 0.0) / 2.0)
+    )
+    return float(np.sum(w * rho**e * (_step(rho) - _step(2.0 * rho))))
+
+
+def _sphere_rule(scaling: Scaling, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (n, d) and weights of a rule for int f d sigma over the gauge
+    sphere g = 1, with d sigma the measure of dx = rho^(|s|-1) d rho d sigma.
+
+    At d=1 the sphere is {1, -1}, each point of weight s_0, and the rule is
+    exact.  At d=2 it is |t|^a + |x|^b = 1, a = 2M/s_0, b = 2M/s_1, M =
+    lcm(s), in two charts that each stay off the other's end: x for
+    |x|^b <= 1/2, where d sigma = s_0 |t|^(1-a) dx, and t on the two caps
+    |t|^a <= 1/2, where d sigma = s_1 |x|^(1-b) dt (the Jacobian
+    det[(s_i theta_i) | d theta/du] of x = (rho^s_i theta_i(u))).  Each
+    chart half (one sign of each coordinate) gets `panels` panels of
+    _GL_NODES nodes.
     """
-    check_moment_mesh(scaling, mesh_bits)
-    x, w = _box_axis(mesh_bits)
-    sub = [x[b] for b in _support_box(scaling, x, w)]
+    s = scaling.s
+    if scaling.d == 1:
+        return np.array([[1.0], [-1.0]]), np.full(2, float(s[0]))
+    M = math.lcm(*s)
+    u, w = _panel_rule(np.linspace(0.0, 1.0, panels + 1), _GL_NODES)
+    pts, wts = np.empty((2, 4, u.size, 2)), np.empty((2, 4, u.size))
+    for c, ax in enumerate((1, 0)):  # the chart's own coordinate: x, then t
+        own, other = 2 * M / s[ax], 2 * M / s[1 - ax]
+        end = 0.5 ** (1.0 / own)  # |v|^own = 1/2 at the chart's end
+        v = end * u
+        rest = (1.0 - v**own) ** (1.0 / other)
+        wts[c] = s[1 - ax] * rest ** (1.0 - other) * end * w
+        for j, (sv, sr) in enumerate(iproduct((1.0, -1.0), repeat=2)):
+            pts[c, j, :, ax], pts[c, j, :, 1 - ax] = sv * v, sr * rest
+    return pts.reshape(-1, 2), wts.reshape(-1)
 
-    def leaf(a, b):
-        vals, pts = _sample_flat(f, sub, a, b)
-        sums = []
-        for m in ms:
-            mono = 1.0
-            for i, mi in enumerate(m):
-                if mi:
-                    mono = mono * pts[:, i] ** mi
-            sums.append(np.sum(vals * mono))
-        return np.array(sums)
 
-    def pairwise(a, n):
-        if n <= _BLOCK:
-            return leaf(a, a + n)
-        n2 = n // 2 - (n // 2) % 8
-        return pairwise(a, n2) + pairwise(a + n2, n - n2)
+def _powers(u: np.ndarray, top: int) -> np.ndarray:
+    """u^0, ..., u^top, one row per power, by repeated multiplication."""
+    out = np.ones((top + 1, u.size))
+    for j in range(1, top + 1):
+        out[j] = out[j - 1] * u
+    return out
 
-    sums = pairwise(0, math.prod(u.size for u in sub))
-    return {m: float(v * w**scaling.d) for m, v in zip(ms, sums)}
+
+def check_moment_rule(scaling: Scaling) -> None:
+    """Reject a scaling whose gauge sphere has no rule here (d >= 3)."""
+    if scaling.d > 2:
+        raise ValueError(
+            f"the P0 moments at s={scaling.s} need a {scaling.d - 1}-d gauge-sphere "
+            "rule, which is not implemented (only d <= 2)"
+        )
+
+
+def _sphere_moments(P, scaling: Scaling, ms) -> dict:
+    """A_m = int_{g=1} theta^m P(theta) d sigma for every m in ms, from one
+    evaluation of P per rule.  The d=2 rule doubles its panels until a
+    doubling moves no A_m by more than _SPHERE_RTOL of int |theta^m P| d sigma;
+    one that has not settled at _SPHERE_MAX_PANELS raises, naming m."""
+    check_moment_rule(scaling)
+    panels, last = _SPHERE_PANELS, None
+    while True:
+        pts, w = _sphere_rule(scaling, panels)
+        w = w * P(pts)
+        powers = [_powers(u, top) for u, top in zip(pts.T, np.max(ms, axis=0))]
+        A, scale = np.empty(len(ms)), np.empty(len(ms))
+        for i, m in enumerate(ms):
+            terms = w * math.prod(p[mi] for p, mi in zip(powers, m))
+            A[i], scale[i] = terms.sum(), np.abs(terms).sum()
+        if scaling.d == 1:
+            break
+        if last is not None:
+            moved = ~(np.abs(A - last) <= _SPHERE_RTOL * scale)
+            if not moved.any():
+                break
+            if panels >= _SPHERE_MAX_PANELS:
+                raise ValueError(
+                    f"the gauge-sphere rule for the P0 moment m={ms[np.argmax(moved)]} "
+                    f"has not settled at {panels} panels"
+                )
+        last, panels = A, 2 * panels
+    return {m: float(a) for m, a in zip(ms, A)}
+
+
+def _raw_moments(P, scaling: Scaling, beta: float, ms) -> dict:
+    """int x^m p0_raw for every m in ms.  With x = (rho^s_i theta_i), g(theta)
+    = 1, dx = rho^(|s|-1) d rho d sigma; P is homogeneous of degree
+    beta - |s| and the cutoff depends on g = rho alone, so the moment is
+    R(|m|_s + beta - 1) A_m (`_radial_integral`, `_sphere_moments`)."""
+    A = _sphere_moments(P, scaling, ms)
+    return {m: _radial_integral(scaling.scaled_degree(m) + beta - 1.0) * A[m] for m in ms}
+
+
+@cache
+def _bump_moment(j: int) -> float:
+    return an.kernel_moment_1d(_BUMP, j)
+
+
+def _corrector_moment(m: tuple[int, ...], k: tuple[int, ...]) -> float:
+    """int x^m of the tensor corrector D^k prod_i B(x_i/s)/s: per axis, by parts,
+    int u^m_i D^k_i B(u/s)/s du = (-1)^k_i m_i!/(m_i-k_i)! s^(m_i-k_i) mom1d[m_i-k_i],
+    and 0 unless k <= m."""
+    if any(ki > mi for ki, mi in zip(k, m)):
+        return 0.0
+    val = 1.0
+    for mi, ki in zip(m, k):
+        j = mi - ki
+        val *= (
+            (-1.0) ** ki
+            * math.factorial(mi)
+            / math.factorial(j)
+            * _CORRECTOR_SCALE**j
+            * _bump_moment(j)
+        )
+    return val
 
 
 def self_similarity_defect(P, scaling: Scaling, beta: float) -> float:
@@ -344,9 +425,10 @@ def decompose_kernel(
     custom=None,
 ) -> KernelDecomposition:
     """Build the dyadic decomposition of a self-similar kernel and correct the
-    base-piece moments up to scaled degree r.  A custom kernel must be
-    self-similar to a relative defect of 1e-9."""
+    base-piece moments up to scaled degree r.  A custom kernel needs a finite
+    beta > 0 and must be self-similar to a relative defect of 1e-9."""
     _check_count("r", r, 0)
+    check_moment_rule(scaling)
     if kind == "heat":
         P, beta = heat_kernel(scaling)
     elif kind == "riesz":
@@ -356,8 +438,10 @@ def decompose_kernel(
     elif kind == "custom":
         if custom is None or beta is None:
             raise ValueError("custom kernels need a callable and beta")
+        if not (math.isfinite(beta) and beta > 0):
+            raise ValueError(f"custom kernels need a finite beta > 0, got {beta!r}")
         defect = self_similarity_defect(custom, scaling, beta)
-        if defect > 1e-9:
+        if not defect <= 1e-9:  # a NaN defect fails too
             raise ValueError(
                 f"kernel is not exactly self-similar (relative defect {defect:.2e})"
             )
@@ -371,29 +455,9 @@ def decompose_kernel(
         for k in iproduct(*[range(r + 1) for _ in range(scaling.d)])
         if scaling.scaled_degree(k) <= r
     ]
-    raw = _box_moments(K.p0_raw, scaling, ks, _MESH_BITS)
-    K._mom_cache.update({("raw", m, _MESH_BITS): v for m, v in raw.items()})
-    mx = max(max(k) for k in ks) if ks else 0
-    mom1d = [an.kernel_moment_1d(_BUMP, j) for j in range(mx + 1)]
-    A = np.zeros((len(ks), len(ks)))
-    rhs = np.zeros(len(ks))
-    for im, m in enumerate(ks):
-        rhs[im] = raw[m]
-        for ik, k in enumerate(ks):
-            if all(a <= b_ for a, b_ in zip(k, m)):
-                val = 1.0
-                for i in range(scaling.d):
-                    j = m[i] - k[i]
-                    # int u^{m_i} D^{k_i}B(u/s)/s^{1+k_i} du = (-1)^{k_i} m_i!/(m_i-k_i)! s^{j} mom1d[j]
-                    val *= (
-                        (-1.0) ** k[i]
-                        * math.factorial(m[i])
-                        / math.factorial(j)
-                        * _CORRECTOR_SCALE**j
-                        * mom1d[j]
-                    )
-                A[im, ik] = val
-    coeffs = np.linalg.solve(A, rhs)
+    K._mom_cache.update(_raw_moments(P, scaling, K.beta, ks))
+    A = np.array([[_corrector_moment(m, k) for k in ks] for m in ks])
+    coeffs = np.linalg.solve(A, np.array([K._mom_cache[m] for m in ks]))
     K.correction_coeffs = {k: float(c) for k, c in zip(ks, coeffs)}
     return K
 

@@ -210,24 +210,24 @@ def test_schauder_subcommand(tmp_path):
 
 
 def test_schauder_mesh_past_the_size_limit_exits_2(tmp_path, capsys):
-    # the heat kernel's P0 moment mesh at s=(2,1,1) would hold 2^33 points
+    # the heat kernel's P0 moments at s=(2,1,1) need a 2-d gauge-sphere rule
     cfg = tmp_path / "heat211.ini"
     cfg.write_text("[experiment]\ns = 2,1,1\nlevels = 4\n")
     assert main(["schauder", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert "configuration error" in err and "8589934592 points" in err
+    assert "configuration error" in err and "need a 2-d gauge-sphere rule" in err
     assert not (tmp_path / "schauder.csv").exists()
 
 
 @pytest.mark.parametrize("sub", ["report", "schauder"])
 @pytest.mark.parametrize(
     "s, levels, reason",
-    [("1,1", 6, r"heat kernel needs scaling \(2, 1, \.\.\., 1\)"), ("2,1,1", 4, "8589934592 points")],
+    [("1,1", 6, r"heat kernel needs scaling \(2, 1, \.\.\., 1\)"), ("2,1,1", 4, "need a 2-d gauge-sphere rule")],
     ids=["s11", "s211"],
 )
 def test_schauder_scaling_checked_before_writing(sub, s, levels, reason, tmp_path, capsys):
-    """A scaling with no heat kernel, or whose P0 moment mesh is past the
-    size limit, is refused before the first table is written (report wrote
+    """A scaling with no heat kernel, or whose P0 moments have no
+    gauge-sphere rule, is refused before the first table is written (report wrote
     11 tables and then exited 2)."""
     cfg = tmp_path / "exp.ini"
     cfg.write_text(f"[experiment]\ns = {s}\nlevels = {levels}\n")

@@ -143,12 +143,17 @@ def test_slice_refinement_matches_the_masked_gather(order, depth, monkeypatch):
 
 
 def test_report_runs_without_mpmath(tmp_path):
-    # mpmath factorises orders above 12 only: a default report never imports it
-    script = (
-        "import sys, rsbesov.cli\n"
-        f"code = rsbesov.cli.main(['report', '--levels', '4', '--out', {str(tmp_path)!r}])\n"
-        "print(code, 'mpmath' in sys.modules)\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "False"], proc.stdout
+    # mpmath factorises orders above 12 only, and the P0 moments build their
+    # Gauss-Legendre nodes without numpy.polynomial (+1.25 MB at import): a
+    # levels-4 report, at d=1 or at s=(2,1), imports neither
+    for name, config in [("d1", ""), ("s21", "s = 2,1\n")]:
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(f"[experiment]\n{config}levels = 4\n")
+        script = (
+            "import sys, rsbesov.cli\n"
+            f"code = rsbesov.cli.main(['report', '--config', {str(cfg)!r}, '--out', {str(tmp_path / name)!r}])\n"
+            "print(code, 'mpmath' in sys.modules, 'numpy.polynomial' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False", "False"], (name, proc.stdout)
