@@ -80,7 +80,7 @@ def _full_mesh_moment(K, m, mesh_bits):
 # |p0_moment - the 11-bit full-mesh sum of the pointwise corrected p0|, as a
 # fraction of the largest raw moment: measured 7.0e-8 (heat: the box error
 # of the raw part, see BOX_TOL) and 1.8e-16 (Riesz, d=1); twice that,
-# rounded up
+# rounded up.  The corrector half alone is held to round-off below
 P0_MESH_TOL = {"heat": 1.5e-7, "riesz": 4e-16}
 
 
@@ -95,6 +95,33 @@ def test_p0_moment_matches_full_mesh_sum(which, heat_setup, riesz_kernel):
     for m in ms:
         got = K.p0_moment(m)
         assert abs(got - _full_mesh_moment(K, m, 11)) <= P0_MESH_TOL[which] * scale, m
+
+
+# |sum_k c_k _corrector_moment(m, k) - the 11-bit mesh sum of the pointwise
+# correctors|, as a fraction of the largest raw moment: measured at most
+# 3.6e-18 (heat) and 5.0e-17 (Riesz, d=1), i.e. round-off; the correctors
+# are smooth, so none of the raw half's box error enters here
+CORRECTOR_MESH_TOL = 2e-16
+
+
+@pytest.mark.parametrize("which", ["heat", "riesz"])
+def test_corrector_moments_match_full_mesh_sum(which, heat_setup, riesz_kernel):
+    # the solve's matrix entries against the pointwise tensor correctors,
+    # apart from the raw half, whose box error would hide an entry error
+    K = heat_setup if which == "heat" else riesz_kernel
+    d = K.scaling.d
+    x, w = _box_axis(11)
+    x = x[np.abs(x) <= sch._CORRECTOR_SCALE]
+    axes = np.meshgrid(*[x] * d, indexing="ij", sparse=True)
+    minus = K._minus_correctors(0.0, (0,) * d, axes)
+    ms = K.scaling.multi_indices_below(K.r + 0.5)
+    scale = max(abs(K._mom_cache[m]) for m in ms)
+    for m in ms:
+        vals = minus
+        for g, mi in zip(axes, m):
+            vals = vals * g**mi
+        entries = sum(c * sch._corrector_moment(m, k) for k, c in K.correction_coeffs.items())
+        assert abs(np.sum(vals) * w**d + entries) <= CORRECTOR_MESH_TOL * scale, m
 
 
 @pytest.mark.parametrize("which", ["heat", "riesz"])
@@ -552,6 +579,20 @@ def _power(e):
 def test_custom_kernel_rejects_bad_beta_or_nan(sc1, beta, P, reason):
     with pytest.raises(ValueError, match=reason):
         sch.decompose_kernel("custom", sc1, r=2, beta=beta, custom=P)
+
+
+def test_custom_kernel_refused_when_only_dyadically_self_similar(sc1):
+    # |x|^(beta-1) (2 + sin(2 pi log2|x|)) is self-similar under x -> 2x but
+    # not homogeneous under every dilation, which the polar moments need; it
+    # was accepted, with O(1)-wrong raw moments and correction coefficients
+    beta = 0.7
+
+    def log_periodic(pts):
+        u = np.abs(pts[..., 0])
+        return u ** (beta - 1.0) * (2.0 + np.sin(2.0 * np.pi * np.log2(u)))
+
+    with pytest.raises(ValueError, match="not exactly self-similar"):
+        sch.decompose_kernel("custom", sc1, r=2, beta=beta, custom=log_periodic)
 
 
 def test_custom_self_similar_accepted(sc1):
