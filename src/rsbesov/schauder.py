@@ -39,7 +39,7 @@ _FD_STEP = 1e-3  # step of the central differences in p0_deriv, in p0 coordinate
 _BLOCK = 2**14  # points per kernel call in _sample_box (128 KiB per temporary)
 _GL_NODES = 8  # Gauss-Legendre nodes per panel of the radial and the sphere rule
 _SPHERE_PANELS = 4  # panels per chart half of the first sphere rule, doubled until settled
-_SPHERE_MAX_PANELS = 2**10  # past this the sphere rule gives up (the heat kernel settles at 128)
+_SPHERE_MAX_PANELS = 2**10  # past this the sphere rule gives up (the heat kernel settles at 16)
 _SPHERE_RTOL = 1e-13  # settled: a doubling moves no A_m by more, relative to int |theta^m P|
 
 
@@ -158,11 +158,6 @@ class KernelDecomposition:
         _FD_STEP, the corrector part by exact spline derivatives."""
         out = _fd_partial(self.p0_raw, k, pts, _FD_STEP)
         return self._minus_correctors(out, k, [pts[..., i] for i in range(pts.shape[-1])])
-
-    def pn_deriv(self, k: tuple[int, ...], n: int, pts: np.ndarray) -> np.ndarray:
-        scaled = pts * 2.0 ** (n * np.array(self.scaling.s, dtype=float))
-        expo = self.scaling.total - self.beta + self.scaling.scaled_degree(k)
-        return 2.0 ** (n * expo) * self.p0_deriv(k, scaled)
 
     def partial_sum(
         self, pts: np.ndarray, levels: int, corrected: bool = True
@@ -303,15 +298,20 @@ def _sphere_rule(scaling: Scaling, panels: int) -> tuple[np.ndarray, np.ndarray]
     |t|^a <= 1/2, where d sigma = s_1 |x|^(1-b) dt (the Jacobian
     det[(s_i theta_i) | d theta/du] of x = (rho^s_i theta_i(u))).  Each
     chart half (one sign of each coordinate) gets `panels` panels of
-    _GL_NODES nodes.
+    _GL_NODES nodes.  The x chart's panels are uniform; the cap chart's
+    edges sit at (j/panels)^3 of its length, graded toward t = 0, where the
+    heat kernel's exp(-x^2 / 4t) has its essential singularity: uniform
+    panels settle there only at 128, graded ones at 16.  Grading the x chart
+    too would make P = 1 settle at 32 to 64 panels, not 16.
     """
     s = scaling.s
     if scaling.d == 1:
         return np.array([[1.0], [-1.0]]), np.full(2, float(s[0]))
     M = math.lcm(*s)
-    u, w = _panel_rule(np.linspace(0.0, 1.0, panels + 1), _GL_NODES)
-    pts, wts = np.empty((2, 4, u.size, 2)), np.empty((2, 4, u.size))
-    for c, ax in enumerate((1, 0)):  # the chart's own coordinate: x, then t
+    edges = np.linspace(0.0, 1.0, panels + 1)
+    pts, wts = np.empty((2, 4, panels * _GL_NODES, 2)), np.empty((2, 4, panels * _GL_NODES))
+    for c, (ax, grade) in enumerate(((1, 1), (0, 3))):  # the chart's own coordinate: x, then t
+        u, w = _panel_rule(edges**grade, _GL_NODES)
         own, other = 2 * M / s[ax], 2 * M / s[1 - ax]
         end = 0.5 ** (1.0 / own)  # |v|^own = 1/2 at the chart's end
         v = end * u
@@ -335,15 +335,21 @@ def _sphere_moments(P, scaling: Scaling, ms) -> dict:
     """A_m = int_{g=1} theta^m P(theta) d sigma for every m in ms, from one
     evaluation of P per rule.  The d=2 rule doubles its panels until a
     doubling moves no A_m by more than _SPHERE_RTOL of int |theta^m P| d sigma;
-    one that has not settled at _SPHERE_MAX_PANELS raises, naming m."""
+    one that has not settled at _SPHERE_MAX_PANELS raises, naming m.  Each
+    rule's theta^m are products of one row per axis of a power table, the
+    theta_i^e for e up to the largest m_i by cumulative product."""
     check_moment_rule(scaling)
     panels, last = _SPHERE_PANELS, None
     while True:
         pts, w = _sphere_rule(scaling, panels)
         w = w * P(pts)
         A, scale = np.empty(len(ms)), np.empty(len(ms))
+        powers = [
+            np.cumprod([np.ones_like(u)] + [u] * max((m[ax] for m in ms), default=0), axis=0)
+            for ax, u in enumerate(pts.T)
+        ]
         for i, m in enumerate(ms):
-            terms = w * np.prod(pts ** np.array(m), axis=1)
+            terms = w * math.prod(p[e] for p, e in zip(powers, m))
             A[i], scale[i] = terms.sum(), np.abs(terms).sum()
         if scaling.d == 1:
             break
@@ -719,14 +725,6 @@ def check_extension(alpha: float, beta: float, gamma: float, scaling: Scaling) -
         )
     if abs(gamma + beta - round(gamma + beta)) < 1e-6:
         raise ValueError(f"gamma + beta = {gamma + beta:g} too close to an integer")
-
-
-def integration_matrix(structure: RegularityStructure) -> np.ndarray:
-    """The abstract integration map: Xi -> IXi, polynomials -> 0."""
-    M = np.zeros((structure.dim, structure.dim))
-    if "Xi" in structure._by_name and "IXi" in structure._by_name:
-        M[structure.index("IXi"), structure.index("Xi")] = 1.0
-    return M
 
 
 def embed_md(f: ModelledDistribution, target: RegularityStructure, gamma: float) -> ModelledDistribution:

@@ -185,13 +185,21 @@ def _near_full_support(fam, margin):
     return 0.0, lo / M
 
 
+def _pn_deriv(K, k, n, pts):
+    """d^k P_n at pts, from the exact scaling of the pieces: d^k P_n(x) =
+    2^(n(|s| - beta + |k|_s)) d^k P0(2^(ns) x)."""
+    scaled = pts * 2.0 ** (n * np.array(K.scaling.s, dtype=float))
+    expo = K.scaling.total - K.beta + K.scaling.scaled_degree(k)
+    return 2.0 ** (n * expo) * K.p0_deriv(k, scaled)
+
+
 @cache
 def _schauder_pieces():
     """Fn1D factors u -> d^k P_n(-u) of the d=1 Schauder pieces, n <= N and
     k <= 2: smooth factors with supports of every width from 2 down to 2^(1-N)."""
     K = sch.decompose_kernel("riesz", SC1, r=3, beta=0.6)
     return [
-        an.Fn1D(lambda u, n=n, k=k: K.pn_deriv((k,), n, -u[..., None]), (-(2.0**-n), 2.0**-n))
+        an.Fn1D(lambda u, n=n, k=k: _pn_deriv(K, (k,), n, -u[..., None]), (-(2.0**-n), 2.0**-n))
         for n in range(N + 1)
         for k in (0, 1, 2)
     ]

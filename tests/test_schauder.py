@@ -2,10 +2,11 @@ import math
 import tracemalloc
 from fractions import Fraction
 from functools import cache, partial
+from itertools import product as iproduct
 
 import numpy as np
 import pytest
-from test_analysis import _windowed_quadrature
+from test_analysis import _pn_deriv, _windowed_quadrature
 
 from rsbesov import analysis as an
 from rsbesov import besov, build_wavelet, filters, mra, modelled as md, schauder as sch
@@ -179,7 +180,7 @@ def test_decompose_evaluates_kernel_once_on_mesh(sc1, monkeypatch):
 
 
 def test_decompose_evaluates_kernel_once_on_mesh_2d(sc21, monkeypatch):
-    # P is 1 on the sphere: 8 panels miss the closed form by 6e-16, 4 by 1e-12
+    # P is 1 on the sphere: 8 panels miss the closed form by 3e-15, 4 by 2e-12
     _assert_one_mesh_pass(sc21, 1.5, 2, 4, [4, 8, 16], monkeypatch)
 
 
@@ -192,11 +193,19 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
+# traced peak of the heat kernel's moments, warm caches: the sphere rules
+# hold at most 1024 nodes (16 panels); measured 0.12 MB for decompose_kernel
+# and 0.05 MB for one p0_moment, where the uniform rules up to 128 panels
+# (8192 nodes) took 0.50 MB, and the 514 x 1026-point box before them 4.2 MB
+SPHERE_PEAK_BYTES = 2**18
+
+
 def test_decompose_peak_memory_follows_the_sample_blocks():
-    # the sphere rules (at most 8192 nodes for the heat kernel) are all the
-    # moments hold; the 514 x 1026-point box they replace is 4.2 MB
+    # the first call also fills the corrector bump's moment cache (a 2^14-cell
+    # midpoint sum, 0.8 MB), which later calls reuse
+    sch.decompose_kernel("heat", Scaling((2, 1)), r=2)
     peak = _traced_peak(lambda: sch.decompose_kernel("heat", Scaling((2, 1)), r=2))
-    assert peak <= 2 * 2**20, peak
+    assert peak <= SPHERE_PEAK_BYTES, peak
 
 
 def test_p0_moment_peak_memory_follows_the_sample_blocks(heat_setup):
@@ -204,7 +213,7 @@ def test_p0_moment_peak_memory_follows_the_sample_blocks(heat_setup):
     K0 = heat_setup
     K = sch.KernelDecomposition(K0.scaling, K0.beta, K0.r, K0.P, dict(K0.correction_coeffs))
     peak = _traced_peak(lambda: K.p0_moment((0, 1)))
-    assert peak <= 2 * 2**20, peak
+    assert peak <= SPHERE_PEAK_BYTES, peak
 
 
 @pytest.mark.parametrize("which", ["riesz", "heat"])
@@ -437,6 +446,52 @@ def test_sphere_rule_matches_the_closed_form(s):
         assert abs(got[m] - want) <= 1e-14 * want, m
 
 
+def _uniform_sphere_rule(sc, panels):
+    """The d=2 gauge-sphere rule with uniform panels in both charts: the
+    reference whose settled moments the graded cap chart must reproduce."""
+    s = sc.s
+    M = math.lcm(*s)
+    u, w = sch._panel_rule(np.linspace(0.0, 1.0, panels + 1), sch._GL_NODES)
+    pts, wts = np.empty((2, 4, u.size, 2)), np.empty((2, 4, u.size))
+    for c, ax in enumerate((1, 0)):
+        own, other = 2 * M / s[ax], 2 * M / s[1 - ax]
+        end = 0.5 ** (1.0 / own)
+        v = end * u
+        rest = (1.0 - v**own) ** (1.0 / other)
+        wts[c] = s[1 - ax] * rest ** (1.0 - other) * end * w
+        for j, (sv, sr) in enumerate(iproduct((1.0, -1.0), repeat=2)):
+            pts[c, j, :, ax], pts[c, j, :, 1 - ax] = sv * v, sr * rest
+    return pts.reshape(-1, 2), wts.reshape(-1)
+
+
+def test_heat_sphere_rule_settles_at_16_panels(sc21):
+    # the graded cap chart settles after the 4-, 8- and 16-panel rules, where
+    # uniform panels needed six rules, up to 128; the settled moments are
+    # those of the uniform 128-panel rule with float powers (measured equal)
+    P = sch.heat_kernel(sc21)[0]
+    calls = []
+
+    def counted(pts):
+        calls.append(len(pts))
+        return P(pts)
+
+    ms = [tuple(m) for m in sc21.multi_indices_below(2 + 1.5)]
+    got = sch._sphere_moments(counted, sc21, ms)
+    assert calls == [2 * 4 * p * sch._GL_NODES for p in (4, 8, 16)]
+    pts, w = _uniform_sphere_rule(sc21, 128)
+    w = w * P(pts)
+    for m in ms:
+        terms = w * np.prod(pts ** np.array(m), axis=1)
+        assert abs(got[m] - terms.sum()) <= 1e-15 * np.abs(terms).sum(), m
+
+
+@pytest.mark.parametrize("s", [(1,), (2, 1)])
+def test_sphere_moments_of_no_index_are_empty(s):
+    # the power tables go up to the largest m_i of no index at all
+    P = sch.riesz_kernel(Scaling(s), 0.7)[0]
+    assert sch._sphere_moments(P, Scaling(s), []) == {}
+
+
 def test_d1_odd_raw_moments_are_exact_zeros():
     # the sphere {1, -1} of an even kernel: the two terms cancel exactly
     K = _oracle_kernel("riesz-d1")
@@ -630,13 +685,25 @@ def test_extension_rejects_integer_collision(sc1, fam6):
         sch.extend_structure(stn, nm, K, 1.25)
 
 
+def _integration_matrix(structure):
+    """The abstract integration map: Xi -> IXi, polynomials -> 0."""
+    M = np.zeros((structure.dim, structure.dim))
+    if "Xi" in structure._by_name and "IXi" in structure._by_name:
+        M[structure.index("IXi"), structure.index("Xi")] = 1.0
+    return M
+
+
 def test_integration_map_grading(extended):
+    # the map raises homogeneity by beta: Xi -> IXi, and the extended
+    # structure grades IXi at zeta(Xi) + beta
     xi, stn, nm, st_e, em = extended
-    M = sch.integration_matrix(st_e)
+    M = _integration_matrix(st_e)
     assert M[st_e.index("IXi"), st_e.index("Xi")] == 1.0
     for i, s in enumerate(st_e.symbols):
         if s.kind == "poly":
             assert np.max(np.abs(M[:, i])) == 0.0
+    for j, i in zip(*np.nonzero(M)):
+        assert st_e.symbols[j].zeta == pytest.approx(st_e.symbols[i].zeta + em.kernel.beta, abs=1e-12)
 
 
 def test_extended_model_validates(extended):
@@ -1039,7 +1106,7 @@ def _per_level_pieces(N, k, margin):
     fam = build_wavelet(6, 2)
     return [
         _windowed_quadrature(
-            an.Fn1D(lambda u, n=n: K.pn_deriv((k,), n, -u[..., None]), (-(2.0**-n), 2.0**-n)),
+            an.Fn1D(lambda u, n=n: _pn_deriv(K, (k,), n, -u[..., None]), (-(2.0**-n), 2.0**-n)),
             fam,
             N,
             margin,
