@@ -139,23 +139,23 @@ def _stencil(S: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 def quadrature_coeffs_1d(
-    fn: Fn1D, fam: WaveletFamily, level_1d: int, margin: int = 8
+    fn: Fn1D, fam: WaveletFamily, level_1d: int, extra_bits: int = 8
 ) -> np.ndarray:
     """<G, phi^J_t> for all t at the 1-d level, G periodic and smooth at
     coarser scales.
 
     One-point quadrature of the samples on the whole torus at level_1d +
-    margin with centered-moment Taylor corrections (_stencil), in the L^2
-    normalisation of that grid, then margin exact low-pass steps.
+    extra_bits with centered-moment Taylor corrections (_stencil), in the L^2
+    normalisation of that grid, then extra_bits exact low-pass steps.
     """
-    M = 2 ** (level_1d + margin)
+    M = 2 ** (level_1d + extra_bits)
     y = np.arange(M) + fam.center
     y /= M
     y -= np.floor(y)  # exactly y % 1.0 for y >= 0 (Sterbenz), without fmod
     S = periodic_samples(fn, y)
     del y  # not held through the cascade
-    c = _stencil(S, fam.centered_father_moments) * 2.0 ** (-(level_1d + margin) / 2.0)
-    for _ in range(margin):
+    c = _stencil(S, fam.centered_father_moments) * 2.0 ** (-(level_1d + extra_bits) / 2.0)
+    for _ in range(extra_bits):
         c = filter_step(c, fam.h, 0, 2)
     return c
 

@@ -119,15 +119,10 @@ def critical_exponent(pyr: CoeffPyramid, p) -> float:
 # test-function dictionary
 
 
-def bspline_bump(order: int) -> an.PiecewisePoly:
-    """Iterated self-convolution of the indicator, supported on [-1, 1]: the
-    B-spline on order + 1 equally spaced knots, summing to one over its
-    translates.  On piece i, with y = order (x + 1) / 2 in [i, i + 1),
-    B = sum_{j<=i} (-1)^j C(order, j) (y - j)^(order-1) / (order-1)!:
-    an integer table in powers of y - i and the scale 1 / (order-1)!.
-    """
-    n = order
-    coeffs = [
+def _bspline_table(n: int) -> list[list[int]]:
+    """bspline_bump(n)'s table in integers: row i holds the coefficients of
+    (y - i)^k, k < n, of (n-1)! B on piece i."""
+    return [
         [
             math.comb(n - 1, k)
             * sum((-1) ** j * math.comb(n, j) * (i - j) ** (n - 1 - k) for j in range(i + 1))
@@ -135,8 +130,35 @@ def bspline_bump(order: int) -> an.PiecewisePoly:
         ]
         for i in range(n)
     ]
-    table = np.array(coeffs, dtype=float)
-    return an.PiecewisePoly(-1.0, n / 2, table, 1.0 / math.factorial(n - 1))
+
+
+def bspline_bump(order: int) -> an.PiecewisePoly:
+    """Iterated self-convolution of the indicator, supported on [-1, 1]: the
+    B-spline on order + 1 equally spaced knots, summing to one over its
+    translates.  On piece i, with y = order (x + 1) / 2 in [i, i + 1),
+    B = sum_{j<=i} (-1)^j C(order, j) (y - j)^(order-1) / (order-1)!:
+    an integer table in powers of y - i and the scale 1 / (order-1)!.
+    """
+    table = np.array(_bspline_table(order), dtype=float)
+    return an.PiecewisePoly(-1.0, order / 2, table, 1.0 / math.factorial(order - 1))
+
+
+def bspline_bump_moment(order: int, j: int) -> float:
+    """int x^j bspline_bump(order) dx, exactly: on piece i, x = (2u + 2i - n)/n
+    with u = y - i in [0, 1] and dx = 2 du / n, so the moment is
+    2 / (n^(j+1) (n-1)!) sum_ik c_ik sum_l C(j, l) 2^l (2i - n)^(j-l) / (l + k + 1).
+    The sum is taken in integers over the common denominator lcm(1 .. j + n),
+    as PiecewisePoly.antiderivative does, and divided once, so the result is
+    the moment correctly rounded."""
+    n = order
+    L = math.lcm(*range(1, j + n + 1))
+    num = sum(
+        c * math.comb(j, l) * 2**l * (2 * i - n) ** (j - l) * (L // (l + k + 1))
+        for i, row in enumerate(_bspline_table(n))
+        for k, c in enumerate(row)
+        for l in range(j + 1)
+    )
+    return 2 * num / (L * n ** (j + 1) * math.factorial(n - 1))
 
 
 def _cr_bound(fn: an.PiecewisePoly, r: int) -> float:

@@ -31,7 +31,8 @@ from .util import multi_factorial
 
 # the order-8 bump has mass 2/8: its normalised antiderivative, moved to [1/4, 1/2]
 _CDF = (bs.bspline_bump(8).antiderivative() * 4.0).dilated(0.125).shifted(0.375)
-_BUMP = bs.bspline_bump(10)  # corrector bump B on [-1, 1]
+_BUMP_ORDER = 10
+_BUMP = bs.bspline_bump(_BUMP_ORDER)  # corrector bump B on [-1, 1]
 _BUMP_DERIVS = tuple(_BUMP.derivative(k) for k in range(10))
 _CORRECTOR_SCALE = 0.5  # s in the 1-d corrector factors B(x / s) / s, support [-s, s]
 _CUTOFF_END = 0.5  # S(u) = 0 for u >= 1/2, so the annular cutoff vanishes for g >= 1/2
@@ -52,9 +53,13 @@ def _step(u: np.ndarray) -> np.ndarray:
     return out
 
 
-# largest kernel mesh of _self_similar_pieces: binds at N=3 for s=(2,1) and at
-# N + margin = 24 for d=1 (N=16 at margin 8)
+# largest kernel mesh of _self_similar_pieces: under _sample_bits's rule it
+# binds at N=7 for s=(2,1) and at N=24 for d=1
 _MAX_ND_POINTS = 2**24
+# B_i of _sample_bits per scaling, and the route's miss against more sample
+# bits as a fraction of the sup (README, Schauder kernels): at d=1 at most
+# 2.6e-15 for N = 5-15; at s=(2,1) at most 2.2e-11 for N <= 2, 2.4e-7 at N=6
+_SAMPLE_BITS = {(1,): (14,), (2, 1): (13, 10)}
 
 
 def s_gauge(scaling: Scaling, pts: np.ndarray) -> np.ndarray:
@@ -377,7 +382,7 @@ def _raw_moments(P, scaling: Scaling, beta: float, ms) -> dict:
 
 @cache
 def _bump_moment(j: int) -> float:
-    return an.kernel_moment_1d(_BUMP, j)
+    return bs.bspline_bump_moment(_BUMP_ORDER, j)
 
 
 def _corrector_moment(m: tuple[int, ...], k: tuple[int, ...]) -> float:
@@ -587,7 +592,7 @@ def _deriv_kernel_array(
     scaling: Scaling,
     N: int,
     levels: int,
-    margin: int = 8,
+    bits: tuple[int, ...] | None = None,
 ) -> np.ndarray:
     """V_N coefficients of u -> d^k P+_{<levels}(-u) (summed over levels).
 
@@ -599,12 +604,25 @@ def _deriv_kernel_array(
     (_self_similar_pieces), each level added to the torus periodically.
     F is sampled in two parts, bit for bit p0_deriv's values: the raw part
     on its own support box, the separable correctors on the wider box that
-    their scale needs.
+    their scale needs.  bits, per axis, defaults to _sample_bits's rule.
     """
     out = np.zeros(scaling.grid_shape(N))
-    for t0, c in _self_similar_pieces(kernel, k, fam, N, levels, margin):
+    for t0, c in _self_similar_pieces(kernel, k, fam, N, levels, bits):
         np.add.at(out, np.ix_(*[(a + np.arange(m)) % M for a, m, M in zip(t0, c.shape, out.shape)]), c)
     return out
+
+
+def _sample_bits(scaling: Scaling, N: int) -> tuple[int, ...]:
+    """The rule for the sample bits of F on axis i, max(N s_i + s_i - 1, B_i)
+    with B = _SAMPLE_BITS[s].  F is the same unit-scale function at every N,
+    so every N whose N s_i + s_i - 1 stays at or below B_i samples it on the
+    same mesh."""
+    if scaling.s not in _SAMPLE_BITS:
+        raise ValueError(
+            f"the kernel route has no sample bits for s={scaling.s} (only for "
+            f"{', '.join(map(str, _SAMPLE_BITS))}); pass per-axis bits"
+        )
+    return tuple(max(N * si + si - 1, b) for si, b in zip(scaling.s, _SAMPLE_BITS[scaling.s]))
 
 
 def _self_similar_pieces(
@@ -613,24 +631,26 @@ def _self_similar_pieces(
     fam: mra.WaveletFamily,
     N: int,
     levels: int,
-    margin: int,
+    bits: tuple[int, ...] | None = None,
 ) -> list:
     """Per level n < levels, (t0, c) with c[i] = <d^k P_n(-.), phi^N_{t0+i}> on
     R^d, t0 and i per axis (see _deriv_kernel_array).
 
-    F = d^k P0(-.) is sampled once on R, at level N s_i + m_i on axis i with
-    m_i = margin + s_i - 1, on two boxes, each with 3 samples of stencil pad.
-    The raw part, the differences of p0_raw, is sampled on its support box
-    |x_i| <= 2^-s_i + k_i h only (g >= |x_i|^{1/s_i}, the cutoff ends at
-    g = 1/2 and each difference of step h = _FD_STEP widens that) and is 0
-    elsewhere.  The correctors are products of 1-d splines, subtracted on the
-    sparse axes of the box they need, |x_i| <= max(2^-s_i + k_i h,
-    _CORRECTOR_SCALE).  The stencil's wrap then meets only zeros, and m_i
-    exact low-pass steps per axis give F's level-N coefficients on R.
+    F = d^k P0(-.) is sampled once on R, at bits_i bits on axis i
+    (_sample_bits's rule unless given; at least N s_i), on two boxes, each
+    with 3 samples of stencil pad.  The raw part, the differences of p0_raw,
+    is sampled on its support box |x_i| <= 2^-s_i + k_i h only (g >=
+    |x_i|^{1/s_i}, the cutoff ends at g = 1/2 and each difference of step h
+    = _FD_STEP widens that) and is 0 elsewhere.  The correctors are products
+    of 1-d splines, subtracted on the sparse axes of the box they need,
+    |x_i| <= max(2^-s_i + k_i h, _CORRECTOR_SCALE).  The stencil's wrap then
+    meets only zeros, and bits_i - N s_i exact low-pass steps per axis give
+    F's level-N coefficients on R.
     """
     sc = kernel.scaling
-    steps = [margin + si - 1 for si in sc.s]
-    bits = [N * si + m for si, m in zip(sc.s, steps)]
+    bits = _sample_bits(sc, N) if bits is None else tuple(bits)
+    if len(bits) != sc.d or any(b < N * si for b, si in zip(bits, sc.s)):
+        raise ValueError(f"sample bits {bits} at s={sc.s}, N={N}: need d entries, each >= N s_i")
     reach = [_CUTOFF_END**si + ki * _FD_STEP for si, ki in zip(sc.s, k)]
 
     def window(r, bi):  # sample indices [lo, hi) of |x| <= r, point (j + center) 2^-bi
@@ -640,10 +660,10 @@ def _self_similar_pieces(
     windows = [window(max(r, _CORRECTOR_SCALE), bi) for r, bi in zip(reach, bits)]
     shape = tuple(hi - lo for lo, hi in windows)
     _check_points(
-        f"the kernel mesh of d^{k} P0 at s={sc.s}, N={N}, margin={margin}",
+        f"the kernel mesh of d^{k} P0 at s={sc.s}, N={N}, bits={bits}",
         math.prod(shape),
-        f": axis i is sampled at level N s_i + margin + s_i - 1 = {tuple(bits)}, so lower N "
-        "or margin (at d=1, N + margin <= 23)",
+        ": axis i is sampled at max(N s_i + s_i - 1, B_i) bits, B = "
+        f"{_SAMPLE_BITS.get(sc.s)}, so lower N (N <= 23 at d=1, N <= 6 at s=(2, 1))",
     )
     t0 = [lo for lo, _ in windows]
     axes = [-((np.arange(lo, hi) + fam.center) / 2.0**bi) for (lo, hi), bi in zip(windows, bits)]
@@ -656,13 +676,20 @@ def _self_similar_pieces(
     del S  # not held through the cascade
     c *= 2.0 ** (-sum(bits) / 2.0)
     e = sc.total - kernel.beta + sc.scaled_degree(k) - sc.total / 2.0
+    # rounds of s_i steps per axis from top = min_i floor(bits_i / s_i), the
+    # finest level that every axis reaches, after the bits_i - top s_i steps
+    # that lead there.  The rounds depend on the bits alone, not on N, so
+    # level n at N takes level n + 1's steps at N + 1 in the same order: the
+    # axes' steps commute, but not in floating point
+    top = min(b // si for b, si in zip(bits, sc.s))
+    rounds = [[b - top * si for b, si in zip(bits, sc.s)]] + [sc.s] * (top - N + levels - 1)
     out = []
-    # level 0 is m_i steps below the samples, each further level s_i steps
-    for n, counts in enumerate([steps] + [sc.s] * (levels - 1)):
+    for r, counts in enumerate(rounds):
         for ax, m in enumerate(counts):
             for _ in range(m):
                 t0[ax], c = _low_pass_on_line(t0[ax], c, fam.h, ax)
-        out.append((tuple(t0), c * 2.0 ** (n * e)))
+        if r >= top - N:  # level r - (top - N)
+            out.append((tuple(t0), c * 2.0 ** ((r - top + N) * e)))
     return out
 
 

@@ -228,7 +228,7 @@ def test_windowed_analysis_matches_full_torus(order, margin):
         got = _windowed_quadrature(fn, fam, N, margin)
         assert np.array_equal(got, _ref_coeffs(S, fam, margin)), fn.support
         if fn.support is None:  # the library's quadrature, on the whole torus
-            assert _same_bits(an.quadrature_coeffs_1d(fn, fam, N, margin=margin), got)
+            assert _same_bits(an.quadrature_coeffs_1d(fn, fam, N, extra_bits=margin), got)
 
 
 # --- the run-based sampler against the masks, bit for bit -------------------

@@ -100,9 +100,12 @@ def test_p0_moment_matches_full_mesh_sum(which, heat_setup, riesz_kernel):
 
 # |sum_k c_k _corrector_moment(m, k) - the 11-bit mesh sum of the pointwise
 # correctors|, as a fraction of the largest raw moment: measured at most
-# 3.6e-18 (heat) and 5.0e-17 (Riesz, d=1), i.e. round-off; the correctors
-# are smooth, so none of the raw half's box error enters here
-CORRECTOR_MESH_TOL = 2e-16
+# 1.2e-17 (heat) and 4.6e-18 (Riesz, d=1), i.e. round-off; the correctors
+# are smooth, so none of the raw half's box error enters here.  The entries
+# are exact (bspline_bump_moment), so the mesh sum is taken by math.fsum:
+# np.sum's own round-off is one unit in the last place of the Riesz m = 0
+# entry, 2.0e-16 of it
+CORRECTOR_MESH_TOL = 1e-16
 
 
 @pytest.mark.parametrize("which", ["heat", "riesz"])
@@ -122,7 +125,7 @@ def test_corrector_moments_match_full_mesh_sum(which, heat_setup, riesz_kernel):
         for g, mi in zip(axes, m):
             vals = vals * g**mi
         entries = sum(c * sch._corrector_moment(m, k) for k, c in K.correction_coeffs.items())
-        assert abs(np.sum(vals) * w**d + entries) <= CORRECTOR_MESH_TOL * scale, m
+        assert abs(math.fsum(np.ravel(vals)) * w**d + entries) <= CORRECTOR_MESH_TOL * scale, m
 
 
 @pytest.mark.parametrize("which", ["heat", "riesz"])
@@ -193,17 +196,16 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-# traced peak of the heat kernel's moments, warm caches: the sphere rules
-# hold at most 1024 nodes (16 panels); measured 0.12 MB for decompose_kernel
-# and 0.05 MB for one p0_moment, where the uniform rules up to 128 panels
+# traced peak of the heat kernel's moments: the sphere rules hold at most
+# 1024 nodes (16 panels); measured 0.12 MB for decompose_kernel (0.13 MB
+# cold) and 0.05 MB for one p0_moment, where the uniform rules up to 128 panels
 # (8192 nodes) took 0.50 MB, and the 514 x 1026-point box before them 4.2 MB
 SPHERE_PEAK_BYTES = 2**18
 
 
 def test_decompose_peak_memory_follows_the_sample_blocks():
-    # the first call also fills the corrector bump's moment cache (a 2^14-cell
-    # midpoint sum, 0.8 MB), which later calls reuse
-    sch.decompose_kernel("heat", Scaling((2, 1)), r=2)
+    # a cold call fits too: the corrector bump's moments are integer sums
+    # (bspline_bump_moment), measured 0.13 MB in a fresh process
     peak = _traced_peak(lambda: sch.decompose_kernel("heat", Scaling((2, 1)), r=2))
     assert peak <= SPHERE_PEAK_BYTES, peak
 
@@ -507,16 +509,30 @@ def test_gauss_legendre_matches_numpy():
         np.testing.assert_allclose(w[np.argsort(x)], want_w, rtol=0, atol=1e-15)
 
 
-def _irwin_hall_moment(k):
-    """E[(S_8)^k] for S_8 the sum of 8 independent uniforms on [0, 1], exactly:
+def _irwin_hall_moment(k, n=8):
+    """E[(S_n)^k] for S_n the sum of n independent uniforms on [0, 1], exactly:
     the cutoff's spline CDF is that of 1/4 + S_8 / 32."""
     mom = [Fraction(1)] + [Fraction(0)] * k  # the moments of 0, the sum of no uniforms
-    for _ in range(8):
+    for _ in range(n):
         mom = [
             sum(math.comb(j, i) * mom[i] * Fraction(1, j - i + 1) for i in range(j + 1))
             for j in range(k + 1)
         ]
     return mom[k]
+
+
+@pytest.mark.parametrize("order", [4, 8, 10])
+def test_bump_moments_match_the_irwin_hall_closed_form(order):
+    # bspline_bump(n) is 2/n times the density of x = (2 S_n - n) / n, so its
+    # j-th moment is 2/n E[x^j], correctly rounded: odd moments are exact zeros
+    n = order
+    for j in range(12):
+        mean = sum(
+            math.comb(j, i) * 2**i * _irwin_hall_moment(i, n) * (-n) ** (j - i) for i in range(j + 1)
+        )
+        assert besov.bspline_bump_moment(n, j) == float(Fraction(2, n) * mean / n**j), (n, j)
+    if order == 10:  # the corrector bump
+        assert [sch._bump_moment(j) for j in range(5)] == [0.2, 0.0, 1 / 150, 0.0, 6.4e-4]
 
 
 @pytest.mark.parametrize("e", [0, 1, 2, 3, 6])
@@ -715,8 +731,8 @@ def test_extended_model_validates(extended):
 def test_defpix_self_consistency_two_resolutions(sc1, fam6, riesz_kernel, monkeypatch):
     xi = besov.synthesize("random_besov", sc1, 8, fam6, alpha=ALPHA, seed=11)
     stn, nm = rs.noise_structure(ALPHA, xi, GAMMA, fam6)
-    _, em_hi = sch.extend_structure(stn, nm, riesz_kernel, GAMMA)  # margin 8
-    monkeypatch.setattr(sch, "_deriv_kernel_array", partial(sch._deriv_kernel_array, margin=6))
+    _, em_hi = sch.extend_structure(stn, nm, riesz_kernel, GAMMA)  # the rule's 14 sample bits
+    monkeypatch.setattr(sch, "_deriv_kernel_array", partial(sch._deriv_kernel_array, bits=(12,)))
     _, em_lo = sch.extend_structure(stn, nm, riesz_kernel, GAMMA)
     for n in (3, 5, 8):
         a = em_hi.pi_center_weights(n)[em_hi.ixi_index]
@@ -880,16 +896,18 @@ def test_output_norm_within_budget(extended):
 # --- the self-similar route at s=(2,1) -------------------------------------------
 # Tolerances from the route's convergence table (heat kernel, order 6, N=1,
 # against the route at (12, 10) sample bits per axis): each is the next power
-# of ten above twice the table's figure for the same check at the default
-# (9, 8) bits, and 1e-14 where that figure is at roundoff.
+# of ten above twice the table's figure for the same check at N1_BITS, the
+# (11, 9) bits that N=1 took before the bits rule, and 1e-14 where that
+# figure is at roundoff.
 
 KS21 = [(0, 0), (1, 0), (0, 1)]
+N1_BITS = (11, 9)  # below the rule's (13, 10): a quarter of its mesh, the same checks
 
 
 @pytest.fixture(scope="module")
 def heat_n1_pieces(fam6, heat_setup):
-    """The heat kernel's pieces on R at N=1, levels 2, default margin."""
-    return {k: sch._self_similar_pieces(heat_setup, k, fam6, 1, 2, 8) for k in KS21}
+    """The heat kernel's pieces on R at N=1, levels 2, N1_BITS sample bits."""
+    return {k: sch._self_similar_pieces(heat_setup, k, fam6, 1, 2, N1_BITS) for k in KS21}
 
 
 def _uncorrected_heat_kernel(sc21):
@@ -910,8 +928,8 @@ def _p_plus_pairing_nd(K, m, k, levels):
 
 # Per-check tolerances of _assert_nd_moments, (sum, first moment in t, first
 # moment in x) per (k, levels), each the next power of ten above twice the
-# measured miss, 1e-14 where that is below 2e-16.  Measured at (9, 8) sample
-# bits, the same for both kernels; pplus_moment is exact (polar moments), so
+# measured miss, 1e-14 where that is below 2e-16.  Measured at N1_BITS, the
+# same for both kernels; pplus_moment is exact (polar moments), so
 # every figure is the route's own error.  Wherever the pairing is
 # +-pplus_moment((0, 0)) the route misses it by 3.0e-11 / 3.8e-11 at levels
 # 1 / 2 (the 11-bit box moments missed the pairing by 4.9e-9 / 6.1e-9); the
@@ -928,25 +946,30 @@ ND_MOMENT_TOL = {
 }
 
 
+def _nd_moment_misses(K, pieces, k, N, levels, fam6, sc21):
+    """The s=(2,1) form of test_d1_route_integrates_to_p0_moments: the misses
+    of sum_t w_t 2^(-N|s|/2) and of the first moment per axis of the R-line
+    pieces below `levels` against the P+ pairing."""
+    total, first = 0.0, [0.0, 0.0]
+    for t0, c in pieces[:levels]:
+        total += float(np.sum(c)) * 2.0 ** (-N * sc21.total / 2.0)
+        for ax in (0, 1):
+            t = t0[ax] + np.arange(c.shape[ax]) + fam6.father_moments[1]
+            w = np.sum(c, axis=1 - ax) * 2.0 ** (-N * (sc21.total / 2.0 + sc21.s[ax]))
+            first[ax] += float(np.sum(w * t))
+    return [
+        abs(got - _p_plus_pairing_nd(K, m, k, levels))
+        for got, m in zip([total, *first], [(0, 0), (1, 0), (0, 1)])
+    ]
+
+
 def _assert_nd_moments(K, pieces_of, fam6, sc21):
-    # the s=(2,1) form of test_d1_route_integrates_to_p0_moments at N=1:
-    # sum_t w_t 2^(-N|s|/2) and the first moment per axis of the R-line pieces
-    # against the P+ pairing
-    N = 1
     for k in KS21:
         pieces = pieces_of(k)
         for levels in (1, 2):
-            total, first = 0.0, [0.0, 0.0]
-            for t0, c in pieces[:levels]:
-                total += float(np.sum(c)) * 2.0 ** (-N * sc21.total / 2.0)
-                for ax in (0, 1):
-                    t = t0[ax] + np.arange(c.shape[ax]) + fam6.father_moments[1]
-                    w = np.sum(c, axis=1 - ax) * 2.0 ** (-N * (sc21.total / 2.0 + sc21.s[ax]))
-                    first[ax] += float(np.sum(w * t))
-            tol_sum, *tol_first = ND_MOMENT_TOL[k, levels]
-            assert abs(total - _p_plus_pairing_nd(K, (0, 0), k, levels)) < tol_sum, (k, levels)
-            for ax, m in enumerate([(1, 0), (0, 1)]):
-                assert abs(first[ax] - _p_plus_pairing_nd(K, m, k, levels)) < tol_first[ax], (k, levels, m)
+            misses = _nd_moment_misses(K, pieces, k, 1, levels, fam6, sc21)
+            for miss, tol, m in zip(misses, ND_MOMENT_TOL[k, levels], ["sum", (1, 0), (0, 1)]):
+                assert miss < tol, (k, levels, m)
 
 
 def test_nd_route_integrates_to_p0_moment(sc21, fam6, heat_setup, heat_n1_pieces):
@@ -955,17 +978,88 @@ def test_nd_route_integrates_to_p0_moment(sc21, fam6, heat_setup, heat_n1_pieces
 
 def test_nd_route_integrates_uncorrected_moments(sc21, fam6):
     K = _uncorrected_heat_kernel(sc21)
-    _assert_nd_moments(K, lambda k: sch._self_similar_pieces(K, k, fam6, 1, 2, 8), fam6, sc21)
+    _assert_nd_moments(K, lambda k: sch._self_similar_pieces(K, k, fam6, 1, 2, N1_BITS), fam6, sc21)
     assert abs(K.pplus_moment((0, 0), 1)) > 0.05  # the check is not vacuous
     assert abs(K.pplus_moment((1, 0), 1)) > 0.005
 
 
+@pytest.fixture(scope="module")
+def heat_n3(sc21, fam6):
+    """The uncorrected heat kernel's k=(0,0) array at N=3, levels 2, at the
+    rule's sample bits (13, 10), and the pieces on R that it sums."""
+    K = _uncorrected_heat_kernel(sc21)
+    route, seen = sch._self_similar_pieces, []
+
+    def kept(*args):
+        seen.append(route(*args))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sch, "_self_similar_pieces", kept)
+        arr = sch._deriv_kernel_array(K, (0, 0), fam6, sc21, 3, 2)
+    return K, arr, seen[0]
+
+
+# _nd_moment_misses at N=3 and the rule's bits, k=(0,0), uncorrected heat
+# kernel: measured at most 1.4e-17 (sum, pairing 0.070 / 0.087 at levels 1 /
+# 2), 1.7e-18 (first moment in t, pairing -5.1e-3 / -5.4e-3) and 3.8e-18
+# (in x, pairing 0 up to 7e-20); N=1 and N=2 at the rule's bits read the same
+# (4.2e-17 at most).  Each is 1e-14, the next power of ten above twice the
+# miss or 1e-14 where that is below 2e-16, as in ND_MOMENT_TOL, whose (11, 9)
+# bits miss the sum by 3.0e-11.
+ND_RULE_MOMENT_TOL = (1e-14, 1e-14, 1e-14)
+
+
+def test_nd_route_at_the_rule_bits_integrates_to_p_plus_moments(sc21, fam6, heat_n3):
+    K, arr, pieces = heat_n3
+    assert arr.shape == sc21.grid_shape(3) and len(pieces) == 2
+    for levels in (1, 2):
+        misses = _nd_moment_misses(K, pieces, (0, 0), 3, levels, fam6, sc21)
+        assert all(m < tol for m, tol in zip(misses, ND_RULE_MOMENT_TOL)), (levels, misses)
+    # the array on the torus holds the same sum as the pieces on R
+    total = float(np.sum(arr)) * 2.0 ** (-3 * sc21.total / 2.0)
+    assert abs(total - K.pplus_moment((0, 0), 2)) < ND_RULE_MOMENT_TOL[0]
+
+
+def _assert_one_mesh(pieces, finer, e):
+    """finer holds the pieces at N + 1, pieces those at N: piece n + 1 of finer
+    is piece n times 2^e, bit for bit, at the same t0."""
+    assert len(finer) > 1 and len(pieces) == len(finer) - 1
+    for (t0, c), (t0_fine, c_fine) in zip(pieces, finer[1:]):
+        assert t0_fine == t0
+        assert np.array_equal(c_fine, c * 2.0**e)
+
+
+def test_one_mesh_for_every_n(sc1, sc21, fam6, heat_n3):
+    # the rule samples F on one mesh for N = 8 and 9 at d=1 (14 bits), N = 2
+    # and 3 at s=(2,1) (13, 10), so the pieces at N + 1 are those at N, one
+    # level on.  2.0 ** (n e) is a power of two at d=1, beta = 1/2 (e = k),
+    # so every level is compared; the heat kernel's e = -1/2 only at n = 0.
+    K = sch.decompose_kernel("riesz", sc1, r=3, beta=0.5)
+    for k in (0, 1):
+        pieces = sch._self_similar_pieces(K, (k,), fam6, 8, 3)
+        _assert_one_mesh(pieces, sch._self_similar_pieces(K, (k,), fam6, 9, 4), k)
+    K, _, finer = heat_n3
+    pieces = sch._self_similar_pieces(K, (0, 0), fam6, 2, 1)
+    _assert_one_mesh(pieces, finer, sc21.total / 2.0 - K.beta)
+
+
+def test_route_refuses_bits_it_cannot_use(fam6, riesz_kernel):
+    # fewer bits than N s_i would need negative low-pass steps
+    with pytest.raises(ValueError, match=r"sample bits \(7,\) at s=\(1,\), N=8: .* each >= N s_i"):
+        sch._self_similar_pieces(riesz_kernel, (0,), fam6, 8, 1, (7,))
+    # the rule states B for s=(1,) and s=(2,1) only
+    K = sch.decompose_kernel("riesz", Scaling((1, 1)), r=1, beta=0.7)
+    with pytest.raises(ValueError, match=r"no sample bits for s=\(1, 1\)"):
+        sch._self_similar_pieces(K, (0, 0), fam6, 2, 1)
+
+
 @pytest.mark.parametrize("k, tol", [((0, 0), 1e-8), ((1, 0), 1e-6), ((0, 1), 1e-8)], ids=["00", "10", "01"])
 def test_nd_route_converges_in_the_sample_bits(sc21, fam6, heat_setup, heat_n1_pieces, k, tol):
-    # one more sample bit per axis, (10, 9) against (9, 8); in the table the
-    # (9, 8) arrays miss the reference by 3.3e-9 / 2.5e-7 / 2.9e-9 of the sup.
-    # The (9, 8) pieces are put on the torus here, by np.add.at.
-    fine = sch._deriv_kernel_array(heat_setup, k, fam6, sc21, 1, 2, margin=9)
+    # one more sample bit per axis, (12, 10) against N1_BITS = (11, 9); in the
+    # table the (11, 9) arrays miss the reference by 3.3e-9 / 2.5e-7 / 2.9e-9
+    # of the sup.  The (11, 9) pieces are put on the torus here, by np.add.at.
+    fine = sch._deriv_kernel_array(heat_setup, k, fam6, sc21, 1, 2, bits=(12, 10))
     want = np.zeros_like(fine)
     for t0, c in heat_n1_pieces[k]:
         np.add.at(want, np.ix_(*[(a + np.arange(m)) % M for a, m, M in zip(t0, c.shape, want.shape)]), c)
@@ -979,21 +1073,20 @@ def _window(fam, bits, reach):
     return math.floor(-r - fam.center) - 3, math.ceil(r - fam.center) + 4
 
 
-def _full_box(K, k, fam, N, margin):
+def _full_box(K, k, fam, bits):
     """The windows of the one box that holds both the raw part and the
     correctors of d^k P0, |x_i| <= max(2^-s_i + k_i h, _CORRECTOR_SCALE)."""
-    bits = [N * si + margin + si - 1 for si in K.scaling.s]
-    return bits, [
+    return [
         _window(fam, bi, max(2.0**-si + ki * sch._FD_STEP, sch._CORRECTOR_SCALE))
         for si, ki, bi in zip(K.scaling.s, k, bits)
     ]
 
 
-def _full_box_pieces(K, k, fam, N, levels, margin):
+def _full_box_pieces(K, k, fam, N, levels, bits):
     """The route with p0_deriv sampled pointwise on the full box, then the
     stencil and the exact low-pass steps: the oracle for _self_similar_pieces."""
     sc = K.scaling
-    bits, windows = _full_box(K, k, fam, N, margin)
+    windows = _full_box(K, k, fam, bits)
     S = sch._sample_box(
         lambda p: K.p0_deriv(k, p),
         [-((np.arange(lo, hi) + fam.center) / 2.0**b) for (lo, hi), b in zip(windows, bits)],
@@ -1001,12 +1094,14 @@ def _full_box_pieces(K, k, fam, N, levels, margin):
     c = an._stencil(S, fam.centered_father_moments) * 2.0 ** (-sum(bits) / 2.0)
     t0 = [lo for lo, _ in windows]
     e = sc.total - K.beta + sc.scaled_degree(k) - sc.total / 2.0
+    top = min(b // si for b, si in zip(bits, sc.s))  # the route's rounds, in its order
     out = []
-    for n, counts in enumerate([[margin + si - 1 for si in sc.s]] + [sc.s] * (levels - 1)):
+    for r, counts in enumerate([[b - top * si for b, si in zip(bits, sc.s)]] + [sc.s] * (top - N + levels - 1)):
         for ax, m in enumerate(counts):
             for _ in range(m):
                 t0[ax], c = sch._low_pass_on_line(t0[ax], c, fam.h, ax)
-        out.append((tuple(t0), c * 2.0 ** (n * e)))
+        if r >= top - N:
+            out.append((tuple(t0), c * 2.0 ** ((r - top + N) * e)))
     return out
 
 
@@ -1015,13 +1110,13 @@ def test_two_box_route_matches_the_full_box_route(fam6, riesz_kernel, heat_setup
     # the raw part on its own box and the correctors as products of 1-d
     # factors give the same bits as p0_deriv on every point of the full box
     if which == "riesz":
-        K, N, levels, ks = riesz_kernel, 8, 10, [(0,), (1,), (2,)]
-        pieces_of = lambda k: sch._self_similar_pieces(K, k, fam6, N, levels, 8)  # noqa: E731
+        K, N, levels, ks, bits = riesz_kernel, 8, 10, [(0,), (1,), (2,)], (14,)
+        pieces_of = lambda k: sch._self_similar_pieces(K, k, fam6, N, levels)  # noqa: E731
     else:
-        K, N, levels, ks = heat_setup, 1, 2, KS21
+        K, N, levels, ks, bits = heat_setup, 1, 2, KS21, N1_BITS
         pieces_of = heat_n1_pieces.__getitem__
     for k in ks:
-        got, want = pieces_of(k), _full_box_pieces(K, k, fam6, N, levels, 8)
+        got, want = pieces_of(k), _full_box_pieces(K, k, fam6, N, levels, bits)
         assert len(got) == len(want) == levels
         for (t0, c), (t0_want, c_want) in zip(got, want):
             assert t0 == t0_want, k
@@ -1031,7 +1126,7 @@ def test_two_box_route_matches_the_full_box_route(fam6, riesz_kernel, heat_setup
 def test_route_evaluates_the_raw_part_on_its_support_box(fam6, heat_setup):
     # at s=(2,1) the correctors reach |t| <= 1/2, the raw part only
     # |t| <= 1/4 + k_0 h: P is evaluated on about half of the full box
-    K0, N, margin = heat_setup, 1, 8
+    K0, N, bits = heat_setup, 1, N1_BITS
     sc = K0.scaling
     seen = {"points": 0, "reach": np.zeros(sc.d)}
 
@@ -1043,8 +1138,8 @@ def test_route_evaluates_the_raw_part_on_its_support_box(fam6, heat_setup):
     K = sch.KernelDecomposition(sc, K0.beta, K0.r, counted, dict(K0.correction_coeffs))
     for k in [(0, 0), (1, 0)]:
         seen["points"], seen["reach"] = 0, np.zeros(sc.d)
-        sch._self_similar_pieces(K, k, fam6, N, 1, margin)
-        bits, windows = _full_box(K, k, fam6, N, margin)
+        sch._self_similar_pieces(K, k, fam6, N, 1, bits)
+        windows = _full_box(K, k, fam6, bits)
         for ax, (si, ki, bi) in enumerate(zip(sc.s, k, bits)):
             # the box, its pad and the differences' own steps
             assert seen["reach"][ax] <= 2.0**-si + 2 * ki * sch._FD_STEP + 4 * 2.0**-bi, (k, ax)
@@ -1087,7 +1182,7 @@ def test_d1_route_integrates_to_p0_moments(sc1, fam6, riesz_kernel, which, N, le
         assert abs(total - _p_plus_pairing(K, 0, k, levels)) < 1e-8
         # the first moment needs the pieces on R, before they wrap
         first = 0.0
-        for (t0,), c in sch._self_similar_pieces(K, (k,), fam6, N, levels, 8):
+        for (t0,), c in sch._self_similar_pieces(K, (k,), fam6, N, levels):
             t = t0 + np.arange(len(c))
             first += float(np.sum(c * (t + fam6.father_moments[1]))) * 2.0 ** (-1.5 * N)
         assert abs(first - _p_plus_pairing(K, 1, k, levels)) < 1e-8
@@ -1125,6 +1220,23 @@ def test_self_similar_route_matches_the_fine_per_level_route(sc1, fam6, riesz_ke
             want = np.sum(pieces[:levels], axis=0)
             got = sch._deriv_kernel_array(riesz_kernel, (k,), fam6, sc1, N, levels)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (k, levels)
+
+
+# the rule's 14 bits at d=1 against 3 more, as a fraction of the sup (levels
+# N): measured 5.7e-16 / 4.3e-16 / 4.7e-16 (k = 0) and 1.06e-15 / 1.05e-15 /
+# 1.04e-15 (k = 1) at N = 5 / 8 / 10, round-off; the 13 bits that N = 5 took
+# at 8 bits above N miss by 6.0e-15 / 1.3e-14
+D1_RULE_TOL = 5e-15
+
+
+@pytest.mark.parametrize("N", [5, 8, 10])
+def test_d1_route_at_the_rule_bits_is_at_round_off(sc1, fam6, riesz_kernel, N):
+    (bits,) = sch._sample_bits(sc1, N)
+    assert bits == 14
+    for k in (0, 1):
+        got = sch._deriv_kernel_array(riesz_kernel, (k,), fam6, sc1, N, N)
+        want = sch._deriv_kernel_array(riesz_kernel, (k,), fam6, sc1, N, N, bits=(bits + 3,))
+        assert np.max(np.abs(got - want)) <= D1_RULE_TOL * np.max(np.abs(want)), k
 
 
 def test_low_pass_on_line_matches_the_periodic_step(fam6):
@@ -1165,17 +1277,19 @@ def test_extension_rejects_bad_conv_levels(sc1, fam6, riesz_kernel, conv_levels)
         sch.extend_structure(stn, nm, riesz_kernel, GAMMA, conv_levels=conv_levels)
 
 
-def test_extension_accepts_one_level_and_margin_zero(sc1, fam6, riesz_kernel):
+def test_extension_accepts_one_level_and_the_fewest_sample_bits(sc1, fam6, riesz_kernel):
     stn, nm = _small_noise_model(sc1, fam6)
     _, em = sch.extend_structure(stn, nm, riesz_kernel, GAMMA, conv_levels=np.int64(1))
     assert em.conv_levels == 1 and np.max(np.abs(em.conv_values)) > 0.0
-    w = sch._deriv_kernel_array(riesz_kernel, (0,), fam6, sc1, em.N, 1, margin=0)
+    # sampled at level N itself: no low-pass step before level 0
+    w = sch._deriv_kernel_array(riesz_kernel, (0,), fam6, sc1, em.N, 1, bits=(em.N,))
     assert np.max(np.abs(w)) > 0.0
 
 
 def test_oversized_nd_mesh_rejected(sc21, fam6, heat_setup):
-    # N=6 at s=(2,1) would sample d^(0,0) P0 on a (2^21 + 8, 2^14 + 8) mesh
-    xi = besov.synthesize("random_besov", sc21, 6, fam6, alpha=-1.5, seed=1)
+    # N=7 is the first N at s=(2,1) whose time bits, 2N + 1 = 15, pass the
+    # rule's B_t = 13: it would sample d^(0,0) P0 on a (2^15 + 8, 2^10 + 8) mesh
+    xi = besov.synthesize("random_besov", sc21, 7, fam6, alpha=-1.5, seed=1)
     stn, nm = rs.noise_structure(-1.5, xi, 1.25, fam6)
-    with pytest.raises(ValueError, match=r"s=\(2, 1\), N=6, margin=8 has 34376646720 points"):
+    with pytest.raises(ValueError, match=r"s=\(2, 1\), N=7, bits=\(15, 10\) has 33824832 points"):
         sch.extend_structure(stn, nm, heat_setup, 1.25)
