@@ -232,6 +232,26 @@ def mother_moments(h: np.ndarray, jmax: int) -> np.ndarray:
     return N
 
 
+def connection_filter(h: np.ndarray) -> np.ndarray:
+    """a_m = int phi(y - m) phi'(y) dy, m = 2 - L .. L - 2, so that <G', phi_t>
+    = -sum_m a_m <G, phi_{t+m}> for G in V_0 (Beylkin 1992; Latto, Resnikoff
+    & Tenenbaum 1991): the solution of a_m = 2 sum_{k,l} h_k h_l a_{2m+k-l} =
+    2 sum_j r_j a_{2m-j}, r_j = sum_k h_k h_{k+j}, with sum_m m a_m = -1 (the
+    translates reproduce x - M_1); a_{-m} = -a_m, so it is solved for m >= 1.
+    A family with no such solution, as Haar's, raises ValueError."""
+    L = len(h)
+    m = np.arange(1, L - 1)
+    r = np.zeros(6 * L)  # r[3L + j] = r_j, 0 for |j| >= L
+    r[2 * L + 1 : 4 * L] = np.correlate(h, h, "full")
+    # row m: a_m = 2 sum_{n >= 1} (r_{2m-n} - r_{2m+n}) a_n
+    rows = 2.0 * (r[3 * L + 2 * m[:, None] - m] - r[3 * L + 2 * m[:, None] + m]) - np.eye(len(m))
+    system, rhs = np.vstack([rows, 2.0 * m]), -np.eye(len(m) + 1)[-1]
+    a = np.linalg.lstsq(system, rhs, rcond=None)[0]
+    if not np.allclose(system @ a, rhs):
+        raise ValueError(f"the order-{L // 2} family has no derivative connection filter")
+    return np.concatenate([-a[::-1], [0.0], a])
+
+
 def cell_moments(h: np.ndarray, q: int, degree: int) -> np.ndarray:
     """C[l, k] = int_{k/q}^{(k+1)/q} s^l phi(y) dy, s = q y - k, for l <= degree
     and the (len(h) - 1) q cells of phi's support (q odd).

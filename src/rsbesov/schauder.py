@@ -20,6 +20,7 @@ import numpy as np
 
 from . import analysis as an
 from . import besov as bs
+from . import filters
 from . import mra
 from .modelled import ModelledDistribution, d_norm
 from .pyramid import CoeffPyramid
@@ -36,7 +37,6 @@ _BUMP = bs.bspline_bump(_BUMP_ORDER)  # corrector bump B on [-1, 1]
 _BUMP_DERIVS = tuple(_BUMP.derivative(k) for k in range(10))
 _CORRECTOR_SCALE = 0.5  # s in the 1-d corrector factors B(x / s) / s, support [-s, s]
 _CUTOFF_END = 0.5  # S(u) = 0 for u >= 1/2, so the annular cutoff vanishes for g >= 1/2
-_FD_STEP = 1e-3  # step of the central differences in p0_deriv, in p0 coordinates
 _BLOCK = 2**14  # points per kernel call in _sample_box (128 KiB per temporary)
 _GL_NODES = 8  # Gauss-Legendre nodes per panel of the radial and the sphere rule
 _SPHERE_PANELS = 4  # panels per chart half of the first sphere rule, doubled until settled
@@ -57,8 +57,9 @@ def _step(u: np.ndarray) -> np.ndarray:
 # binds at N=7 for s=(2,1) and at N=24 for d=1
 _MAX_ND_POINTS = 2**24
 # B_i of _sample_bits per scaling, and the route's miss against more sample
-# bits as a fraction of the sup (README, Schauder kernels): at d=1 at most
-# 2.6e-15 for N = 5-15; at s=(2,1) at most 2.2e-11 for N <= 2, 2.4e-7 at N=6
+# bits as a fraction of the sup (README, Schauder kernel arrays): at d=1 at
+# most 9.1e-16 / 4.2e-15 / 2.3e-14 for k = 0 / 1 / 2, N = 5-15; at s=(2,1)
+# at most 3.8e-9 for N <= 2 (k = (0,3)), 3.6e-8 at N=6
 _SAMPLE_BITS = {(1,): (14,), (2, 1): (13, 10)}
 
 
@@ -139,30 +140,23 @@ class KernelDecomposition:
         """D^k of the 1-d corrector factor B(x/s)/s (exact spline derivative)."""
         return _BUMP_DERIVS[k](x / _CORRECTOR_SCALE) / _CORRECTOR_SCALE ** (1 + k)
 
-    def _minus_correctors(self, out: np.ndarray, k: tuple[int, ...], axes: list) -> np.ndarray:
-        """out minus c * d^(kc + k) of every tensor corrector bump, in
+    def _minus_correctors(self, out: np.ndarray, axes: list) -> np.ndarray:
+        """out minus c * d^kc of every tensor corrector bump, in
         correction_coeffs order.  axes holds the coordinates per axis, a point
         array's columns or a sparse mesh's axes: each corrector is the product
         of its 1-d factors, each evaluated on its axis alone."""
         for kc, c in self.correction_coeffs.items():
-            out = out - c * math.prod(
-                self._corrector_1d(kci + ki, u) for kci, ki, u in zip(kc, k, axes)
-            )
+            out = out - c * math.prod(self._corrector_1d(ki, u) for ki, u in zip(kc, axes))
         return out
 
     def p0(self, pts: np.ndarray) -> np.ndarray:
-        return self.p0_deriv((0,) * self.scaling.d, pts)
+        """p0_raw minus the correctors."""
+        return self._minus_correctors(self.p0_raw(pts), [pts[..., i] for i in range(pts.shape[-1])])
 
     def pn(self, n: int, pts: np.ndarray, corrected: bool = True) -> np.ndarray:
         scaled = pts * 2.0 ** (n * np.array(self.scaling.s, dtype=float))
         f = self.p0 if corrected else self.p0_raw
         return 2.0 ** (n * (self.scaling.total - self.beta)) * f(scaled)
-
-    def p0_deriv(self, k: tuple[int, ...], pts: np.ndarray) -> np.ndarray:
-        """d^k P0: the annular part by nested central differences of step
-        _FD_STEP, the corrector part by exact spline derivatives."""
-        out = _fd_partial(self.p0_raw, k, pts, _FD_STEP)
-        return self._minus_correctors(out, k, [pts[..., i] for i in range(pts.shape[-1])])
 
     def partial_sum(
         self, pts: np.ndarray, levels: int, corrected: bool = True
@@ -211,18 +205,6 @@ class KernelDecomposition:
         return base * (1.0 - rho**levels) / (1.0 - rho)
 
 
-def _fd_partial(f, k: tuple[int, ...], pts: np.ndarray, h: float) -> np.ndarray:
-    if not any(k):
-        return f(pts)
-    ax = next(i for i, ki in enumerate(k) if ki)
-    km = tuple(ki - (1 if i == ax else 0) for i, ki in enumerate(k))
-    up = pts.copy()
-    up[..., ax] += h
-    dn = pts.copy()
-    dn[..., ax] -= h
-    return (_fd_partial(f, km, up, h) - _fd_partial(f, km, dn, h)) / (2.0 * h)
-
-
 def _sample_box(f, axes: list) -> np.ndarray:
     """f on the box mesh with the given per-axis coordinates, _BLOCK points
     per call, so f's temporaries stay small: the rows of the first axis that
@@ -237,11 +219,6 @@ def _sample_box(f, axes: list) -> np.ndarray:
         mesh = np.meshgrid(axes[0][i0 : -(-b // row)], *axes[1:], indexing="ij")
         flat[a:b] = f(np.stack(mesh, -1).reshape(-1, len(axes))[a - i0 * row : b - i0 * row])
     return out
-
-
-def _check_points(mesh: str, points: int, hint: str) -> None:
-    if points > _MAX_ND_POINTS:
-        raise ValueError(f"{mesh} has {points} points (at most {_MAX_ND_POINTS} supported){hint}")
 
 
 # ---------------------------------------------------------------------------
@@ -500,21 +477,12 @@ class ExtendedModel(NoiseModel):
         self.zeta_i = alpha + kernel.beta
         sc = self.scaling
         N = self.N
-        self.taylor_ks = [
-            tuple(k)
-            for k in sc.multi_indices_below(self.zeta_i)
-        ]
-        self.deriv_ks = [
-            tuple(k) for k in sc.multi_indices_below(gamma_max + kernel.beta)
-        ]
+        self.taylor_ks = sc.multi_indices_below(self.zeta_i)
+        self.deriv_ks = sc.multi_indices_below(gamma_max + kernel.beta)
         cN = self.xi_levels[N]
-        self.w_arrays: dict = {}
-        for k in self.deriv_ks:
-            self.w_arrays[k] = _deriv_kernel_array(kernel, k, fam, sc, N, conv_levels)
+        self.w_arrays = _deriv_kernel_array(kernel, self.deriv_ks, fam, sc, N, conv_levels)
         # t_l(x) = <xi, d^l P+(x - .)> on the fine grid, exact for xi in V_N
-        self.t_tables = {
-            k: an.correlate(cN, self.w_arrays[k]) for k in self.deriv_ks
-        }
+        self.t_tables = {k: an.correlate(cN, w) for k, w in self.w_arrays.items()}
         # point values of the truncated convolution and its quasi-interpolant
         self.conv_values = self.t_tables[(0,) * sc.d]
         self.conv_pyramid = mra.forward_transform(self.conv_values, fam, sc)
@@ -587,28 +555,28 @@ def _check_count(name: str, value, least: int) -> None:
 
 def _deriv_kernel_array(
     kernel: KernelDecomposition,
-    k: tuple[int, ...],
+    ks: list,
     fam: mra.WaveletFamily,
     scaling: Scaling,
     N: int,
     levels: int,
     bits: tuple[int, ...] | None = None,
-) -> np.ndarray:
-    """V_N coefficients of u -> d^k P+_{<levels}(-u) (summed over levels).
+) -> dict:
+    """Per k in ks, the V_N coefficients of u -> d^k P+_{<levels}(-u)
+    (summed over levels), all from one sampling of P0.
 
     The pieces are exactly self-similar, d^k P_n(-u) = 2^{ne} F(2^{ns} u)
-    with F = d^k P0(-.) and e = |s| - beta + |k|_s; the difference step of
-    p0_deriv is taken in p0 coordinates, so this holds for it too.  Hence
-    <d^k P_n(-.), phi^N_t> = 2^{n(e - |s|/2)} <F, phi^{N-n}_t> on R^d: n s_i
-    exact low-pass steps along each axis i from F's level-N coefficients
+    with F = d^k P0(-.) and e = |s| - beta + |k|_s.  Hence <d^k P_n(-.),
+    phi^N_t> = 2^{n(e - |s|/2)} <F, phi^{N-n}_t> on R^d: n s_i exact
+    low-pass steps along each axis i from F's level-N coefficients
     (_self_similar_pieces), each level added to the torus periodically.
-    F is sampled in two parts, bit for bit p0_deriv's values: the raw part
-    on its own support box, the separable correctors on the wider box that
-    their scale needs.  bits, per axis, defaults to _sample_bits's rule.
+    bits, per axis, defaults to _sample_bits's rule.
     """
-    out = np.zeros(scaling.grid_shape(N))
-    for t0, c in _self_similar_pieces(kernel, k, fam, N, levels, bits):
-        np.add.at(out, np.ix_(*[(a + np.arange(m)) % M for a, m, M in zip(t0, c.shape, out.shape)]), c)
+    out = {}
+    for k, pieces in _self_similar_pieces(kernel, ks, fam, N, levels, bits).items():
+        w = out[k] = np.zeros(scaling.grid_shape(N))
+        for t0, c in pieces:
+            np.add.at(w, np.ix_(*[(a + np.arange(m)) % M for a, m, M in zip(t0, c.shape, w.shape)]), c)
     return out
 
 
@@ -627,31 +595,38 @@ def _sample_bits(scaling: Scaling, N: int) -> tuple[int, ...]:
 
 def _self_similar_pieces(
     kernel: KernelDecomposition,
-    k: tuple[int, ...],
+    ks: list,
     fam: mra.WaveletFamily,
     N: int,
     levels: int,
     bits: tuple[int, ...] | None = None,
-) -> list:
-    """Per level n < levels, (t0, c) with c[i] = <d^k P_n(-.), phi^N_{t0+i}> on
-    R^d, t0 and i per axis (see _deriv_kernel_array).
+) -> dict:
+    """Per k in ks, per level n < levels, (t0, c) with c[i] = <d^k P_n(-.),
+    phi^N_{t0+i}> on R^d, t0 and i per axis (see _deriv_kernel_array).
 
-    F = d^k P0(-.) is sampled once on R, at bits_i bits on axis i
+    G = P0(-.) is sampled once on R for all ks, at bits_i bits on axis i
     (_sample_bits's rule unless given; at least N s_i), on two boxes, each
-    with 3 samples of stencil pad.  The raw part, the differences of p0_raw,
-    is sampled on its support box |x_i| <= 2^-s_i + k_i h only (g >=
-    |x_i|^{1/s_i}, the cutoff ends at g = 1/2 and each difference of step h
-    = _FD_STEP widens that) and is 0 elsewhere.  The correctors are products
-    of 1-d splines, subtracted on the sparse axes of the box they need,
-    |x_i| <= max(2^-s_i + k_i h, _CORRECTOR_SCALE).  The stencil's wrap then
-    meets only zeros, and bits_i - N s_i exact low-pass steps per axis give
-    F's level-N coefficients on R.
+    with 3 samples of stencil pad.  The raw part is sampled on its support
+    box |x_i| <= 2^-s_i only (g >= |x_i|^{1/s_i} and the cutoff ends at g =
+    1/2) and is 0 elsewhere.  The correctors are products of 1-d splines,
+    subtracted on the sparse axes of the box they need, |x_i| <=
+    _CORRECTOR_SCALE.  The stencil's wrap then meets only zeros; it runs
+    once.  F = d^k P0(-.) = (-d)^k G, and by parts, with the connection
+    coefficients a_m (filters.connection_filter), <-d_i G, phi_t> =
+    2^bits_i sum_m a_m <G, phi_{t+m}> at axis i's sampling level: k_i exact
+    filter steps on R, each axis's taken just before its first low-pass
+    steps, so an x-derivative acts on the mesh that one time step halved.
+    bits_i - N s_i low-pass steps per axis then give F's level-N
+    coefficients on R.  Against the route fed the exact d^k P0 (d=1, orders
+    6 and 9, N = 6 and 10) the arrays miss by at most 4.6e-15 (k = 1) and
+    1.8e-14 (k = 2) of the sup; at s=(2,1), against the route fed
+    Richardson differences, see README (Schauder kernel arrays).
     """
     sc = kernel.scaling
     bits = _sample_bits(sc, N) if bits is None else tuple(bits)
     if len(bits) != sc.d or any(b < N * si for b, si in zip(bits, sc.s)):
         raise ValueError(f"sample bits {bits} at s={sc.s}, N={N}: need d entries, each >= N s_i")
-    reach = [_CUTOFF_END**si + ki * _FD_STEP for si, ki in zip(sc.s, k)]
+    reach = [_CUTOFF_END**si for si in sc.s]
 
     def window(r, bi):  # sample indices [lo, hi) of |x| <= r, point (j + center) 2^-bi
         r *= 2.0**bi
@@ -659,23 +634,22 @@ def _self_similar_pieces(
 
     windows = [window(max(r, _CORRECTOR_SCALE), bi) for r, bi in zip(reach, bits)]
     shape = tuple(hi - lo for lo, hi in windows)
-    _check_points(
-        f"the kernel mesh of d^{k} P0 at s={sc.s}, N={N}, bits={bits}",
-        math.prod(shape),
-        ": axis i is sampled at max(N s_i + s_i - 1, B_i) bits, B = "
-        f"{_SAMPLE_BITS.get(sc.s)}, so lower N (N <= 23 at d=1, N <= 6 at s=(2, 1))",
-    )
-    t0 = [lo for lo, _ in windows]
+    if math.prod(shape) > _MAX_ND_POINTS:
+        raise ValueError(
+            f"the kernel mesh of P0 at s={sc.s}, N={N}, bits={bits} has {math.prod(shape)} points "
+            f"(at most {_MAX_ND_POINTS} supported): axis i is sampled at max(N s_i + s_i - 1, B_i) "
+            f"bits, B = {_SAMPLE_BITS.get(sc.s)}, so lower N (N <= 23 at d=1, N <= 6 at s=(2, 1))"
+        )
+    lows = [lo for lo, _ in windows]
     axes = [-((np.arange(lo, hi) + fam.center) / 2.0**bi) for (lo, hi), bi in zip(windows, bits)]
-    raw = tuple(slice(a - lo, b - lo) for (a, b), lo in zip(map(window, reach, bits), t0))
-    sub = [u[b] for u, b in zip(axes, raw)]
+    raw = tuple(slice(a - lo, b - lo) for (a, b), lo in zip(map(window, reach, bits), lows))
     S = np.zeros(shape)
-    S[raw] = _sample_box(lambda p: _fd_partial(kernel.p0_raw, k, p, _FD_STEP), sub)
-    S = kernel._minus_correctors(S, k, np.meshgrid(*axes, indexing="ij", sparse=True))
-    c = an._stencil(S, fam.centered_father_moments)
-    del S  # not held through the cascade
-    c *= 2.0 ** (-sum(bits) / 2.0)
-    e = sc.total - kernel.beta + sc.scaled_degree(k) - sc.total / 2.0
+    S[raw] = _sample_box(kernel.p0_raw, [u[b] for u, b in zip(axes, raw)])
+    S = kernel._minus_correctors(S, np.meshgrid(*axes, indexing="ij", sparse=True))
+    g = an._stencil(S, fam.centered_father_moments)
+    del S  # not held through the cascades
+    g *= 2.0 ** (-sum(bits) / 2.0)
+    a = filters.connection_filter(fam.h)  # a[j] is a_m at m = j + 2 - len(h)
     # rounds of s_i steps per axis from top = min_i floor(bits_i / s_i), the
     # finest level that every axis reaches, after the bits_i - top s_i steps
     # that lead there.  The rounds depend on the bits alone, not on N, so
@@ -683,30 +657,34 @@ def _self_similar_pieces(
     # axes' steps commute, but not in floating point
     top = min(b // si for b, si in zip(bits, sc.s))
     rounds = [[b - top * si for b, si in zip(bits, sc.s)]] + [sc.s] * (top - N + levels - 1)
-    out = []
-    for r, counts in enumerate(rounds):
-        for ax, m in enumerate(counts):
-            for _ in range(m):
-                t0[ax], c = _low_pass_on_line(t0[ax], c, fam.h, ax)
-        if r >= top - N:  # level r - (top - N)
-            out.append((tuple(t0), c * 2.0 ** ((r - top + N) * e)))
+    out = {}
+    for k in ks:
+        t0, c, out[k] = list(lows), g, []
+        e = sc.total - kernel.beta + sc.scaled_degree(k) - sc.total / 2.0
+        for r, counts in enumerate(rounds):
+            for ax, m in enumerate(counts):
+                for _ in range(k[ax] if r == 0 else 0):  # a_m 2^bits_ax, exact
+                    t0[ax], c = _filter_on_line(t0[ax], c, a * 2.0 ** bits[ax], ax, 1)
+                    t0[ax] += len(fam.h) - 2
+                for _ in range(m):
+                    t0[ax], c = _filter_on_line(t0[ax], c, fam.h, ax, 2)
+            if r >= top - N:  # level r - (top - N)
+                out[k].append((tuple(t0), c * 2.0 ** ((r - top + N) * e)))
     return out
 
 
-def _low_pass_on_line(
-    t0: int, c: np.ndarray, h: np.ndarray, axis: int = 0
-) -> tuple[int, np.ndarray]:
-    """One exact low-pass step on R along axis: c'[s] = sum_m h[m] c[2s + m]
-    for every s the support of c reaches, with c zero off its indices t0 ..
-    t0 + len(c) - 1 on that axis; one mra.filter_step on a zero-padded copy
-    that it never wraps."""
-    L, size = len(h), c.shape[axis]
-    s0 = (t0 - L + 2) // 2  # the first s with 2s + L - 1 >= t0
-    n = (t0 + size - 1) // 2 - s0 + 1
-    pad = np.zeros(c.shape[:axis] + (2 * n + L - 2,) + c.shape[axis + 1 :])
+def _filter_on_line(t0: int, c: np.ndarray, taps: np.ndarray, axis: int, stride: int) -> tuple:
+    """One exact filter step on R along axis: c'[s] = sum_m taps[m] c[stride
+    s + m] for every s the support of c reaches, with c zero off its indices
+    t0 .. t0 + len(c) - 1 on that axis; one mra.filter_step on a zero-padded
+    copy that it never wraps."""
+    L, size = len(taps), c.shape[axis]
+    s0 = (t0 - L + stride) // stride  # the first s with stride s + L - 1 >= t0
+    n = (t0 + size - 1) // stride - s0 + 1
+    pad = np.zeros(c.shape[:axis] + (stride * (n - 1 - (-L // stride)),) + c.shape[axis + 1 :])
     at = (slice(None),) * axis
-    pad[at + (slice(t0 - 2 * s0, t0 - 2 * s0 + size),)] = c
-    return s0, mra.filter_step(pad, h, axis, 2)[at + (slice(n),)]
+    pad[at + (slice(t0 - stride * s0, t0 - stride * s0 + size),)] = c
+    return s0, mra.filter_step(pad, taps, axis, stride)[at + (slice(n),)]
 
 
 def extend_structure(

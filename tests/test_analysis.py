@@ -185,12 +185,44 @@ def _near_full_support(fam, margin):
     return 0.0, lo / M
 
 
+def _minus_corrector_derivs(K, k, pts, out):
+    """out minus c d^(kc + k) of every tensor corrector, each factor by its
+    exact spline derivative."""
+    for kc, c in K.correction_coeffs.items():
+        out = out - c * math.prod(K._corrector_1d(a + b, pts[..., i]) for i, (a, b) in enumerate(zip(kc, k)))
+    return out
+
+
+def _p0_deriv_d1(K, k, pts):
+    """d^k P0 at pts (..., 1) for a d=1 Riesz decomposition, exactly: the raw
+    part |x|^(beta-1) (S(|x|) - S(2|x|)) by Leibniz's rule, with d^j S =
+    -_CDF^(j) for j >= 1 (S = 1 - _CDF below 1/2 and 0 above, where _CDF
+    and its derivatives vanish), the correctors by their spline derivatives."""
+    (j_max,), x = k, pts[..., 0]
+    u, sgn = np.abs(x), np.sign(x)
+    on = u > 0.1  # the cutoff is 0 for |x| <= 1/8, where |x|^(beta-1-j) grows
+    u, sgn, b = u[on], sgn[on], K.beta - 1.0
+
+    def cutoff(j):  # d^j/dx^j of S(|x|) - S(2|x|)
+        if j == 0:
+            return sch._step(u) - sch._step(2.0 * u)
+        dj = sch._CDF.derivative(j)
+        return -(sgn**j) * (dj(u) - 2.0**j * dj(2.0 * u))
+
+    out = np.zeros_like(x)
+    out[on] = sum(
+        math.comb(j_max, j) * math.prod(b - i for i in range(j)) * sgn**j * u ** (b - j) * cutoff(j_max - j)
+        for j in range(j_max + 1)
+    )
+    return _minus_corrector_derivs(K, k, pts, out)
+
+
 def _pn_deriv(K, k, n, pts):
-    """d^k P_n at pts, from the exact scaling of the pieces: d^k P_n(x) =
+    """d^k P_n at pts, d=1, from the exact scaling of the pieces: d^k P_n(x) =
     2^(n(|s| - beta + |k|_s)) d^k P0(2^(ns) x)."""
     scaled = pts * 2.0 ** (n * np.array(K.scaling.s, dtype=float))
     expo = K.scaling.total - K.beta + K.scaling.scaled_degree(k)
-    return 2.0 ** (n * expo) * K.p0_deriv(k, scaled)
+    return 2.0 ** (n * expo) * _p0_deriv_d1(K, k, scaled)
 
 
 @cache

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 
@@ -157,3 +158,61 @@ def test_report_runs_without_mpmath(tmp_path):
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "False", "False"], (name, proc.stdout)
+
+
+def _connection_residuals(order):
+    """The connection filter of an order against its defining relations:
+    the normalisation sum_m m a_m + 1, the refinement residual max_m |a_m - 2
+    sum_{k,l} h_k h_l a_{2m+k-l}|, and, relative to the exact derivative,
+    the miss of -sum_m a_m c_{t+m} against the coefficients of j x^(j-1) for
+    every j below the order, c_t = <x^j, phi(. - t)> = sum_i C(j, i) t^(j-i)
+    M_i from the father moments M_i, at t = -3 .. 3, relative to the sum's
+    own scale sum_m |a_m c_{t+m}| (the c_t reach (L + 1)^j)."""
+    h = filters.daubechies_filter(order)
+    a = filters.connection_filter(h)
+    L = len(h)
+    m = np.arange(2 - L, L - 1)
+    at = dict(zip(m.tolist(), a))
+    refine = max(
+        abs(at[mi] - 2.0 * sum(h[k] * h[l] * at.get(2 * mi + k - l, 0.0) for k in range(L) for l in range(L)))
+        for mi in m.tolist()
+    )
+    M = filters.scaling_moments(h, order)
+    t = np.arange(-3 - (L - 2), 4 + (L - 2))  # the taps reach L - 2 either side of t = -3 .. 3
+
+    def coeffs(j):
+        return sum(math.comb(j, i) * t.astype(float) ** (j - i) * M[i] for i in range(j + 1))
+
+    derivs = []
+    for j in range(1, order):
+        got = -np.correlate(coeffs(j), a, "valid")  # -sum_m a_m c_{t+m}
+        want = j * coeffs(j - 1)[L - 2 : len(t) - (L - 2)]
+        scale = np.correlate(np.abs(coeffs(j)), np.abs(a), "valid")
+        derivs.append(np.max(np.abs(got - want) / scale))
+    return a, float(np.dot(m, a) + 1.0), refine, max(derivs, default=0.0)
+
+
+# the relations at round-off: measured |sum_m m a_m + 1| <= 3.8e-15 and
+# refinement residuals <= 1.4e-15 over orders 2-9.  The derivative of x^j
+# misses by 3.3e-16 / 1.8e-15 / 5.7e-14 / 6.4e-12 of the sum's scale at
+# orders 2 / 4 / 6 / 9: the outer taps are tiny (down to 2e-17 at order 9)
+# and only absolutely accurate, and the high odd moments sum_m m^p a_m weigh
+# them by |m|^p.  Each bound is the next power of ten above twice that
+CONNECTION_DERIV_TOL = {2: 1e-15, 4: 1e-14, 6: 1e-12, 9: 1e-10}
+
+
+@pytest.mark.parametrize("order", sorted(CONNECTION_DERIV_TOL))
+def test_connection_filter_relations(order):
+    a, norm, refine, deriv = _connection_residuals(order)
+    assert len(a) == 4 * order - 3
+    np.testing.assert_array_equal(a, -a[::-1])  # a_{-m} = -a_m
+    assert abs(norm) <= 1e-14 and refine <= 1e-14
+    assert deriv <= CONNECTION_DERIV_TOL[order]
+    if order == 2:  # the closed form, a fourth-order central difference
+        np.testing.assert_allclose(a, [-1 / 12, 2 / 3, 0.0, -2 / 3, 1 / 12], rtol=0, atol=1e-15)
+
+
+def test_connection_filter_refuses_haar():
+    # phi = 1 on [0, 1) has no derivative: the system has only a = 0
+    with pytest.raises(ValueError, match="order-1 family has no derivative connection filter"):
+        filters.connection_filter(filters.daubechies_filter(1))

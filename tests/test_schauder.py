@@ -6,7 +6,7 @@ from itertools import product as iproduct
 
 import numpy as np
 import pytest
-from test_analysis import _pn_deriv, _windowed_quadrature
+from test_analysis import _minus_corrector_derivs, _p0_deriv_d1, _pn_deriv, _windowed_quadrature
 
 from rsbesov import analysis as an
 from rsbesov import besov, build_wavelet, filters, mra, modelled as md, schauder as sch
@@ -117,7 +117,7 @@ def test_corrector_moments_match_full_mesh_sum(which, heat_setup, riesz_kernel):
     x, w = _box_axis(11)
     x = x[np.abs(x) <= sch._CORRECTOR_SCALE]
     axes = np.meshgrid(*[x] * d, indexing="ij", sparse=True)
-    minus = K._minus_correctors(0.0, (0,) * d, axes)
+    minus = K._minus_correctors(0.0, axes)
     ms = K.scaling.multi_indices_below(K.r + 0.5)
     scale = max(abs(K._mom_cache[m]) for m in ms)
     for m in ms:
@@ -227,7 +227,7 @@ def test_sample_box_matches_one_shot_evaluation(which, deriv, riesz_kernel, heat
     shape, bits = ((sch._BLOCK + 4099,), (14,)) if d == 1 else ((131, 197), (7, 8))
     assert math.prod(shape) % sch._BLOCK
     k = (1,) + (0,) * (d - 1)
-    f = (lambda p: K.p0_deriv(k, p)) if deriv else K.p0_raw
+    f = (lambda p: _p0_deriv_ref(K, k, p)) if deriv else K.p0_raw
     axes = [-((np.arange(n) - n // 2 + 0.25) / 2.0**b) for n, b in zip(shape, bits)]
     mesh = np.meshgrid(*axes, indexing="ij")
     want = f(np.stack(mesh, axis=-1))
@@ -901,13 +901,15 @@ def test_output_norm_within_budget(extended):
 # figure is at roundoff.
 
 KS21 = [(0, 0), (1, 0), (0, 1)]
+KS_EXT = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0), (1, 1)]  # the heat extension's at N=2, gamma 1.25
 N1_BITS = (11, 9)  # below the rule's (13, 10): a quarter of its mesh, the same checks
 
 
 @pytest.fixture(scope="module")
 def heat_n1_pieces(fam6, heat_setup):
-    """The heat kernel's pieces on R at N=1, levels 2, N1_BITS sample bits."""
-    return {k: sch._self_similar_pieces(heat_setup, k, fam6, 1, 2, N1_BITS) for k in KS21}
+    """The heat kernel's pieces on R at N=1, levels 2, N1_BITS sample bits,
+    for every k of the heat extension."""
+    return sch._self_similar_pieces(heat_setup, KS_EXT, fam6, 1, 2, N1_BITS)
 
 
 def _uncorrected_heat_kernel(sc21):
@@ -928,19 +930,22 @@ def _p_plus_pairing_nd(K, m, k, levels):
 
 # Per-check tolerances of _assert_nd_moments, (sum, first moment in t, first
 # moment in x) per (k, levels), each the next power of ten above twice the
-# measured miss, 1e-14 where that is below 2e-16.  Measured at N1_BITS, the
-# same for both kernels; pplus_moment is exact (polar moments), so
+# measured miss, 1e-14 where the miss is round-off.  Measured at N1_BITS,
+# the same for both kernels; pplus_moment is exact (polar moments), so
 # every figure is the route's own error.  Wherever the pairing is
 # +-pplus_moment((0, 0)) the route misses it by 3.0e-11 / 3.8e-11 at levels
 # 1 / 2 (the 11-bit box moments missed the pairing by 4.9e-9 / 6.1e-9); the
 # k=(0, 0) first moment in t misses by 3.9e-14 / 4.1e-14 (9.4e-12 / 1.0e-11),
-# the k=(1, 0) first moment in t by 2.8e-11 / 3.5e-11 (4.9e-9 / 6.1e-9).  The
-# k=(1, 0) sum misses 0 by -1.1e-8 / -2.2e-8, the finite differences' error.
+# the k=(1, 0) first moment in t by 3.0e-11 / 3.8e-11 (4.9e-9 / 6.1e-9).  The
+# k=(1, 0) sum misses 0 by at most 2.2e-16: the connection filter's taps
+# sum to 0, so the coefficients of every derivative do too.  (The finite
+# differences missed it by -1.1e-8 / -2.2e-8 here, through the (11, 9)
+# sampling of the heat kernel's t -> 0 edge, and by 1.0e-14 at (13, 10).)
 ND_MOMENT_TOL = {
     ((0, 0), 1): (1e-10, 1e-13, 1e-14),
     ((0, 0), 2): (1e-10, 1e-13, 1e-14),
-    ((1, 0), 1): (1e-7, 1e-10, 1e-14),
-    ((1, 0), 2): (1e-7, 1e-10, 1e-14),
+    ((1, 0), 1): (1e-14, 1e-10, 1e-14),
+    ((1, 0), 2): (1e-14, 1e-10, 1e-14),
     ((0, 1), 1): (1e-14, 1e-14, 1e-10),
     ((0, 1), 2): (1e-14, 1e-14, 1e-10),
 }
@@ -978,7 +983,7 @@ def test_nd_route_integrates_to_p0_moment(sc21, fam6, heat_setup, heat_n1_pieces
 
 def test_nd_route_integrates_uncorrected_moments(sc21, fam6):
     K = _uncorrected_heat_kernel(sc21)
-    _assert_nd_moments(K, lambda k: sch._self_similar_pieces(K, k, fam6, 1, 2, N1_BITS), fam6, sc21)
+    _assert_nd_moments(K, sch._self_similar_pieces(K, KS21, fam6, 1, 2, N1_BITS).__getitem__, fam6, sc21)
     assert abs(K.pplus_moment((0, 0), 1)) > 0.05  # the check is not vacuous
     assert abs(K.pplus_moment((1, 0), 1)) > 0.005
 
@@ -996,8 +1001,8 @@ def heat_n3(sc21, fam6):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sch, "_self_similar_pieces", kept)
-        arr = sch._deriv_kernel_array(K, (0, 0), fam6, sc21, 3, 2)
-    return K, arr, seen[0]
+        arr = sch._deriv_kernel_array(K, [(0, 0)], fam6, sc21, 3, 2)[(0, 0)]
+    return K, arr, seen[0][(0, 0)]
 
 
 # _nd_moment_misses at N=3 and the rule's bits, k=(0,0), uncorrected heat
@@ -1036,33 +1041,32 @@ def test_one_mesh_for_every_n(sc1, sc21, fam6, heat_n3):
     # level on.  2.0 ** (n e) is a power of two at d=1, beta = 1/2 (e = k),
     # so every level is compared; the heat kernel's e = -1/2 only at n = 0.
     K = sch.decompose_kernel("riesz", sc1, r=3, beta=0.5)
+    pieces = sch._self_similar_pieces(K, [(0,), (1,)], fam6, 8, 3)
+    finer = sch._self_similar_pieces(K, [(0,), (1,)], fam6, 9, 4)
     for k in (0, 1):
-        pieces = sch._self_similar_pieces(K, (k,), fam6, 8, 3)
-        _assert_one_mesh(pieces, sch._self_similar_pieces(K, (k,), fam6, 9, 4), k)
+        _assert_one_mesh(pieces[(k,)], finer[(k,)], k)
     K, _, finer = heat_n3
-    pieces = sch._self_similar_pieces(K, (0, 0), fam6, 2, 1)
+    pieces = sch._self_similar_pieces(K, [(0, 0)], fam6, 2, 1)[(0, 0)]
     _assert_one_mesh(pieces, finer, sc21.total / 2.0 - K.beta)
 
 
 def test_route_refuses_bits_it_cannot_use(fam6, riesz_kernel):
     # fewer bits than N s_i would need negative low-pass steps
     with pytest.raises(ValueError, match=r"sample bits \(7,\) at s=\(1,\), N=8: .* each >= N s_i"):
-        sch._self_similar_pieces(riesz_kernel, (0,), fam6, 8, 1, (7,))
+        sch._self_similar_pieces(riesz_kernel, [(0,)], fam6, 8, 1, (7,))
     # the rule states B for s=(1,) and s=(2,1) only
     K = sch.decompose_kernel("riesz", Scaling((1, 1)), r=1, beta=0.7)
     with pytest.raises(ValueError, match=r"no sample bits for s=\(1, 1\)"):
-        sch._self_similar_pieces(K, (0, 0), fam6, 2, 1)
+        sch._self_similar_pieces(K, [(0, 0)], fam6, 2, 1)
 
 
-@pytest.mark.parametrize("k, tol", [((0, 0), 1e-8), ((1, 0), 1e-6), ((0, 1), 1e-8)], ids=["00", "10", "01"])
+@pytest.mark.parametrize("k, tol", [((0, 0), 1e-8), ((1, 0), 1e-8), ((0, 1), 1e-8)], ids=["00", "10", "01"])
 def test_nd_route_converges_in_the_sample_bits(sc21, fam6, heat_setup, heat_n1_pieces, k, tol):
-    # one more sample bit per axis, (12, 10) against N1_BITS = (11, 9); in the
-    # table the (11, 9) arrays miss the reference by 3.3e-9 / 2.5e-7 / 2.9e-9
-    # of the sup.  The (11, 9) pieces are put on the torus here, by np.add.at.
-    fine = sch._deriv_kernel_array(heat_setup, k, fam6, sc21, 1, 2, bits=(12, 10))
-    want = np.zeros_like(fine)
-    for t0, c in heat_n1_pieces[k]:
-        np.add.at(want, np.ix_(*[(a + np.arange(m)) % M for a, m, M in zip(t0, c.shape, want.shape)]), c)
+    # one more sample bit per axis, (12, 10) against N1_BITS = (11, 9): the
+    # (11, 9) arrays miss it by 3.3e-9 / 2.3e-9 / 3.0e-9 of the sup (the
+    # finite differences' k = (1, 0) missed by 2.5e-7)
+    fine = sch._deriv_kernel_array(heat_setup, [k], fam6, sc21, 1, 2, bits=(12, 10))[k]
+    want = _on_torus(heat_n1_pieces[k], fine.shape)
     assert np.max(np.abs(want - fine)) <= tol * np.max(np.abs(fine))
 
 
@@ -1073,24 +1077,20 @@ def _window(fam, bits, reach):
     return math.floor(-r - fam.center) - 3, math.ceil(r - fam.center) + 4
 
 
-def _full_box(K, k, fam, bits):
+def _full_box(K, fam, bits):
     """The windows of the one box that holds both the raw part and the
-    correctors of d^k P0, |x_i| <= max(2^-s_i + k_i h, _CORRECTOR_SCALE)."""
-    return [
-        _window(fam, bi, max(2.0**-si + ki * sch._FD_STEP, sch._CORRECTOR_SCALE))
-        for si, ki, bi in zip(K.scaling.s, k, bits)
-    ]
+    correctors of P0, |x_i| <= max(2^-s_i, _CORRECTOR_SCALE)."""
+    return [_window(fam, bi, max(2.0**-si, sch._CORRECTOR_SCALE)) for si, bi in zip(K.scaling.s, bits)]
 
 
-def _full_box_pieces(K, k, fam, N, levels, bits):
-    """The route with p0_deriv sampled pointwise on the full box, then the
-    stencil and the exact low-pass steps: the oracle for _self_similar_pieces."""
+def _full_box_pieces(K, k, f, fam, N, levels, bits):
+    """The route fed F = f: f sampled pointwise on the full box, then the
+    stencil and the exact low-pass steps, with no derivative filter.  With f
+    = K.p0 and k = 0 it is the oracle for _self_similar_pieces's two boxes;
+    with a reference d^k P0 it is the route fed that derivative."""
     sc = K.scaling
-    windows = _full_box(K, k, fam, bits)
-    S = sch._sample_box(
-        lambda p: K.p0_deriv(k, p),
-        [-((np.arange(lo, hi) + fam.center) / 2.0**b) for (lo, hi), b in zip(windows, bits)],
-    )
+    windows = _full_box(K, fam, bits)
+    S = sch._sample_box(f, [-((np.arange(lo, hi) + fam.center) / 2.0**b) for (lo, hi), b in zip(windows, bits)])
     c = an._stencil(S, fam.centered_father_moments) * 2.0 ** (-sum(bits) / 2.0)
     t0 = [lo for lo, _ in windows]
     e = sc.total - K.beta + sc.scaled_degree(k) - sc.total / 2.0
@@ -1099,33 +1099,65 @@ def _full_box_pieces(K, k, fam, N, levels, bits):
     for r, counts in enumerate([[b - top * si for b, si in zip(bits, sc.s)]] + [sc.s] * (top - N + levels - 1)):
         for ax, m in enumerate(counts):
             for _ in range(m):
-                t0[ax], c = sch._low_pass_on_line(t0[ax], c, fam.h, ax)
+                t0[ax], c = sch._filter_on_line(t0[ax], c, fam.h, ax, 2)
         if r >= top - N:
             out.append((tuple(t0), c * 2.0 ** ((r - top + N) * e)))
     return out
 
 
+def _on_torus(pieces, shape):
+    """The pieces summed on the torus of the given shape, by np.add.at; on a
+    torus wider than their extent this is their sum on R."""
+    out = np.zeros(shape)
+    for t0, c in pieces:
+        np.add.at(out, np.ix_(*[(a + np.arange(m)) % M for a, m, M in zip(t0, c.shape, shape)]), c)
+    return out
+
+
+def _central_difference(f, k, pts, h):
+    """d^k f at pts by central differences of step h on each axis:
+    (2h)^-|k| sum_j prod_i (-1)^j_i C(k_i, j_i) f(x + (k_i - 2 j_i) h e_i)."""
+    out = np.zeros(pts.shape[:-1])
+    for js in iproduct(*[range(ki + 1) for ki in k]):
+        w = math.prod((-1) ** j * math.comb(ki, j) for ki, j in zip(k, js))
+        out += w * f(pts + h * np.array([ki - 2 * j for ki, j in zip(k, js)], dtype=float))
+    return out / (2.0 * h) ** sum(k)
+
+
+def _p0_deriv_ref(K, k, pts):
+    """d^k P0 at pts: exactly at d=1 (_p0_deriv_d1); at s=(2,1) the raw part
+    by Richardson's extrapolation (4 D_{h/2} - D_h) / 3 of the central
+    differences D_h with h = 1e-3, the correctors by their spline
+    derivatives."""
+    if K.scaling.d == 1:
+        return _p0_deriv_d1(K, k, pts)
+    out = (4.0 * _central_difference(K.p0_raw, k, pts, 5e-4) - _central_difference(K.p0_raw, k, pts, 1e-3)) / 3.0
+    return _minus_corrector_derivs(K, k, pts, out)
+
+
 @pytest.mark.parametrize("which", ["riesz", "heat"])
 def test_two_box_route_matches_the_full_box_route(fam6, riesz_kernel, heat_setup, heat_n1_pieces, which):
     # the raw part on its own box and the correctors as products of 1-d
-    # factors give the same bits as p0_deriv on every point of the full box
+    # factors give the same bits as p0 on every point of the full box; every
+    # k > 0 filters these same samples
     if which == "riesz":
-        K, N, levels, ks, bits = riesz_kernel, 8, 10, [(0,), (1,), (2,)], (14,)
-        pieces_of = lambda k: sch._self_similar_pieces(K, k, fam6, N, levels)  # noqa: E731
+        K, N, levels, bits = riesz_kernel, 8, 10, (14,)
+        got = sch._self_similar_pieces(K, [(0,)], fam6, N, levels)[(0,)]
     else:
-        K, N, levels, ks, bits = heat_setup, 1, 2, KS21, N1_BITS
-        pieces_of = heat_n1_pieces.__getitem__
-    for k in ks:
-        got, want = pieces_of(k), _full_box_pieces(K, k, fam6, N, levels, bits)
-        assert len(got) == len(want) == levels
-        for (t0, c), (t0_want, c_want) in zip(got, want):
-            assert t0 == t0_want, k
-            np.testing.assert_array_equal(c, c_want)
+        K, N, levels, bits = heat_setup, 1, 2, N1_BITS
+        got = heat_n1_pieces[(0, 0)]
+    want = _full_box_pieces(K, (0,) * K.scaling.d, K.p0, fam6, N, levels, bits)
+    assert len(got) == len(want) == levels
+    for (t0, c), (t0_want, c_want) in zip(got, want):
+        assert t0 == t0_want
+        np.testing.assert_array_equal(c, c_want)
 
 
 def test_route_evaluates_the_raw_part_on_its_support_box(fam6, heat_setup):
-    # at s=(2,1) the correctors reach |t| <= 1/2, the raw part only
-    # |t| <= 1/4 + k_0 h: P is evaluated on about half of the full box
+    # one call for every k of the heat extension evaluates P once per point
+    # of the raw box |x_i| <= 2^-s_i and its pad, about half of the full box
+    # (the correctors reach |t| <= 1/2); the finite differences that the
+    # route took before evaluated sum_k 2^|k| = 21 boxes, each widened by k h
     K0, N, bits = heat_setup, 1, N1_BITS
     sc = K0.scaling
     seen = {"points": 0, "reach": np.zeros(sc.d)}
@@ -1136,15 +1168,32 @@ def test_route_evaluates_the_raw_part_on_its_support_box(fam6, heat_setup):
         return K0.P(pts)
 
     K = sch.KernelDecomposition(sc, K0.beta, K0.r, counted, dict(K0.correction_coeffs))
-    for k in [(0, 0), (1, 0)]:
-        seen["points"], seen["reach"] = 0, np.zeros(sc.d)
-        sch._self_similar_pieces(K, k, fam6, N, 1, bits)
-        windows = _full_box(K, k, fam6, bits)
-        for ax, (si, ki, bi) in enumerate(zip(sc.s, k, bits)):
-            # the box, its pad and the differences' own steps
-            assert seen["reach"][ax] <= 2.0**-si + 2 * ki * sch._FD_STEP + 4 * 2.0**-bi, (k, ax)
-        full = math.prod(hi - lo for lo, hi in windows) * 2 ** sum(k)
-        assert 0.49 * full <= seen["points"] <= 0.51 * full, k
+    pieces = sch._self_similar_pieces(K, KS_EXT, fam6, N, 1, bits)
+    assert sorted(pieces) == sorted(KS_EXT)
+    raw = [_window(fam6, bi, 2.0**-si) for si, bi in zip(sc.s, bits)]
+    assert seen["points"] == math.prod(hi - lo for lo, hi in raw)
+    for ax, (si, bi) in enumerate(zip(sc.s, bits)):  # the box and its pad
+        assert seen["reach"][ax] <= 2.0**-si + 4 * 2.0**-bi, ax
+    full = math.prod(hi - lo for lo, hi in _full_box(K, fam6, bits))
+    assert 0.49 * full <= seen["points"] <= 0.51 * full
+
+
+# every k of the heat extension at N=1, N1_BITS, levels 2, against the route
+# fed the Richardson reference (_p0_deriv_ref), as a fraction of the sup:
+# measured 1.6e-11 / 8.8e-10 / 3.7e-8 at k = (0,1) / (0,2) / (0,3) and
+# 2.9e-7 / 3.2e-7 at (1,0) / (1,1), which take the time filter at 11 bits;
+# the finite differences of step 1e-3 that the route took before missed by
+# 7.2e-6 to 1.0e-4.  k = (0,0) is fed p0 itself and matches bit for bit
+ND_DERIV_TOL = 1e-6
+
+
+def test_nd_derivatives_match_the_route_fed_richardson_differences(fam6, heat_setup, heat_n1_pieces):
+    K = heat_setup
+    for k in KS_EXT:
+        f = partial(_p0_deriv_ref, K, k) if any(k) else K.p0
+        want = _on_torus(_full_box_pieces(K, k, f, fam6, 1, 2, N1_BITS), (64, 64))
+        got = _on_torus(heat_n1_pieces[k], (64, 64))  # wider than every piece: their sum on R
+        assert np.max(np.abs(got - want)) <= ND_DERIV_TOL * np.max(np.abs(want)), k
 
 
 # --- the d=1 self-similar route ------------------------------------------------
@@ -1176,13 +1225,15 @@ def _p_plus_pairing(K, m, k, levels):
 def test_d1_route_integrates_to_p0_moments(sc1, fam6, riesz_kernel, which, N, levels):
     # pieces coarser than, as fine as and finer than the grid
     K = riesz_kernel if which == "riesz" else _uncorrected_skewed_kernel(sc1)
+    arrays = sch._deriv_kernel_array(K, [(0,), (1,)], fam6, sc1, N, levels)
+    pieces = sch._self_similar_pieces(K, [(0,), (1,)], fam6, N, levels)
     for k in (0, 1):
-        arr = sch._deriv_kernel_array(K, (k,), fam6, sc1, N, levels)
+        arr = arrays[(k,)]
         total = float(np.sum(arr)) * 2.0 ** (-N / 2.0)
         assert abs(total - _p_plus_pairing(K, 0, k, levels)) < 1e-8
         # the first moment needs the pieces on R, before they wrap
         first = 0.0
-        for (t0,), c in sch._self_similar_pieces(K, (k,), fam6, N, levels):
+        for (t0,), c in pieces[(k,)]:
             t = t0 + np.arange(len(c))
             first += float(np.sum(c * (t + fam6.father_moments[1]))) * 2.0 ** (-1.5 * N)
         assert abs(first - _p_plus_pairing(K, 1, k, levels)) < 1e-8
@@ -1194,8 +1245,9 @@ def test_d1_route_integrates_to_p0_moments(sc1, fam6, riesz_kernel, which, N, le
 @cache
 def _per_level_pieces(N, k, margin):
     """The per-level route: one margin-`margin` quadrature of every piece
-    u -> d^k P_n(-u), n < N + 2, on its own support |u| <= 2^-n (criterion 8's
-    Riesz decomposition, order-6 family)."""
+    u -> d^k P_n(-u), n < N + 2, on its own support |u| <= 2^-n, from the
+    exact derivative _p0_deriv_d1 (criterion 8's Riesz decomposition,
+    order-6 family)."""
     sc = Scaling((1,))
     K = sch.decompose_kernel("riesz", sc, r=3, beta=BETA)
     fam = build_wavelet(6, 2)
@@ -1213,30 +1265,51 @@ def _per_level_pieces(N, k, margin):
 @pytest.mark.parametrize("N", [6, 8])
 def test_self_similar_route_matches_the_fine_per_level_route(sc1, fam6, riesz_kernel, N):
     # the per-level route at margin 12 is the reference; at margin 8 it misses
-    # it by up to 1.3e-11 of the sup, the finer pieces being sampled coarsely
+    # it by up to 1.3e-11 of the sup, the finer pieces being sampled coarsely.
+    # The route misses it by at most 1.1e-14 (k = 0) and 1.6e-14 (k = 1)
     for k in (0, 1):
         pieces = _per_level_pieces(N, k, 12)
         for levels in (3, N, N + 2):
             want = np.sum(pieces[:levels], axis=0)
-            got = sch._deriv_kernel_array(riesz_kernel, (k,), fam6, sc1, N, levels)
+            got = sch._deriv_kernel_array(riesz_kernel, [(k,)], fam6, sc1, N, levels)[(k,)]
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (k, levels)
 
 
 # the rule's 14 bits at d=1 against 3 more, as a fraction of the sup (levels
-# N): measured 5.7e-16 / 4.3e-16 / 4.7e-16 (k = 0) and 1.06e-15 / 1.05e-15 /
-# 1.04e-15 (k = 1) at N = 5 / 8 / 10, round-off; the 13 bits that N = 5 took
-# at 8 bits above N miss by 6.0e-15 / 1.3e-14
-D1_RULE_TOL = 5e-15
+# N), per k: measured 9.1e-16 / 6.2e-16 / 4.4e-16 (k = 0), 3.3e-15 / 4.0e-15
+# / 3.9e-15 (k = 1) and 1.8e-14 (k = 2) at N = 5 / 8 / 10, round-off; each
+# filter step scales the 17-bit round-off by 2^17.  The 13 bits that N = 5
+# took at 8 bits above N missed by 6.0e-15 (k = 0)
+D1_RULE_TOL = {(0,): 5e-15, (1,): 1e-14, (2,): 1e-13}
 
 
 @pytest.mark.parametrize("N", [5, 8, 10])
 def test_d1_route_at_the_rule_bits_is_at_round_off(sc1, fam6, riesz_kernel, N):
     (bits,) = sch._sample_bits(sc1, N)
     assert bits == 14
-    for k in (0, 1):
-        got = sch._deriv_kernel_array(riesz_kernel, (k,), fam6, sc1, N, N)
-        want = sch._deriv_kernel_array(riesz_kernel, (k,), fam6, sc1, N, N, bits=(bits + 3,))
-        assert np.max(np.abs(got - want)) <= D1_RULE_TOL * np.max(np.abs(want)), k
+    got = sch._deriv_kernel_array(riesz_kernel, list(D1_RULE_TOL), fam6, sc1, N, N)
+    want = sch._deriv_kernel_array(riesz_kernel, list(D1_RULE_TOL), fam6, sc1, N, N, bits=(bits + 3,))
+    for k, tol in D1_RULE_TOL.items():
+        assert np.max(np.abs(got[k] - want[k])) <= tol * np.max(np.abs(want[k])), k
+
+
+# the d=1 arrays of k = 1 and 2 against the route fed the exact derivative
+# of P0 (_p0_deriv_d1), as a fraction of the sup (levels N): measured at
+# most 4.6e-15 (k = 1) and 1.8e-14 (k = 2) over orders 6 and 9, N = 6 and 10;
+# the finite differences of step 1e-3 missed by 9.5e-6 to 1.2e-5 (k = 1)
+# and 2.4e-5 to 5.0e-5 (k = 2)
+D1_DERIV_TOL = {(1,): 1e-14, (2,): 1e-13}
+
+
+@pytest.mark.parametrize("N", [6, 10])
+@pytest.mark.parametrize("order", [6, 9])
+def test_d1_derivatives_match_the_route_fed_the_exact_derivative(sc1, fam6, fam9, riesz_kernel, order, N):
+    fam, K = (fam6 if order == 6 else fam9), riesz_kernel
+    got = sch._deriv_kernel_array(K, list(D1_DERIV_TOL), fam, sc1, N, N)
+    for k, tol in D1_DERIV_TOL.items():
+        pieces = _full_box_pieces(K, k, partial(_p0_deriv_d1, K, k), fam, N, N, sch._sample_bits(sc1, N))
+        want = _on_torus(pieces, sc1.grid_shape(N))
+        assert np.max(np.abs(got[k] - want)) <= tol * np.max(np.abs(want)), k
 
 
 def test_low_pass_on_line_matches_the_periodic_step(fam6):
@@ -1244,9 +1317,14 @@ def test_low_pass_on_line_matches_the_periodic_step(fam6):
     # along the line and along axis 1 of a 2-d array
     rng = np.random.default_rng(3)
     h = fam6.h
+    a = filters.connection_filter(h)
     for t0 in (-13, -12, 0, 5):
         c = rng.standard_normal(9)
-        s0, got = sch._low_pass_on_line(t0, c, h)
+        # the derivative taps at stride 1: every s with a tap on c, none more
+        s0, got = sch._filter_on_line(t0, c, a, 0, 1)
+        assert s0 == t0 - len(a) + 1 and len(got) == len(c) + len(a) - 1
+        np.testing.assert_allclose(got, np.correlate(np.pad(c, len(a) - 1), a, "valid"), rtol=0, atol=1e-15)
+        s0, got = sch._filter_on_line(t0, c, h, 0, 2)
         line = np.zeros(128)
         line[t0 + 64 : t0 + 64 + len(c)] = c
         full = mra.filter_step(line, h, 0, 2)
@@ -1255,7 +1333,7 @@ def test_low_pass_on_line_matches_the_periodic_step(fam6):
         rest = np.delete(full, np.arange(s0 + 32, s0 + 32 + len(got)))
         assert np.all(rest == 0.0)
         rows = rng.standard_normal((3, 9))
-        s0_2d, got = sch._low_pass_on_line(t0, rows, h, 1)
+        s0_2d, got = sch._filter_on_line(t0, rows, h, 1, 2)
         plane = np.zeros((3, 128))
         plane[:, t0 + 64 : t0 + 64 + rows.shape[1]] = rows
         full = mra.filter_step(plane, h, 1, 2)
@@ -1282,7 +1360,7 @@ def test_extension_accepts_one_level_and_the_fewest_sample_bits(sc1, fam6, riesz
     _, em = sch.extend_structure(stn, nm, riesz_kernel, GAMMA, conv_levels=np.int64(1))
     assert em.conv_levels == 1 and np.max(np.abs(em.conv_values)) > 0.0
     # sampled at level N itself: no low-pass step before level 0
-    w = sch._deriv_kernel_array(riesz_kernel, (0,), fam6, sc1, em.N, 1, bits=(em.N,))
+    w = sch._deriv_kernel_array(riesz_kernel, [(0,)], fam6, sc1, em.N, 1, bits=(em.N,))[(0,)]
     assert np.max(np.abs(w)) > 0.0
 
 
